@@ -3,7 +3,9 @@
 // GMRES on the MQS saddle system converges slowly without a preconditioner
 // that captures the local inductive coupling. The Section-4 sparsification
 // schemes are exactly that: a sparse L' ≈ L whose MQS system factors
-// cheaply with the real-only la::SparseLu. This header provides
+// cheaply with the real-only la::SparseLu. With a diagonal L' the solver
+// factors the nodal Schur complement Y = A·diag(R + jωL')⁻¹·Aᵀ instead of
+// the saddle system (loop/mqs_solver.cpp). This header provides
 //   * voxel_sparsified_l() — lattice-aware builders of the existing schemes
 //     (diagonal / block-diagonal strips / shell shift-truncate / magnitude
 //     truncation, mirroring sparsify/{block_diagonal,shell,truncation}
@@ -38,12 +40,17 @@ enum class PrecondKind {
 };
 
 struct PrecondOptions {
-  /// Diag is the default: on lattice grids the saddle system is close enough
-  /// to diagonally dominant that GMRES converges in a handful of iterations,
-  /// and the windowed schemes' 2-D/3-D coupling patterns incur severe sparse
-  /// LU fill (observed >80x the preconditioner nnz at ~25k cells), making
-  /// their factorisation dominate the whole solve. Select a windowed kind
-  /// when diagonal preconditioning stagnates on tightly coupled geometry.
+  /// Diag is the default: on lattice grids GMRES converges in a handful of
+  /// iterations from the cell self terms alone (4 on a signal with three
+  /// strapped returns per side at ~2.4k cells), and a diagonal L' lets the
+  /// branch currents be eliminated exactly. The solver then factors the
+  /// nodal admittance Y = A·diag(1/(R + jωL'))·Aᵀ + pins, whose non-zero
+  /// diagonal keeps the AMD order: LU fill ~1.4x nnz there, where the
+  /// saddle form's zero node diagonal forced off-diagonal pivots and ~82x
+  /// fill (tracked memory 5.1 MB instead of 36.7 MB). The windowed kinds
+  /// keep the saddle factor, since their (R + jωL')⁻¹ is not sparse; select
+  /// one when diagonal preconditioning stagnates on tightly coupled
+  /// geometry.
   PrecondKind kind = PrecondKind::Diag;
   /// Coupling window radius (metres); <= 0 selects 3.5 x pitch.
   double radius = 0.0;
@@ -64,7 +71,10 @@ struct ComplexTriplet {
 };
 
 /// A complex sparse factorisation backed by the real SparseLu on the
-/// real-equivalent doubled system.
+/// real-equivalent doubled system. Factors the MQS preconditioner: the
+/// nodal admittance matrix (active nodes) for a diagonal L' such as
+/// PrecondKind::Diag's, the [KCL; branch] saddle system (active nodes +
+/// cells) when L' has off-diagonal terms.
 class ComplexSparseFactor {
  public:
   ComplexSparseFactor() = default;

@@ -498,6 +498,99 @@ TEST_F(FastTest, PrecondKindsAllConverge) {
   }
 }
 
+// Lattice-aligned signal with three ground returns per side (inner 2
+// pitches out, middle 5, outer 8), each side's returns strapped at both
+// ends, on a 4 um pitch. `floating` adds an unconnected wire 12 pitches
+// out that belongs to no conductor group reaching the reference.
+geom::Layout strapped_returns_layout(int cols, bool floating = false) {
+  const double p = um(4), w = um(2), len = cols * p;
+  geom::Layout l(geom::default_tech());
+  const int sig = l.add_net("sig", geom::NetKind::Signal);
+  const int gnd = l.add_net("gnd", geom::NetKind::Ground);
+  l.add_wire(sig, 6, {0, 0}, {len, 0}, w);
+  for (const int side : {1, -1}) {
+    for (const int slot : {2, 5, 8})
+      l.add_wire(gnd, 6, {0, side * slot * p}, {len, side * slot * p}, w);
+    for (const double x : {0.0, len})
+      l.add_wire(gnd, 6, {x, side * 2 * p}, {x, side * 8 * p}, w);
+  }
+  if (floating) l.add_wire(gnd, 6, {0, 12 * p}, {len, 12 * p}, w);
+  return geom::refine(l, p);
+}
+
+/// Port across the signal and the inner return at x = 0; both sides tied
+/// at the near end, everything shorted at the far end.
+loop::LoopImpedance strapped_port_impedance(loop::MqsSolver& s, int cols,
+                                            double f) {
+  const double p = um(4), len = cols * p;
+  const auto at = [&](double x, double y) {
+    const auto n = s.node_at({x, y}, 6);
+    EXPECT_TRUE(n.has_value()) << "no node at (" << x << ", " << y << ")";
+    return n.value_or(0);
+  };
+  s.short_nodes(at(0, 2 * p), at(0, -2 * p));
+  s.short_nodes(at(len, 0), at(len, 2 * p));
+  s.short_nodes(at(len, 0), at(len, -2 * p));
+  return s.port_impedance(at(0, 0), at(0, 2 * p), f);
+}
+
+loop::MqsOptions strapped_fft_options() {
+  loop::MqsOptions opts;
+  opts.method = loop::ExtractionMethod::FftGmres;
+  opts.fast.voxel.pitch = um(4);
+  return opts;
+}
+
+TEST_F(FastTest, DiagPrecondFactorsNodalAdmittanceWithLowFill) {
+  // ~2.4k cells: the nodal Y = A diag(y) A^T keeps the sparse LU fill a
+  // small multiple of its nnz, and, being the same preconditioner as the
+  // saddle form, leaves GMRES at a handful of iterations.
+  constexpr int kCols = 340;
+  const geom::Layout l = strapped_returns_layout(kCols);
+  loop::MqsSolver fft(l.segments(), l.vias(), l.tech(),
+                      strapped_fft_options());
+  ASSERT_NE(fft.voxel_grid(), nullptr);
+  EXPECT_GT(fft.voxel_grid()->num_cells(), 2300u);
+  auto& metrics = runtime::MetricsRegistry::instance();
+  metrics.reset();
+  const auto z = strapped_port_impedance(fft, kCols, 1e9);
+  EXPECT_GT(z.resistance, 0.0);
+  EXPECT_GT(z.inductance, 0.0);
+  const auto fill = metrics.counter("factor.sparse_lu.fill_nnz").value.load();
+  const auto nnz = metrics.counter("factor.sparse_lu.max_nnz").value.load();
+  ASSERT_GT(nnz, 0);
+  EXPECT_LE(static_cast<double>(fill) / static_cast<double>(nnz), 5.0)
+      << "fill " << fill << " nnz " << nnz;
+  EXPECT_LE(metrics.counter("solve.gmres.iterations").value.load(), 4);
+  EXPECT_EQ(metrics.counter("fast.dense_fallbacks").value.load(), 0);
+}
+
+TEST_F(FastTest, DiagPrecondMatchesDenseOnStrappedReturns) {
+  // With the floating wire, which reaches no reference, only the pin entry
+  // keeps the nodal admittance non-singular; without it the sparse factor
+  // would fall back to dense.
+  constexpr int kCols = 12;
+  auto& metrics = runtime::MetricsRegistry::instance();
+  for (const bool floating : {false, true}) {
+    const geom::Layout l = strapped_returns_layout(kCols, floating);
+    loop::MqsSolver dense(l.segments(), l.vias(), l.tech(), {});
+    loop::MqsSolver fft(l.segments(), l.vias(), l.tech(),
+                        strapped_fft_options());
+    metrics.reset();
+    const auto zd = strapped_port_impedance(dense, kCols, 1e9);
+    const auto zf = strapped_port_impedance(fft, kCols, 1e9);
+    EXPECT_NEAR(zf.resistance, zd.resistance, 1e-9 * zd.resistance)
+        << "floating " << floating;
+    EXPECT_NEAR(zf.inductance, zd.inductance, 1e-9 * zd.inductance)
+        << "floating " << floating;
+    EXPECT_EQ(metrics.counter("fast.dense_fallbacks").value.load(), 0)
+        << "floating " << floating;
+    EXPECT_EQ(metrics.counter("robust.action.dense_fallback").value.load(),
+              0)
+        << "floating " << floating;
+  }
+}
+
 TEST_F(FastTest, GmresFaultRetryRecovers) {
   const geom::Layout l = geom::refine(aligned_loop_layout(), um(40));
   loop::MqsSolver fft(l.segments(), l.vias(), l.tech(), fft_options());
