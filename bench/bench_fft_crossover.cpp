@@ -17,13 +17,19 @@
 //   fast.crossover.n<K>.gmres_iters_per_solve
 //   fast.crossover.n<K>.peak_tracked_bytes   govern tracked-memory peak of
 //                                            the FFT extraction
+//   fast.crossover.n<K>.dense_meshes         independent loops the Dense
+//                                            mesh formulation solves for
 //   fast.crossover.speedup_x1000             dense/fft ratio at the largest
 //                                            common size, thousandths
-// Every extraction restarts the sparse LU and tracked-memory high-water
-// marks, so the global factor.sparse_lu.* and govern.peak_tracked_bytes
-// counters describe the last (largest, FFT-only) point.
-// The CI fft-crossover job asserts rel_ppb <= 1000 (1e-6), fill/nnz <= 5
-// and no dense fallback from the JSON.
+// Every extraction restarts the sparse LU, mesh-count and tracked-memory
+// high-water marks, so the global factor.sparse_lu.* and
+// govern.peak_tracked_bytes counters describe the last (largest, FFT-only)
+// point.
+// Only wires 0 and 1 close a loop; the other wires are floating chains,
+// which the mesh formulation drops (a tree adds no mesh). Dense therefore
+// solves for almost no unknowns here and mostly times the partial-L build.
+// The CI fft-crossover job asserts rel_ppb <= 1000 (1e-6), fill/nnz <= 5,
+// dense_meshes < K and no dense fallback from the JSON.
 //
 // --ci runs a trimmed sweep sized for the gate, not for the committed
 // BENCH_fft.json numbers.
@@ -56,6 +62,7 @@ struct Extraction {
   double seconds = 0.0;
   std::int64_t fill_nnz = 0, matrix_nnz = 0, gmres_iters = 0;
   std::int64_t peak_tracked_bytes = 0;
+  std::int64_t meshes = 0;
 };
 
 constexpr double kPitchUm = 4.0;
@@ -77,11 +84,13 @@ Extraction run_extraction(const geom::Layout& l, int cols,
   loop::MqsOptions opts;
   opts.method = method;
   opts.fast.voxel.pitch = um(kPitchUm);
-  // Per-extraction counts: zero the sparse LU high-water marks and the
-  // tracked-memory peak, and difference the running GMRES iteration total.
+  // Per-extraction counts: zero the sparse LU and mesh-count high-water
+  // marks and the tracked-memory peak, and difference the running GMRES
+  // iteration total.
   auto& metrics = runtime::MetricsRegistry::instance();
   metrics.counter("factor.sparse_lu.fill_nnz").value.store(0);
   metrics.counter("factor.sparse_lu.max_nnz").value.store(0);
+  metrics.counter("solve.mqs_port.max_meshes").value.store(0);
   govern::reset_peak_tracked_bytes();
   const std::int64_t iters0 =
       metrics.counter("solve.gmres.iterations").value.load();
@@ -99,7 +108,8 @@ Extraction run_extraction(const geom::Layout& l, int cols,
           metrics.counter("factor.sparse_lu.fill_nnz").value.load(),
           metrics.counter("factor.sparse_lu.max_nnz").value.load(),
           metrics.counter("solve.gmres.iterations").value.load() - iters0,
-          govern::peak_tracked_bytes()};
+          govern::peak_tracked_bytes(),
+          metrics.counter("solve.mqs_port.max_meshes").value.load()};
 }
 
 }  // namespace
@@ -160,6 +170,7 @@ int main(int argc, char** argv) {
                         static_cast<std::int64_t>(dense.seconds * 1e6));
       metrics.add_count(key + ".rel_ppb",
                         static_cast<std::int64_t>(rel * 1e9));
+      metrics.add_count(key + ".dense_meshes", dense.meshes);
     }
 
     const double tracked_mb =

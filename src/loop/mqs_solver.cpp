@@ -23,6 +23,112 @@ std::uint64_t key_of(const geom::Point& p, int layer, double snap) {
   return (static_cast<std::uint64_t>(layer) << 56) | (ux << 28) | uy;
 }
 
+/// Port impedance of a branch network (node_a[k] -> node_b[k], canonical
+/// ids below node_count, Z = R + jwL) in FastHenry's mesh formulation. A BFS
+/// spanning forest rooted at ref first keeps the fundamental cycles short;
+/// each non-tree branch k is a mesh, +k plus the tree path from b back to a.
+/// The port's 1 A runs on the tree path s from plus to ref, so
+/// M Z M^T I_m = rhs = -M Z s and Z_port = s^T Z s - rhs^T I_m. Floating
+/// groups need no pins. With `ladder` the mesh matrix is factored through
+/// the dense recovery ladder (nullopt when exhausted); else la::CLU throws.
+std::optional<la::Complex> mesh_port_impedance(
+    const std::vector<std::size_t>& node_a,
+    const std::vector<std::size_t>& node_b, std::size_t node_count,
+    const std::vector<double>& r, const la::Matrix& l, double omega,
+    std::size_t plus, std::size_t ref, robust::SolveReport* ladder) {
+  const std::size_t nb = node_a.size();
+  const auto other = [&](std::size_t k, std::size_t v) {
+    return node_a[k] == v ? node_b[k] : node_a[k];
+  };
+  std::vector<std::vector<std::size_t>> adj(node_count);  // no self-loops
+  for (std::size_t k = 0; k < nb; ++k)
+    if (node_a[k] != node_b[k])
+      adj[node_a[k]].push_back(k), adj[node_b[k]].push_back(k);
+
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> depth(node_count, kNone), up(node_count, kNone);
+  std::vector<std::size_t> queue;
+  const auto grow = [&](std::size_t root) {
+    depth[root] = 0;
+    queue.assign(1, root);
+    for (std::size_t h = 0; h < queue.size(); ++h)
+      for (const std::size_t k : adj[queue[h]])
+        if (const std::size_t v = other(k, queue[h]); depth[v] == kNone) {
+          depth[v] = depth[queue[h]] + 1;
+          up[v] = k;
+          queue.push_back(v);
+        }
+  };
+  grow(ref);
+  if (depth[plus] == kNone)  // includes a plus node with no filament
+    throw std::invalid_argument(
+        "port_impedance: plus and minus are in different conductor groups");
+  for (std::size_t v = 0; v < node_count; ++v)
+    if (depth[v] == kNone && !adj[v].empty()) grow(v);
+
+  // Signed branch walks (+1 where a walk runs a -> b): walk i < nm is mesh
+  // i, walk nm is the port path s.
+  std::vector<std::pair<std::size_t, double>> walks, down;
+  const auto tree_path = [&](std::size_t u, std::size_t v) {
+    for (down.clear(); u != v;) {
+      if (depth[u] >= depth[v]) {
+        walks.push_back({up[u], node_a[up[u]] == u ? 1.0 : -1.0});
+        u = other(up[u], u);
+      } else {
+        down.push_back({up[v], node_b[up[v]] == v ? 1.0 : -1.0});
+        v = other(up[v], v);
+      }
+    }
+    walks.insert(walks.end(), down.rbegin(), down.rend());
+  };
+  std::vector<std::size_t> ptr{0};
+  for (std::size_t k = 0; k < nb; ++k) {
+    if (up[node_a[k]] == k || up[node_b[k]] == k) continue;  // tree branch
+    walks.push_back({k, 1.0});
+    tree_path(node_b[k], node_a[k]);
+    ptr.push_back(walks.size());
+  }
+  tree_path(plus, ref);
+  ptr.push_back(walks.size());
+  const std::size_t nm = ptr.size() - 2;
+  runtime::MetricsRegistry::instance().max_count(
+      "solve.mqs_port.max_meshes", static_cast<std::int64_t>(nm));
+
+  // W = [M; s^T] Z [M; s^T]^T by columns (L's rows stand in for columns).
+  la::CMatrix w(nm + 1, nm + 1);
+  std::vector<double> lw(nb);
+  la::CVector zw(nb);
+  for (std::size_t j = 0; j <= nm; ++j) {
+    std::fill(lw.begin(), lw.end(), 0.0);
+    for (std::size_t p = ptr[j]; p < ptr[j + 1]; ++p)
+      for (std::size_t e = 0; e < nb; ++e)
+        lw[e] += walks[p].second * l(walks[p].first, e);
+    for (std::size_t e = 0; e < nb; ++e) zw[e] = {0.0, omega * lw[e]};
+    for (std::size_t p = ptr[j]; p < ptr[j + 1]; ++p)
+      zw[walks[p].first] += walks[p].second * r[walks[p].first];
+    for (std::size_t i = 0; i <= nm; ++i)
+      for (std::size_t p = ptr[i]; p < ptr[i + 1]; ++p)
+        w(i, j) += walks[p].second * zw[walks[p].first];
+  }
+  la::Complex z = w(nm, nm);
+  if (nm == 0) return z;
+  la::CMatrix zm(nm, nm);
+  la::CVector rhs(nm), im;
+  for (std::size_t i = 0; i < nm; ++i) {
+    rhs[i] = -w(i, nm);
+    for (std::size_t j = 0; j < nm; ++j) zm(i, j) = w(i, j);
+  }
+  if (ladder) {
+    la::CLU lu = robust::factor_dense_with_recovery(zm, *ladder, "mqs_gmres");
+    if (lu.size() == 0) return std::nullopt;
+    im = lu.solve(rhs);
+  } else {
+    im = la::CLU(std::move(zm)).solve(rhs);
+  }
+  for (std::size_t i = 0; i < nm; ++i) z -= rhs[i] * im[i];
+  return z;
+}
+
 }  // namespace
 
 const char* to_string(ExtractionMethod method) {
@@ -152,104 +258,17 @@ LoopImpedance MqsSolver::port_impedance(std::size_t plus, std::size_t minus,
   runtime::MetricsRegistry::instance().max_count(
       "solve.mqs_port.max_filaments",
       static_cast<std::int64_t>(filaments_.size()));
+  if (canonical(plus) == canonical(minus))
+    throw std::invalid_argument("port_impedance: port nodes are shorted");
   if (method_ == ExtractionMethod::FftGmres)
     return port_impedance_fft(plus, minus, frequency);
-  return port_impedance_dense(plus, minus, frequency);
-}
-
-LoopImpedance MqsSolver::port_impedance_dense(std::size_t plus,
-                                              std::size_t minus,
-                                              double frequency) const {
-  const std::size_t p = canonical(plus);
-  const std::size_t ref = canonical(minus);
-  if (p == ref)
-    throw std::invalid_argument("port_impedance: port nodes are shorted");
-
-  // Compact indices for canonical nodes, with the reference node removed.
-  std::vector<std::ptrdiff_t> compact(node_count_, -1);
-  std::size_t n_active = 0;
-  for (std::size_t k = 0; k < filaments_.size(); ++k) {
-    for (std::size_t node : {canonical(fil_a_[k]), canonical(fil_b_[k])}) {
-      if (node == ref || compact[node] >= 0) continue;
-      compact[node] = static_cast<std::ptrdiff_t>(n_active++);
-    }
-  }
-  if (compact[p] < 0)
-    throw std::invalid_argument("port_impedance: plus node is floating");
-
-  // Conductor groups not connected to the reference have no defined
-  // potential (singular KCL block). Tie one node of each such group to the
-  // reference with a unit conductance: since that is the group's only
-  // connection, zero net current flows through it — the fix is exact, it
-  // merely pins the floating potential.
-  std::vector<std::size_t> comp(node_count_);
-  for (std::size_t i = 0; i < node_count_; ++i) comp[i] = i;
-  std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
-    while (comp[x] != x) x = comp[x] = comp[comp[x]];
-    return x;
-  };
-  for (std::size_t k = 0; k < filaments_.size(); ++k) {
-    const std::size_t ra = find(canonical(fil_a_[k]));
-    const std::size_t rb = find(canonical(fil_b_[k]));
-    if (ra != rb) comp[ra] = rb;
-  }
-  std::vector<std::size_t> pin_nodes;
-  {
-    std::vector<char> seen(node_count_, 0);
-    const std::size_t ref_comp = find(ref);
-    for (std::size_t i = 0; i < node_count_; ++i) {
-      if (canonical(i) != i || compact[i] < 0) continue;
-      const std::size_t c = find(i);
-      if (c == ref_comp || seen[c]) continue;
-      seen[c] = 1;
-      pin_nodes.push_back(i);
-    }
-  }
-
-  const std::size_t nf = filaments_.size();
-  const std::size_t size = n_active + nf;
-  la::CMatrix a(size, size);
+  std::vector<std::size_t> a(filaments_.size()), b(filaments_.size());
+  for (std::size_t k = 0; k < filaments_.size(); ++k)
+    a[k] = canonical(fil_a_[k]), b[k] = canonical(fil_b_[k]);
   const double omega = 2.0 * M_PI * frequency;
-  const la::Complex jw{0.0, omega};
-
-  for (std::size_t k = 0; k < nf; ++k) {
-    const std::ptrdiff_t na = compact[canonical(fil_a_[k])];
-    const std::ptrdiff_t nb = compact[canonical(fil_b_[k])];
-    const std::size_t br = n_active + k;
-    // KCL: branch current leaves a, enters b.
-    if (na >= 0) a(static_cast<std::size_t>(na), br) += 1.0;
-    if (nb >= 0) a(static_cast<std::size_t>(nb), br) -= 1.0;
-    // Branch: v_a - v_b - (R + jwL_kk) i_k - sum_m jwL_km i_m = 0.
-    if (na >= 0) a(br, static_cast<std::size_t>(na)) += 1.0;
-    if (nb >= 0) a(br, static_cast<std::size_t>(nb)) -= 1.0;
-    a(br, br) -= la::Complex{fil_resistance_[k], 0.0} + jw * fil_l_(k, k);
-    for (std::size_t m = 0; m < nf; ++m) {
-      if (m == k || fil_l_(k, m) == 0.0) continue;
-      a(br, n_active + m) -= jw * fil_l_(k, m);
-    }
-  }
-
-  for (std::size_t node : pin_nodes)
-    a(static_cast<std::size_t>(compact[node]),
-      static_cast<std::size_t>(compact[node])) += 1.0;
-
-  la::CVector b(size, la::Complex{});
-  b[static_cast<std::size_t>(compact[p])] = 1.0;  // 1 A into the plus node
-
-  la::CVector x;
-  if (opts_.mixed_precision && size >= opts_.mixed_min_unknowns) {
-    // Large systems: f32 blocked factor + f64 refinement, with a recorded
-    // deterministic fallback to the full-double ladder when the f32 factor
-    // is too ill-conditioned or refinement stalls.
-    robust::SolveReport report;
-    x = robust::solve_dense_mixed_with_recovery(a, b, report, "mqs_dense");
-    report.record("mqs_dense");
-    if (report.failed() || x.empty())
-      throw la::SingularMatrixError("mqs_dense: " + report.detail);
-  } else {
-    x = la::CLU(std::move(a)).solve(b);
-  }
-  const la::Complex z = x[static_cast<std::size_t>(compact[p])];
+  const la::Complex z =
+      *mesh_port_impedance(a, b, node_count_, fil_resistance_, fil_l_, omega,
+                           canonical(plus), canonical(minus), nullptr);
   return {frequency, z.real(), z.imag() / omega};
 }
 
@@ -259,8 +278,6 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
   const fast::VoxelGrid& grid = toeplitz_->grid();
   const std::size_t p_solver = canonical(plus);
   const std::size_t ref_solver = canonical(minus);
-  if (p_solver == ref_solver)
-    throw std::invalid_argument("port_impedance: port nodes are shorted");
 
   // Combined node space: union-find over the lattice nodes, seeded with the
   // solver-level topology — filaments of one parent tie their row ends
@@ -319,7 +336,7 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
     throw std::invalid_argument("port_impedance: plus node is floating");
 
   // Pin one node of every conductor group not connected to the reference
-  // (same exact fix as the dense path).
+  // with a unit conductance: no current flows through it, so it is exact.
   std::vector<std::size_t> comp(grid.node_count);
   for (std::size_t i = 0; i < grid.node_count; ++i) comp[i] = i;
   std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
@@ -331,6 +348,9 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
     const std::size_t rb = find(cell_b[c]);
     if (ra != rb) comp[ra] = rb;
   }
+  if (find(p_lat) != find(ref))
+    throw std::invalid_argument(
+        "port_impedance: plus and minus are in different conductor groups");
   std::vector<std::size_t> pin_nodes;
   {
     std::vector<char> seen(grid.node_count, 0);
@@ -530,44 +550,23 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
   }
   metrics.add_count("fast.gmres_restarts",
                     static_cast<std::int64_t>(gr.restarts));
+  la::Complex z = x[static_cast<std::size_t>(compact[p_lat])];
   if (!gr.converged && nc <= opts_.fast.dense_fallback_limit) {
-    // Dense fallback: materialise the full MQS system from the bitwise
-    // kernel table and solve it directly.
+    // Dense fallback: materialise L from the bitwise kernel table and solve
+    // the cell network directly, in the mesh formulation of the Dense path.
     report.add_action(robust::RecoveryKind::DenseFallback, 2,
                       static_cast<double>(nc), "mqs_gmres");
     metrics.add_count("fast.dense_fallbacks", 1);
-    const la::Matrix lcells = op.to_dense();
-    la::CMatrix a(size, size);
-    for (std::size_t c = 0; c < nc; ++c) {
-      const std::ptrdiff_t na = compact[cell_a[c]];
-      const std::ptrdiff_t nb = compact[cell_b[c]];
-      const std::size_t br = n_active + c;
-      if (na >= 0) {
-        a(static_cast<std::size_t>(na), br) += 1.0;
-        a(br, static_cast<std::size_t>(na)) += 1.0;
-      }
-      if (nb >= 0) {
-        a(static_cast<std::size_t>(nb), br) -= 1.0;
-        a(br, static_cast<std::size_t>(nb)) -= 1.0;
-      }
-      a(br, br) -= la::Complex{grid.resistance[c], 0.0};
-      for (std::size_t m = 0; m < nc; ++m)
-        if (lcells(c, m) != 0.0) a(br, n_active + m) -= jw * lcells(c, m);
-    }
-    for (std::size_t node : pin_nodes)
-      a(static_cast<std::size_t>(compact[node]),
-        static_cast<std::size_t>(compact[node])) += 1.0;
-    la::CLU lu = robust::factor_dense_with_recovery(a, report, "mqs_gmres");
-    if (lu.size() > 0) {
-      x = lu.solve(b);
+    if (const auto zd = mesh_port_impedance(cell_a, cell_b, grid.node_count,
+                                            grid.resistance, op.to_dense(),
+                                            omega, p_lat, ref, &report)) {
+      z = *zd;
       gr.converged = true;
     }
   }
   if (!gr.converged) report.raise_status(robust::SolveStatus::NonConverged);
   report.residual_norm = gr.relative_residual;
   report.record("mqs_gmres");
-
-  const la::Complex z = x[static_cast<std::size_t>(compact[p_lat])];
   return {frequency, z.real(), z.imag() / omega};
 }
 

@@ -2,15 +2,18 @@
 //
 // Conductors are discretised into volume filaments that share nodes at the
 // parent-segment boundaries; each filament carries R + jwL self impedance
-// and full mutual coupling to every parallel filament. Solving the complex
-// nodal system with a 1 A port excitation yields the frequency-dependent
-// loop impedance Z(f) = R(f) + jw L(f): current crowds into low-impedance
-// return paths as frequency rises, producing the R-up / L-down behaviour of
+// and full mutual coupling to every parallel filament. Driving a 1 A port
+// through the filament network yields the frequency-dependent loop
+// impedance Z(f) = R(f) + jw L(f): current crowds into low-impedance return
+// paths as frequency rises, producing the R-up / L-down behaviour of
 // Fig. 3(b) without any explicit skin-effect model.
 //
 // Two extraction methods share the port/node interface:
-//   * Dense — the original path: dense partial-L matrix + complex LU.
-//     Exact for arbitrary geometry; O(n²) memory, O(n³) solve.
+//   * Dense — dense partial-L matrix, solved in FastHenry's mesh (loop)
+//     formulation: one unknown per independent current loop of the
+//     filament graph, M (R + jwL) M^T I_m = V_m, factored by complex LU.
+//     Exact for arbitrary geometry; O(n²) memory, O(n · meshes) assembly
+//     plus an O(meshes³) solve.
 //   * FftGmres — the src/fast/ path: filaments voxelized onto a regular
 //     lattice, L applied matrix-free through the circulant-embedded FFT
 //     operator, the system solved by restarted GMRES with a sparsified-L
@@ -35,7 +38,7 @@
 namespace ind::loop {
 
 enum class ExtractionMethod {
-  Dense,     ///< dense partial-L + complex LU (small-n oracle)
+  Dense,     ///< dense partial-L + mesh-current LU (small-n oracle)
   FftGmres,  ///< voxelized Toeplitz operator + preconditioned GMRES
   Auto,      ///< FftGmres at/above fast.auto_threshold filaments, else Dense
 };
@@ -63,17 +66,6 @@ struct MqsOptions {
   double snap = 1e-9;          ///< node coordinate snapping
   ExtractionMethod method = ExtractionMethod::Dense;
   FastSolveOptions fast{};
-  /// Dense path: solve with a complex<float> blocked factor + complex<double>
-  /// iterative refinement (robust::solve_dense_mixed_with_recovery) once the
-  /// system reaches mixed_min_unknowns. Ill-conditioned systems fall back to
-  /// the full-double ladder deterministically. Off by default: unlike the
-  /// real-valued kernels (where the f32 factor measures ~1.5x faster than the
-  /// f64 one, see bench_kernels), std::complex arithmetic vectorises poorly
-  /// enough under the no-FMA contract that the complex<float> factor does not
-  /// beat complex<double> on current compilers — opt in only if your target
-  /// measures otherwise.
-  bool mixed_precision = false;
-  std::size_t mixed_min_unknowns = 512;
 };
 
 /// Loop impedance decomposed at one frequency.
@@ -122,8 +114,6 @@ class MqsSolver {
  private:
   std::size_t canonical(std::size_t node) const;
 
-  LoopImpedance port_impedance_dense(std::size_t plus, std::size_t minus,
-                                     double frequency) const;
   LoopImpedance port_impedance_fft(std::size_t plus, std::size_t minus,
                                    double frequency) const;
 

@@ -67,9 +67,6 @@ struct GuardedSparseFactor {
 la::Vector solve_dense_mixed_with_recovery(
     const la::Matrix& a, const la::Vector& b, SolveReport& report,
     std::string_view where, const la::RefineOptions& opts = {});
-la::CVector solve_dense_mixed_with_recovery(
-    const la::CMatrix& a, const la::CVector& b, SolveReport& report,
-    std::string_view where, const la::RefineOptions& opts = {});
 
 GuardedSparseFactor factor_sparse_with_recovery(
     const la::CscMatrix& a, SolveReport& report, std::string_view where,

@@ -633,6 +633,28 @@ TEST_F(FastTest, GmresPersistentFaultFallsBackToDense) {
   EXPECT_NEAR(zf.inductance, zd.inductance, 1e-6 * zd.inductance);
 }
 
+TEST_F(FastTest, GmresFallbackSolvesMeshesThroughRecoveryLadder) {
+  // The strapped returns close independent loops, so the fallback's mesh
+  // matrix is non-empty; a singular first factor takes the ladder's retry
+  // rung and still reproduces Dense.
+  constexpr int kCols = 12;
+  const geom::Layout l = strapped_returns_layout(kCols);
+  loop::MqsSolver dense(l.segments(), l.vias(), l.tech(), {});
+  loop::MqsSolver fft(l.segments(), l.vias(), l.tech(),
+                      strapped_fft_options());
+  const auto zd = strapped_port_impedance(dense, kCols, 1e9);
+  auto& metrics = runtime::MetricsRegistry::instance();
+  metrics.reset();
+  robust::fault::configure("gmres_iter@*;dense_lu_pivot@0");
+  const auto zf = strapped_port_impedance(fft, kCols, 1e9);
+  EXPECT_EQ(robust::fault::fired(robust::fault::Site::DenseLuPivot), 1);
+  robust::fault::clear();
+  EXPECT_EQ(metrics.counter("fast.dense_fallbacks").value.load(), 1);
+  EXPECT_GT(metrics.counter("solve.mqs_port.max_meshes").value.load(), 0);
+  EXPECT_NEAR(zf.resistance, zd.resistance, 1e-9 * zd.resistance);
+  EXPECT_NEAR(zf.inductance, zd.inductance, 1e-9 * zd.inductance);
+}
+
 TEST_F(FastTest, WorkBudgetTripsAtAnyThreadCount) {
   // The trip *decision* is the deterministic part of the budget contract
   // (the in-flight unit total at the trip is not — chunks already running

@@ -3,14 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <numeric>
+#include <set>
+#include <tuple>
 
 #include "circuit/transient.hpp"
 #include "circuit/waveform.hpp"
+#include "extract/partial_inductance.hpp"
+#include "extract/skin.hpp"
 #include "geom/topologies.hpp"
 #include "loop/ladder_fit.hpp"
 #include "loop/loop_model.hpp"
 #include "loop/mqs_solver.hpp"
 #include "loop/port_extractor.hpp"
+#include "runtime/metrics.hpp"
 
 namespace {
 
@@ -90,6 +97,221 @@ TEST(MqsSolver, PortOnShortedNodesThrows) {
   const auto b = solver.node_at({0, um(10)}, 6);
   solver.short_nodes(*a, *b);
   EXPECT_THROW(solver.port_impedance(*a, *b, 1e9), std::invalid_argument);
+}
+
+// A port between two nodes of layer 6, with the node pairs it shorts.
+struct PortSetup {
+  geom::Point plus, minus;
+  std::vector<std::pair<geom::Point, geom::Point>> shorts;
+};
+
+struct OracleResult {
+  loop::LoopImpedance z;
+  std::int64_t independent_loops = 0;  // filaments - nodes + components
+};
+
+// Oracle for the Dense path that shares none of its solve: the nodal
+// [KCL; branch] saddle system of the filament network, assembled here from
+// coordinate-keyed nodes, with one unit-conductance pin per conductor group
+// that does not reach the reference, solved by la::CLU.
+OracleResult saddle_oracle(const geom::Layout& l, const loop::MqsOptions& opts,
+                           const PortSetup& port, double f) {
+  std::vector<std::size_t> parent_of;
+  const std::vector<geom::Segment> fil =
+      extract::split_all(l.segments(), parent_of, opts.skin);
+  const la::Matrix lm = extract::build_partial_inductance_matrix(
+      fil, {.window = opts.mutual_window});
+  std::map<std::tuple<long long, long long, int>, std::size_t> ids;
+  const auto id = [&](geom::Point p, int layer) {
+    const auto key = std::tuple{std::llround(p.x / 1e-9),
+                                std::llround(p.y / 1e-9), layer};
+    return ids.try_emplace(key, ids.size()).first->second;
+  };
+  std::vector<std::size_t> a, b;
+  for (std::size_t k = 0; k < fil.size(); ++k) {
+    a.push_back(id(l.segments()[parent_of[k]].a, fil[k].layer));
+    b.push_back(id(l.segments()[parent_of[k]].b, fil[k].layer));
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> shorts;
+  for (const auto& [p, q] : port.shorts) shorts.push_back({id(p, 6), id(q, 6)});
+  const std::size_t plus_id = id(port.plus, 6), ref_id = id(port.minus, 6);
+
+  // Union-find roots: `up` merges shorted nodes, `group` then merges the
+  // filament graph's connected conductor groups.
+  std::vector<std::size_t> up(ids.size()), group(ids.size());
+  std::iota(up.begin(), up.end(), 0);
+  std::iota(group.begin(), group.end(), 0);
+  const auto find = [](std::vector<std::size_t>& uf, std::size_t x) {
+    while (uf[x] != x) x = uf[x];
+    return x;
+  };
+  for (const auto& [p, q] : shorts) up[find(up, p)] = find(up, q);
+  const std::size_t plus = find(up, plus_id), ref = find(up, ref_id);
+  for (std::size_t k = 0; k < fil.size(); ++k) {
+    a[k] = find(up, a[k]);
+    b[k] = find(up, b[k]);
+  }
+  std::map<std::size_t, std::ptrdiff_t> row;  // node -> KCL row, ref: -1
+  for (std::size_t k = 0; k < fil.size(); ++k) {
+    group[find(group, a[k])] = find(group, b[k]);
+    for (const std::size_t n : {a[k], b[k]})
+      row.try_emplace(n, n == ref ? -1 : 0);
+  }
+  std::size_t n_active = 0;
+  std::map<std::size_t, std::ptrdiff_t> pin_of_group;
+  for (auto& [n, r] : row) {
+    if (n == ref) continue;
+    r = static_cast<std::ptrdiff_t>(n_active++);
+    if (find(group, n) != find(group, ref))
+      pin_of_group.try_emplace(find(group, n), r);
+  }
+  std::set<std::size_t> groups;
+  for (const auto& [n, r] : row) groups.insert(find(group, n));
+
+  const std::size_t nf = fil.size(), size = n_active + nf;
+  const double omega = 2 * M_PI * f;
+  la::CMatrix sys(size, size);
+  for (std::size_t k = 0; k < nf; ++k) {
+    const geom::Layer& layer = l.tech().layer(fil[k].layer);
+    const double r = std::max(layer.sheet_resistance * layer.thickness *
+                                  fil[k].length() /
+                                  (fil[k].width * fil[k].thickness),
+                              1e-9);
+    const std::size_t br = n_active + k;
+    for (const auto& [n, sign] : {std::pair{a[k], 1.0}, std::pair{b[k], -1.0}})
+      if (const std::ptrdiff_t i = row.at(n); i >= 0) {
+        sys(static_cast<std::size_t>(i), br) += sign;
+        sys(br, static_cast<std::size_t>(i)) += sign;
+      }
+    sys(br, br) -= r;
+    for (std::size_t m = 0; m < nf; ++m)
+      sys(br, n_active + m) -= la::Complex{0.0, omega * lm(k, m)};
+  }
+  for (const auto& [g, i] : pin_of_group)
+    sys(static_cast<std::size_t>(i), static_cast<std::size_t>(i)) += 1.0;
+  la::CVector rhs(size);
+  const auto p = static_cast<std::size_t>(row.at(plus));
+  rhs[p] = 1.0;
+  const la::Complex z = la::CLU(std::move(sys)).solve(rhs)[p];
+  return {{f, z.real(), z.imag() / omega},
+          static_cast<std::int64_t>(nf) -
+              static_cast<std::int64_t>(row.size()) +
+              static_cast<std::int64_t>(groups.size())};
+}
+
+// Dense R and L against the saddle oracle, and the recorded mesh count
+// against the filament graph's number of independent loops.
+void expect_matches_saddle(const geom::Layout& l, const loop::MqsOptions& opts,
+                           const PortSetup& port, double f) {
+  loop::MqsSolver s(l.segments(), l.vias(), l.tech(), opts);
+  const auto at = [&](geom::Point p) {
+    const auto n = s.node_at(p, 6);
+    EXPECT_TRUE(n.has_value()) << "no node at (" << p.x << ", " << p.y << ")";
+    return n.value_or(0);
+  };
+  for (const auto& [p, q] : port.shorts) s.short_nodes(at(p), at(q));
+  auto& metrics = runtime::MetricsRegistry::instance();
+  metrics.reset();
+  const loop::LoopImpedance z = s.port_impedance(at(port.plus),
+                                                 at(port.minus), f);
+  const OracleResult want = saddle_oracle(l, opts, port, f);
+  EXPECT_NEAR(z.resistance, want.z.resistance, 1e-10 * want.z.resistance);
+  EXPECT_NEAR(z.inductance, want.z.inductance, 1e-10 * want.z.inductance);
+  EXPECT_EQ(metrics.counter("solve.mqs_port.max_meshes").value.load(),
+            want.independent_loops);
+}
+
+// The two-wire loop of two_wire_loop(spacing), refined every 250 um, with
+// the port at x = 0 and the far end shorted.
+PortSetup two_wire_port(double spacing) {
+  return {{0, 0}, {0, spacing}, {{{um(1000), 0}, {um(1000), spacing}}}};
+}
+
+TEST(MqsSolver, DenseMatchesSaddleOracleOnStrappedReturns) {
+  // Signal with three returns per side strapped at both ends: the
+  // loop_extract benchmark's Dense structure (36 cells of 4 um) for each
+  // middle-return slot.
+  constexpr int kCols = 36;
+  const double p = um(4), len = kCols * p;
+  for (const int mid : {3, 5, 7}) {
+    geom::Layout l(geom::default_tech());
+    const int sig = l.add_net("sig", geom::NetKind::Signal);
+    const int gnd = l.add_net("gnd", geom::NetKind::Ground);
+    l.add_wire(sig, 6, {0, 0}, {len, 0}, um(2));
+    for (const int side : {1, -1}) {
+      for (const int slot : {2, mid, 8})
+        l.add_wire(gnd, 6, {0, side * slot * p}, {len, side * slot * p},
+                   um(2));
+      for (const double x : {0.0, len})
+        l.add_wire(gnd, 6, {x, side * 2 * p}, {x, side * 8 * p}, um(2));
+    }
+    const PortSetup port{{0, 0},
+                         {0, 2 * p},
+                         {{{0, 2 * p}, {0, -2 * p}},
+                          {{len, 0}, {len, 2 * p}},
+                          {{len, 0}, {len, -2 * p}}}};
+    SCOPED_TRACE(mid);
+    expect_matches_saddle(geom::refine(l, p), {}, port, 1e9);
+  }
+}
+
+TEST(MqsSolver, DenseMatchesSaddleOracleOnSkinSplitLine) {
+  // Parallel filaments of one parent share its two nodes: every extra
+  // filament of a segment closes one more mesh.
+  loop::MqsOptions opts;
+  opts.skin.max_width = um(0.5);
+  opts.skin.max_thickness = um(0.5);
+  const geom::Layout l = geom::refine(two_wire_loop(um(6)), um(250));
+  for (const double f : {1e8, 1e10})
+    expect_matches_saddle(l, opts, two_wire_port(um(6)), f);
+}
+
+TEST(MqsSolver, DenseMatchesSaddleOracleWithFloatingConductors) {
+  geom::Layout ring = two_wire_loop(um(10));
+  const int r = ring.add_net("ring", geom::NetKind::Ground);
+  // A closed ring beside the loop carries an eddy-current mesh of its own.
+  const geom::Point c[] = {{0, um(20)}, {um(1000), um(20)},
+                           {um(1000), um(40)}, {0, um(40)}};
+  for (int k = 0; k < 4; ++k) ring.add_wire(r, 6, c[k], c[(k + 1) % 4], um(2));
+  expect_matches_saddle(geom::refine(ring, um(250)), {},
+                        two_wire_port(um(10)), 1e9);
+
+  // An open chain beside the loop is a tree: no mesh, no current.
+  geom::Layout chain = two_wire_loop(um(10));
+  chain.add_wire(chain.add_net("chain", geom::NetKind::Ground), 6,
+                 {0, um(20)}, {um(1000), um(20)}, um(2));
+  expect_matches_saddle(geom::refine(chain, um(250)), {},
+                        two_wire_port(um(10)), 1e9);
+}
+
+TEST(MqsSolver, DenseMatchesSaddleOracleWithSelfLoopFilament) {
+  // Shorting both ends of one segment turns its filament into a self-loop:
+  // a one-branch mesh that carries only induced current.
+  const geom::Layout l = geom::refine(two_wire_loop(um(10)), um(250));
+  PortSetup port = two_wire_port(um(10));
+  port.shorts.push_back({{um(250), um(10)}, {um(500), um(10)}});
+  expect_matches_saddle(l, {}, port, 1e9);
+  // The first filament as a self-loop on the reference node, which roots
+  // the spanning forest.
+  port = {{0, um(10)}, {0, 0}, {{{um(1000), 0}, {um(1000), um(10)}},
+                                {{0, 0}, {um(250), 0}}}};
+  expect_matches_saddle(l, {}, port, 1e9);
+}
+
+TEST(MqsSolver, PortAcrossDisconnectedGroupsThrows) {
+  // No far-end short: signal and return are separate conductor groups, so
+  // the port drives no closed loop.
+  const geom::Layout l = geom::refine(two_wire_loop(um(8)), um(40));
+  loop::MqsOptions fft;
+  fft.method = loop::ExtractionMethod::FftGmres;
+  fft.fast.voxel.pitch = um(4);
+  for (const loop::MqsOptions& opts : {loop::MqsOptions{}, fft}) {
+    const loop::MqsSolver s(l.segments(), l.vias(), l.tech(), opts);
+    EXPECT_THROW(s.port_impedance(*s.node_at({0, 0}, 6),
+                                  *s.node_at({0, um(8)}, 6), 1e9),
+                 std::invalid_argument)
+        << loop::to_string(s.method());
+  }
 }
 
 TEST(LoopExtraction, SkinEffectSignature) {
