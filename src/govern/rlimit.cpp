@@ -2,8 +2,10 @@
 
 #include <sys/resource.h>
 #include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <new>
 
 namespace ind::govern {
 namespace {
@@ -60,6 +62,10 @@ bool apply_worker_rlimits(const WorkerRlimits& limits) {
 void relax_worker_rlimits() {
   set_soft(RLIMIT_AS, RLIM_INFINITY);
   set_soft(RLIMIT_CPU, RLIM_INFINITY);
+}
+
+void exit_on_allocation_failure() {
+  std::set_new_handler([] { ::_exit(kWorkerOomExitCode); });
 }
 
 }  // namespace ind::govern

@@ -58,4 +58,9 @@ void relax_worker_rlimits();
 /// supervisor classifies the death as CrashKind::RlimitMem.
 inline constexpr int kWorkerOomExitCode = 77;
 
+/// Installs a new-handler that _exits with kWorkerOomExitCode, so a failed
+/// allocation anywhere in a worker ends the process instead of throwing
+/// std::bad_alloc into code that would answer it as an error.
+void exit_on_allocation_failure();
+
 }  // namespace ind::govern

@@ -38,7 +38,6 @@ const char* to_string(RecoveryKind kind) {
 const char* to_string(CrashKind kind) {
   switch (kind) {
     case CrashKind::None: return "none";
-    case CrashKind::CleanError: return "clean_error";
     case CrashKind::Signal: return "signal";
     case CrashKind::OomKill: return "oom_kill";
     case CrashKind::RlimitCpu: return "rlimit_cpu";

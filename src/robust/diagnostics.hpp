@@ -51,7 +51,6 @@ enum class RecoveryKind {
 /// take down the server.
 enum class CrashKind {
   None = 0,   ///< worker is fine (flight answered normally)
-  CleanError,  ///< worker stayed alive and answered a structured error
   Signal,      ///< died on an uncaught signal (SIGSEGV, SIGABRT, SIGBUS, ...)
   OomKill,     ///< SIGKILL — the kernel OOM killer's signature
   RlimitCpu,   ///< SIGXCPU — per-request RLIMIT_CPU sandbox trip

@@ -254,31 +254,14 @@ long parse_int(std::string_view key, std::string_view text) {
 
 }  // namespace
 
-namespace {
-
-/// Canonical request encoding with the budget fields taken from `budget`
-/// instead of req.budget — shared by the wire encoder (requested budget) and
-/// the server-side fingerprint (effective budget).
-void put_request_with_budget(store::ByteWriter& w, const Request& req,
-                             const govern::RunBudget& budget) {
+void put_request(store::ByteWriter& w, const Request& req) {
   w.u16(kCodecVersion);
   store::serde::put(w, req.layout);
   put_options(w, req.options);
-  w.u64(budget.deadline_ms);
-  w.u64(budget.mem_bytes);
-  w.u64(budget.work_units);
+  w.u64(req.budget.deadline_ms);
+  w.u64(req.budget.mem_bytes);
+  w.u64(req.budget.work_units);
   w.boolean(req.include_waveforms);
-}
-
-}  // namespace
-
-void put_request(store::ByteWriter& w, const Request& req) {
-  put_request_with_budget(w, req, req.budget);
-}
-
-void put_request(store::ByteWriter& w, const Request& req,
-                 const govern::RunBudget& effective_budget) {
-  put_request_with_budget(w, req, effective_budget);
 }
 
 void get_request(store::ByteReader& r, Request& req) {
@@ -406,16 +389,52 @@ std::uint64_t decode_response_payload(const std::vector<std::uint8_t>& payload,
 }
 
 store::Digest request_fingerprint(const Request& req) {
-  return request_fingerprint(req, req.budget);
-}
-
-store::Digest request_fingerprint(const Request& req,
-                                  const govern::RunBudget& effective_budget) {
   store::ByteWriter w;
-  put_request_with_budget(w, req, effective_budget);
+  put_request(w, req);
   store::Hasher h = store::fingerprint_base("serve_request");
   h.bytes(w.bytes().data(), w.bytes().size());
   return h.digest();
+}
+
+Outcome run_request(const Request& req, std::uint32_t max_frame_bytes) {
+  govern::Governor::instance().configure(req.budget);
+  Outcome out;
+  try {
+    const core::AnalysisReport report = core::analyze(req.layout, req.options);
+    out.result_bytes = encode_result(report, req.include_waveforms);
+    out.build_seconds = report.build_seconds;
+    out.solve_seconds = report.solve_seconds;
+  } catch (const govern::CancelledError& e) {
+    // An External cancel is a client disconnect or a server drain.
+    out.code = e.kind() == govern::BudgetKind::External
+                   ? ErrorCode::ShuttingDown
+                   : ErrorCode::DeadlineExceeded;
+    out.detail = e.what();
+    return out;
+  } catch (const std::invalid_argument& e) {
+    out.code = ErrorCode::BadRequest;
+    out.detail = e.what();
+    return out;
+  } catch (const std::exception& e) {
+    out.code = ErrorCode::Internal;
+    out.detail = e.what();
+    return out;
+  }
+  // The peer reads replies under the same cap: refuse here with a small
+  // structured error rather than send a frame it will reject.
+  static const std::size_t envelope =
+      encode_response_payload(0, Response::ServedBy::Computed, 0, 0, 0, {})
+          .size();
+  const std::size_t reply_bytes = out.result_bytes.size() + envelope;
+  if (reply_bytes > max_frame_bytes) {
+    out.code = ErrorCode::FrameTooLarge;
+    out.detail = "reply of " + std::to_string(reply_bytes) +
+                 " bytes exceeds the " + std::to_string(max_frame_bytes) +
+                 "-byte frame cap; lower t_stop/dt or disable "
+                 "include_waveforms";
+    out.result_bytes.clear();
+  }
+  return out;
 }
 
 core::Flow flow_from_key(std::string_view key) {

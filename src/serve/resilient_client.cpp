@@ -1,10 +1,7 @@
 #include "serve/resilient_client.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <thread>
-
-#include <poll.h>
 
 #include "runtime/metrics.hpp"
 
@@ -32,22 +29,6 @@ Reply connection_lost_reply(std::uint64_t request_id,
   r.error.code = ErrorCode::ConnectionLost;
   r.error.detail = detail;
   return r;
-}
-
-/// True when the fd has a readable event within `timeout_ms`. EINTR retries
-/// with the remaining budget folded in (coarsely: full timeout again is fine
-/// for our use — callers bound the whole wait separately).
-bool poll_readable(int fd, std::uint64_t timeout_ms) {
-  pollfd p{};
-  p.fd = fd;
-  p.events = POLLIN;
-  for (;;) {
-    const int rc = ::poll(&p, 1,
-                          static_cast<int>(std::min<std::uint64_t>(
-                              timeout_ms, 3'600'000)));
-    if (rc < 0 && errno == EINTR) continue;
-    return rc > 0;
-  }
 }
 
 /// ProtocolErrors that mean "the peer/stream died" rather than "the peer
@@ -206,7 +187,7 @@ CallOutcome ResilientClient::analyze(std::uint64_t request_id,
 
     Reply reply;
     try {
-      reply = await_reply(request_id, req, deadline, &out);
+      reply = client_.read_reply();  // bounded by SO_RCVTIMEO
     } catch (const ProtocolError& e) {
       if (!connection_level(e)) throw;
       reply = connection_lost_reply(request_id, e.what());
@@ -242,87 +223,6 @@ CallOutcome ResilientClient::analyze(std::uint64_t request_id,
   reply.error.detail = last_detail + " (retries exhausted after " +
                        std::to_string(out.attempts) + " attempts)";
   return finish(std::move(reply));
-}
-
-Reply ResilientClient::await_reply(std::uint64_t request_id,
-                                   const Request& req, TimePoint deadline,
-                                   CallOutcome* out) {
-  if (policy_.hedge_after_ms == 0)
-    return client_.read_reply();  // bounded by SO_RCVTIMEO
-  if (poll_readable(client_.fd(), policy_.hedge_after_ms))
-    return client_.read_reply();
-
-  // The primary is slow past the hedge delay: race a duplicate on a second
-  // connection. Safe — the server dedups by fingerprint, so at most one
-  // computation runs and both replies carry the identical RESULT block.
-  Client hedge;
-  try {
-    connect(hedge);
-    if (!hedge.send_request(request_id, req)) hedge.close();
-  } catch (const std::exception&) {
-    hedge.close();
-  }
-  if (!hedge.connected()) return client_.read_reply();
-  ++out->hedges;
-  ++total_hedges_;
-  runtime::MetricsRegistry::instance().add_count("loadgen.hedges", 1);
-
-  bool primary_up = true;
-  bool hedge_up = true;
-  const std::uint64_t slice_ms =
-      policy_.recv_timeout_ms == 0 ? 10'000 : policy_.recv_timeout_ms;
-  const TimePoint wait_until =
-      std::min(deadline, Clock::now() + Ms(slice_ms));
-  while (primary_up || hedge_up) {
-    const auto now = Clock::now();
-    if (now >= wait_until)
-      return connection_lost_reply(request_id, "hedged wait timed out");
-    pollfd fds[2];
-    nfds_t n = 0;
-    int primary_slot = -1, hedge_slot = -1;
-    if (primary_up) {
-      primary_slot = static_cast<int>(n);
-      fds[n++] = {client_.fd(), POLLIN, 0};
-    }
-    if (hedge_up) {
-      hedge_slot = static_cast<int>(n);
-      fds[n++] = {hedge.fd(), POLLIN, 0};
-    }
-    const auto budget = std::chrono::duration_cast<Ms>(wait_until - now);
-    const int rc =
-        ::poll(fds, n, static_cast<int>(std::max<std::int64_t>(
-                           1, budget.count())));
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return connection_lost_reply(request_id, "poll failed during hedge");
-    }
-    if (rc == 0) continue;  // loop re-checks wait_until
-    if (primary_slot >= 0 && (fds[primary_slot].revents & (POLLIN | POLLERR |
-                                                           POLLHUP)) != 0) {
-      Reply r = client_.read_reply();
-      if (r.error.code == ErrorCode::ConnectionLost && !r.ok) {
-        primary_up = false;
-        client_.close();
-        if (!hedge_up) return r;
-        continue;
-      }
-      hedge.close();  // loser: server sees a plain disconnect
-      return r;
-    }
-    if (hedge_slot >= 0 &&
-        (fds[hedge_slot].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-      Reply r = hedge.read_reply();
-      if (r.error.code == ErrorCode::ConnectionLost && !r.ok) {
-        hedge_up = false;
-        hedge.close();
-        if (!primary_up) return r;
-        continue;
-      }
-      client_.close();  // hedge won; the primary's eventual reply is stale
-      return r;
-    }
-  }
-  return connection_lost_reply(request_id, "both connections died");
 }
 
 }  // namespace ind::serve

@@ -1,7 +1,7 @@
 // Fault-tolerant wrapper around serve::Client: reconnect-on-EOF, deadline-
 // aware retries with capped exponential backoff and *deterministic* jitter,
-// a retryability classification over the ErrorCode taxonomy, optional hedged
-// requests, and a per-endpoint circuit breaker.
+// a retryability classification over the ErrorCode taxonomy, and a
+// per-endpoint circuit breaker.
 //
 // Determinism: the jitter for attempt k of a request is derived purely from
 // the request's 128-bit fingerprint and k (splitmix64), so a retry schedule
@@ -18,13 +18,6 @@
 // every kernel is bitwise-deterministic, so a duplicate delivery can only
 // produce the identical RESULT block (from cache/coalescing), never a
 // different answer.
-//
-// Hedging: when `hedge_after_ms > 0` and the primary connection has not
-// answered within that window (callers derive it from an observed p99), a
-// second connection sends the same request and the first complete reply
-// wins. Safe under the same fingerprint-dedup argument; the loser is closed,
-// which the server handles as a normal disconnect (waiter removed, at most
-// one computation ran).
 //
 // Circuit breaker: `breaker_threshold` consecutive *connection-level*
 // failures (connect refused, ConnectionLost) open the circuit for
@@ -58,7 +51,6 @@ struct RetryPolicy {
   std::uint64_t max_backoff_ms = 2000; ///< cap on a single backoff
   std::uint64_t deadline_ms = 30'000;  ///< whole-call budget; 0 = unbounded
   std::uint64_t recv_timeout_ms = 10'000;  ///< SO_RCVTIMEO per read; 0 = off
-  std::uint64_t hedge_after_ms = 0;    ///< 0 disables hedged requests
   int breaker_threshold = 5;           ///< consecutive conn failures to open
   std::uint64_t breaker_open_ms = 1000;  ///< open window before half-open
 };
@@ -134,7 +126,6 @@ struct CallOutcome {
   bool ok = false;      ///< reply.ok
   int attempts = 0;     ///< sends that reached the wire (first included)
   int reconnects = 0;   ///< fresh connections established after the first
-  int hedges = 0;       ///< hedged duplicates sent
   double elapsed_ms = 0.0;
 };
 
@@ -163,23 +154,17 @@ class ResilientClient {
   HealthStatus health();
 
   const RetryPolicy& policy() const { return policy_; }
-  RetryPolicy& policy() { return policy_; }  ///< e.g. p99-derived hedge delay
   const CircuitBreaker& breaker() const { return breaker_; }
 
   /// Process-lifetime totals across every analyze() on this client.
   std::uint64_t total_retries() const { return total_retries_; }
   std::uint64_t total_reconnects() const { return total_reconnects_; }
-  std::uint64_t total_hedges() const { return total_hedges_; }
 
  private:
   using Clock = CircuitBreaker::Clock;
   using TimePoint = CircuitBreaker::TimePoint;
 
   void connect(Client& client);
-  /// Waits for the primary's reply, launching a hedge when configured. The
-  /// winning reply is returned; a losing connection is closed.
-  Reply await_reply(std::uint64_t request_id, const Request& req,
-                    TimePoint deadline, CallOutcome* out);
 
   Endpoint endpoint_;
   RetryPolicy policy_;
@@ -188,7 +173,6 @@ class ResilientClient {
   bool connected_once_ = false;
   std::uint64_t total_retries_ = 0;
   std::uint64_t total_reconnects_ = 0;
-  std::uint64_t total_hedges_ = 0;
 };
 
 }  // namespace ind::serve

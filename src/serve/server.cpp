@@ -16,7 +16,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "core/analyzer.hpp"
 #include "govern/env.hpp"
 #include "robust/fault_injection.hpp"
 #include "runtime/metrics.hpp"
@@ -92,31 +91,24 @@ ServerConfig ServerConfig::from_env() {
                       static_cast<std::uint64_t>(c.poison_threshold), 1, 1000,
                       "serve")
           .value);
-  c.worker_respawn_ms = govern::env_ms("IND_SERVE_RESPAWN_MS",
-                                       c.worker_respawn_ms, 1, 600'000, "serve")
-                            .value;
-  c.worker_as_slack_bytes =
-      govern::env_u64("IND_SERVE_WORKER_AS_SLACK_MB",
-                      c.worker_as_slack_bytes >> 20, 1, 1u << 20, "serve")
-          .value
-      << 20;
-  c.worker_cpu_slack_s =
-      govern::env_u64("IND_SERVE_WORKER_CPU_SLACK_S", c.worker_cpu_slack_s, 1,
-                      3600, "serve")
-          .value;
   if (const char* bin = std::getenv("IND_SERVE_WORKER_BIN");
       bin != nullptr && *bin != '\0')
     c.worker_bin = bin;
-  if (const char* sig = std::getenv("IND_SERVE_FAULT_SIGNAL");
-      sig != nullptr && *sig != '\0') {
-    const std::string name(sig);
-    if (name == "segv") c.worker_fault_signal = SIGSEGV;
-    else if (name == "kill") c.worker_fault_signal = SIGKILL;
-    else if (name == "xcpu") c.worker_fault_signal = SIGXCPU;
-    else if (name == "abrt") c.worker_fault_signal = SIGABRT;
-    // Unknown names keep the SIGSEGV default (the chaos knob is best-effort).
-  }
   return c;
+}
+
+govern::RunBudget clamp_budget(const govern::RunBudget& requested,
+                               const govern::RunBudget& caps) {
+  const auto clamp = [](std::uint64_t req, std::uint64_t cap) {
+    if (cap == 0) return req;
+    if (req == 0) return cap;
+    return std::min(req, cap);
+  };
+  govern::RunBudget b;
+  b.deadline_ms = clamp(requested.deadline_ms, caps.deadline_ms);
+  b.mem_bytes = clamp(requested.mem_bytes, caps.mem_bytes);
+  b.work_units = clamp(requested.work_units, caps.work_units);
+  return b;
 }
 
 // ---------------------------------------------------------------------------
@@ -244,11 +236,7 @@ void Server::start() {
     wc.workers = config_.workers;
     wc.worker_bin = config_.worker_bin;
     wc.poison_threshold = config_.poison_threshold;
-    wc.respawn_backoff_ms = config_.worker_respawn_ms;
     wc.max_frame_bytes = config_.max_frame_bytes;
-    wc.as_slack_bytes = config_.worker_as_slack_bytes;
-    wc.cpu_slack_seconds = config_.worker_cpu_slack_s;
-    wc.fault_signal = config_.worker_fault_signal;
     pool_ = std::make_unique<WorkerPool>(std::move(wc));
     pool_->start();  // throws if no worker can start; the server stays down
   }
@@ -403,12 +391,13 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  // Dedup and both response caches key on the request as it will actually
-  // run — the requested budget clamped by the server caps — so a restart
-  // with different IND_SERVE_* caps can never replay results computed under
-  // the old ones.
-  flight->fp = request_fingerprint(flight->request,
-                                   effective_budget(flight->request.budget));
+  // From here on the request is the one that will actually run: its budget
+  // clamped by the server caps. Dedup and both response caches key on it, so
+  // a restart with different IND_SERVE_* caps can never replay results
+  // computed under the old ones.
+  flight->request.budget =
+      clamp_budget(flight->request.budget, config_.budget_caps);
+  flight->fp = request_fingerprint(flight->request);
   flight->key = flight->fp.hex();
   const auto now = Clock::now();
 
@@ -632,109 +621,37 @@ HealthStatus Server::snapshot_health() {
   return s;
 }
 
-govern::RunBudget Server::effective_budget(
-    const govern::RunBudget& requested) const {
-  const auto clamp = [](std::uint64_t req, std::uint64_t cap) {
-    if (cap == 0) return req;
-    if (req == 0) return cap;
-    return std::min(req, cap);
-  };
-  govern::RunBudget b;
-  b.deadline_ms = clamp(requested.deadline_ms, config_.budget_caps.deadline_ms);
-  b.mem_bytes = clamp(requested.mem_bytes, config_.budget_caps.mem_bytes);
-  b.work_units = clamp(requested.work_units, config_.budget_caps.work_units);
-  return b;
-}
-
 void Server::execute(const FlightPtr& flight) {
   const auto started = Clock::now();
-  ErrorCode failure = ErrorCode::None;
-  std::string failure_detail;
-  std::vector<std::uint8_t> result_bytes;
-  double build_seconds = 0.0, solve_seconds = 0.0;
-
-  if (pool_) {
-    // Worker lane: the flight runs in a sandboxed process; crashes come back
-    // as classified outcomes (retried once on a sibling, quarantined past
-    // the poison threshold), never as a server death.
+  Outcome out;
+  {
     runtime::ScopedTimer timer("serve.execute");
-    WorkerPool::Outcome outcome;
     try {
-      outcome = pool_->run(flight->fp, flight->request,
-                           effective_budget(flight->request.budget));
+      // A worker lane runs the flight in a sandboxed process: crashes come
+      // back as classified outcomes (retried once on a sibling, quarantined
+      // past the poison threshold), never as a server death.
+      out = pool_ ? pool_->run(flight->fp, flight->request)
+                  : run_request(flight->request, config_.max_frame_bytes);
     } catch (const std::exception& e) {
-      // Defensive: nothing in run() should escape, but an exception here
-      // would fly out of executor_loop's std::thread and std::terminate the
-      // whole server — exactly what worker isolation exists to prevent.
-      outcome.ok = false;
-      outcome.code = ErrorCode::Internal;
-      outcome.detail = std::string("worker pool dispatch failed: ") + e.what();
+      // Defensive: an exception here would fly out of executor_loop's
+      // std::thread and std::terminate the whole server.
+      out.code = ErrorCode::Internal;
+      out.detail = std::string("dispatch failed: ") + e.what();
     }
-    if (outcome.ok) {
-      result_bytes = std::move(outcome.result_bytes);
-      build_seconds = outcome.build_seconds;
-      solve_seconds = outcome.solve_seconds;
-      count("serve.computed");
-      try {
-        core::AnalysisReport report;
-        decode_result(result_bytes, report);
-        if (!report.degradations.empty()) count("serve.degraded_responses");
-      } catch (const std::exception&) {
-        // Counter parity only; the verbatim result bytes still serve.
-      }
-    } else {
-      failure = outcome.code;
-      failure_detail = outcome.detail;
-      switch (outcome.code) {
-        case ErrorCode::DeadlineExceeded: count("serve.deadline_trips"); break;
-        case ErrorCode::BadRequest: count("serve.bad_requests"); break;
-        case ErrorCode::ShuttingDown: count("serve.cancelled_runs"); break;
-        case ErrorCode::PoisonedRequest:
-          count("serve.worker.poisoned_replies");
-          break;
-        case ErrorCode::WorkerCrashed:
-          count("serve.worker.crashed_replies");
-          break;
-        default: count("serve.internal_errors"); break;
-      }
-    }
-  } else {
-    auto& gov = govern::Governor::instance();
-    gov.configure(effective_budget(flight->request.budget));
-
-    core::AnalysisReport report;
-    try {
-      runtime::ScopedTimer timer("serve.execute");
-      report = core::analyze(flight->request.layout, flight->request.options);
-    } catch (const govern::CancelledError& e) {
-      if (e.kind() == govern::BudgetKind::External) {
-        // Disconnect- or shutdown-triggered cancellation. With no waiters
-        // there is nobody to answer; during a drain the remaining waiters get
-        // a structured ShuttingDown.
-        failure = ErrorCode::ShuttingDown;
-        count("serve.cancelled_runs");
-      } else {
-        failure = ErrorCode::DeadlineExceeded;
-        count("serve.deadline_trips");
-      }
-      failure_detail = e.what();
-    } catch (const std::invalid_argument& e) {
-      failure = ErrorCode::BadRequest;
-      failure_detail = e.what();
-      count("serve.bad_requests");
-    } catch (const std::exception& e) {
-      failure = ErrorCode::Internal;
-      failure_detail = e.what();
-      count("serve.internal_errors");
-    }
-
-    if (failure == ErrorCode::None) {
-      result_bytes = encode_result(report, flight->request.include_waveforms);
-      build_seconds = report.build_seconds;
-      solve_seconds = report.solve_seconds;
-      count("serve.computed");
-      if (!report.degradations.empty()) count("serve.degraded_responses");
-    }
+  }
+  switch (out.code) {
+    case ErrorCode::None: count("serve.computed"); break;
+    case ErrorCode::DeadlineExceeded: count("serve.deadline_trips"); break;
+    case ErrorCode::BadRequest: count("serve.bad_requests"); break;
+    // Disconnect- or shutdown-triggered cancellation. With no waiters there
+    // is nobody to answer; during a drain the remaining waiters get a
+    // structured ShuttingDown.
+    case ErrorCode::ShuttingDown: count("serve.cancelled_runs"); break;
+    case ErrorCode::PoisonedRequest:
+      count("serve.worker.poisoned_replies");
+      break;
+    case ErrorCode::WorkerCrashed: count("serve.worker.crashed_replies"); break;
+    default: count("serve.internal_errors"); break;
   }
 
   std::vector<InFlight::Waiter> waiters;
@@ -743,13 +660,14 @@ void Server::execute(const FlightPtr& flight) {
     inflight_.erase(flight->key);
     waiters = std::move(flight->waiters);
     flight->waiters.clear();
-    if (failure == ErrorCode::None)
-      cache_store(flight->fp, result_bytes, build_seconds, solve_seconds);
+    if (out.code == ErrorCode::None)
+      cache_store(flight->fp, out.result_bytes, out.build_seconds,
+                  out.solve_seconds);
   }
 
   for (const InFlight::Waiter& w : waiters) {
-    if (failure != ErrorCode::None) {
-      w.conn->send(make_error(w.request_id, failure, failure_detail));
+    if (out.code != ErrorCode::None) {
+      w.conn->send(make_error(w.request_id, out.code, out.detail));
       continue;
     }
     const double queue_s =
@@ -760,7 +678,8 @@ void Server::execute(const FlightPtr& flight) {
         w.request_id,
         w.initiator ? Response::ServedBy::Computed
                     : Response::ServedBy::Coalesced,
-        build_seconds, solve_seconds, std::max(queue_s, 0.0), result_bytes);
+        out.build_seconds, out.solve_seconds, std::max(queue_s, 0.0),
+        out.result_bytes);
     if (w.conn->send(f)) count("serve.responses");
   }
 }

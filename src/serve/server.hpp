@@ -11,8 +11,8 @@
 //                  FairScheduler (per-client bounded FIFOs, round-robin)
 //                        │  full queue -> Busy reply (load shed)
 //                        ▼
-//                  executor thread ── govern::Governor (per-request budget)
-//                        │             core::analyze on the global ThreadPool
+//                  executor lane ── serve::run_request in-process, or
+//                        │          WorkerPool::run -> ind_worker -> run_request
 //                        ▼
 //                  respond to every waiter; store result in the cache
 //
@@ -32,16 +32,17 @@
 // (serve/worker_pool.hpp) — a crash, OOM kill or rlimit trip inside any
 // kernel costs one worker process and one classified retry, never the
 // server. Each worker process has its own Governor, so N analyses run
-// concurrently without sharing budget state; results stay bitwise-identical
-// to the in-process path because the same deterministic kernels run on the
-// same dispatched request bytes.
+// concurrently without sharing budget state. Both modes execute through the
+// one serve::run_request (codec.hpp), so they answer the same error codes and
+// details, apply the same outbound frame cap, and produce bitwise-identical
+// RESULT blocks from the same request bytes.
 //
-// Per-request governance: the request's RunBudget is clamped field-wise by
-// the server caps (IND_SERVE_DEADLINE_MS / IND_SERVE_MEM_BYTES /
-// IND_SERVE_WORK_BUDGET; a tenant can tighten, never loosen). Dedup and
-// both response caches key on the fingerprint of the request under that
-// *effective* budget, so a server restarted with different caps never
-// replays results computed under the old ones. Work/memory
+// Per-request governance: at admission the request's RunBudget is clamped
+// field-wise by the server caps (IND_SERVE_DEADLINE_MS / IND_SERVE_MEM_BYTES
+// / IND_SERVE_WORK_BUDGET; a tenant can tighten, never loosen), and that
+// clamped request is the one fingerprinted, dispatched and run. Dedup and
+// both response caches key on it, so a server restarted with different caps
+// never replays results computed under the old ones. Work/memory
 // trips degrade down the Section-4 fidelity ladder inside analyze() and the
 // response carries the degradation trail; a deadline trip answers
 // DeadlineExceeded. A client disconnect removes its waiters, and when the
@@ -133,15 +134,6 @@ struct ServerConfig {
   std::string worker_bin;                    ///< IND_SERVE_WORKER_BIN
   /// Worker kills by one request fingerprint before it is quarantined.
   int poison_threshold = 2;                  ///< IND_SERVE_POISON_THRESHOLD
-  /// Initial worker respawn backoff (doubles per consecutive death).
-  std::uint64_t worker_respawn_ms = 50;      ///< IND_SERVE_RESPAWN_MS
-  /// RLIMIT_AS slack above the effective mem budget (worker baseline).
-  std::uint64_t worker_as_slack_bytes = 512ull << 20;  ///< IND_SERVE_WORKER_AS_SLACK_MB
-  /// RLIMIT_CPU slack above the deadline-derived seconds.
-  std::uint64_t worker_cpu_slack_s = 5;      ///< IND_SERVE_WORKER_CPU_SLACK_S
-  /// Signal the worker_exec fault site kills dispatched workers with
-  /// (SIGSEGV; IND_SERVE_FAULT_SIGNAL=segv|kill|xcpu|abrt).
-  int worker_fault_signal = 11;              ///< IND_SERVE_FAULT_SIGNAL
 
   /// Test hook: runs on the executor thread after a flight is popped and
   /// *before* waiters are checked or the analysis starts. Lets tests hold
@@ -152,6 +144,12 @@ struct ServerConfig {
   /// Reads the IND_SERVE_* knobs (listed above) over built-in defaults.
   static ServerConfig from_env();
 };
+
+/// The admission clamp: each field of `requested` tightened by the matching
+/// cap. A 0 cap leaves the field as requested; a 0 (unlimited) request
+/// takes the cap.
+govern::RunBudget clamp_budget(const govern::RunBudget& requested,
+                               const govern::RunBudget& caps);
 
 class Server {
  public:
@@ -214,8 +212,6 @@ class Server {
                    const std::vector<std::uint8_t>& result,
                    double build_seconds, double solve_seconds);
   void flush_cache_to_store();
-
-  govern::RunBudget effective_budget(const govern::RunBudget& requested) const;
 
   ServerConfig config_;
   int listen_fd_ = -1;

@@ -25,6 +25,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Respawn delay after a slot's first death; doubles per consecutive death
+/// up to the cap and resets on a completed flight.
+constexpr std::uint64_t kRespawnBackoffMs = 50;
+constexpr std::uint64_t kRespawnBackoffCapMs = 5000;
+
 void count(const char* name, std::int64_t n = 1) {
   runtime::MetricsRegistry::instance().add_count(name, n);
 }
@@ -70,9 +75,6 @@ robust::CrashKind classify_worker_exit(int wstatus) {
 WorkerPool::WorkerPool(Config config) : config_(std::move(config)) {
   if (config_.worker_bin.empty()) config_.worker_bin = default_worker_bin();
   if (config_.poison_threshold < 1) config_.poison_threshold = 1;
-  if (config_.respawn_backoff_ms == 0) config_.respawn_backoff_ms = 1;
-  if (config_.respawn_backoff_cap_ms < config_.respawn_backoff_ms)
-    config_.respawn_backoff_cap_ms = config_.respawn_backoff_ms;
 }
 
 WorkerPool::~WorkerPool() { stop(); }
@@ -84,13 +86,9 @@ bool WorkerPool::spawn_locked(Worker& w) {
 
   // argv must be materialised before fork: only async-signal-safe work is
   // legal in the child of a multithreaded parent.
-  const std::string as_slack = std::to_string(config_.as_slack_bytes);
-  const std::string cpu_slack = std::to_string(config_.cpu_slack_seconds);
   const std::string max_frame = std::to_string(config_.max_frame_bytes);
   const char* argv[] = {config_.worker_bin.c_str(),
                         "--fd", "3",
-                        "--as-slack-bytes", as_slack.c_str(),
-                        "--cpu-slack-s", cpu_slack.c_str(),
                         "--max-frame-bytes", max_frame.c_str(),
                         nullptr};
 
@@ -148,8 +146,8 @@ void WorkerPool::mark_dead_locked(Worker& w, int wstatus) {
   w.pid = -1;
   w.state = Worker::State::Dead;
   w.backoff_ms = w.backoff_ms == 0
-                     ? config_.respawn_backoff_ms
-                     : std::min(w.backoff_ms * 2, config_.respawn_backoff_cap_ms);
+                     ? kRespawnBackoffMs
+                     : std::min(w.backoff_ms * 2, kRespawnBackoffCapMs);
   w.respawn_at = Clock::now() + std::chrono::milliseconds(w.backoff_ms);
   monitor_cv_.notify_all();
 }
@@ -164,7 +162,7 @@ void WorkerPool::start() {
       ++spawned;
     } else {
       w.state = Worker::State::Dead;
-      w.backoff_ms = config_.respawn_backoff_ms;
+      w.backoff_ms = kRespawnBackoffMs;
       w.respawn_at = Clock::now() + std::chrono::milliseconds(w.backoff_ms);
     }
   }
@@ -228,9 +226,7 @@ int WorkerPool::acquire_idle_slot() {
   }
 }
 
-WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
-                                    const Request& req,
-                                    const govern::RunBudget& effective) {
+Outcome WorkerPool::run(const store::Digest& fp, const Request& req) {
   const std::string key = fp.hex();
   Outcome out;
   {
@@ -249,7 +245,7 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
     return next_job_id_++;
   }();
   w.u64(job_id);
-  put_request(w, req, effective);
+  put_request(w, req);
   Frame job;
   job.type = FrameType::AnalyzeRequest;
   job.payload = w.take();
@@ -257,9 +253,12 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
   // `attempts` counts dispatches that reached a live worker; a write that
   // fails because the worker was already dead consumes neither the retry nor
   // the fingerprint's kill budget. `spins` bounds the worst case where every
-  // acquired worker turns out dead at dispatch time.
+  // acquired worker turns out dead at dispatch time. `crash` is the worst
+  // death observed so far.
+  int attempts = 0;
   int spins = 0;
-  while (out.attempts < 2 && spins < 64) {
+  robust::CrashKind crash = robust::CrashKind::None;
+  while (attempts < 2 && spins < 64) {
     ++spins;
     const int slot = acquire_idle_slot();
     if (slot < 0) {
@@ -286,13 +285,13 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
       delivered = false;
     }
     if (delivered) {
-      ++out.attempts;
+      ++attempts;
       count("serve.worker.dispatches");
       // Deterministic chaos hook: the Nth dispatch kills its worker, so
       // "worker_exec@0" crashes exactly the first attempt and the sibling
       // retry (index 1) runs clean.
       if (robust::fault::fire(robust::fault::Site::WorkerExec) && pid > 0)
-        ::kill(pid, config_.fault_signal);
+        ::kill(pid, SIGSEGV);
     }
 
     std::optional<Frame> reply;
@@ -329,8 +328,6 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
           out.detail = std::string("worker reply undecodable: ") + e.what();
           return out;
         }
-        out.ok = true;
-        out.code = ErrorCode::None;
         out.build_seconds = resp.build_seconds;
         out.solve_seconds = resp.solve_seconds;
         out.result_bytes = std::move(resp.result_bytes);
@@ -339,7 +336,6 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
       lock.unlock();
       // Structured Error frame: the worker is alive and the failure is
       // deterministic (bad request, budget trip, ...) — no retry.
-      out.crash = robust::CrashKind::CleanError;
       try {
         const ErrorInfo info = decode_error(reply->payload);
         out.code = info.code;
@@ -364,7 +360,7 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
     int wstatus = 0;
     if (pid > 0) ::waitpid(pid, &wstatus, 0);
     const robust::CrashKind kind = classify_worker_exit(wstatus);
-    if (static_cast<int>(kind) > static_cast<int>(out.crash)) out.crash = kind;
+    if (static_cast<int>(kind) > static_cast<int>(crash)) crash = kind;
 
     std::unique_lock lock(mutex_);
     Worker& slot_ref = slots_[static_cast<std::size_t>(slot)];
@@ -397,7 +393,7 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
                      "); quarantined";
         return out;
       }
-      if (out.attempts < 2) {
+      if (attempts < 2) {
         ++crash_retries_;
         count("serve.worker.retries");
       }
@@ -405,7 +401,7 @@ WorkerPool::Outcome WorkerPool::run(const store::Digest& fp,
   }
 
   out.code = ErrorCode::WorkerCrashed;
-  out.detail = std::string("worker died (") + to_string(out.crash) +
+  out.detail = std::string("worker died (") + to_string(crash) +
                ") and the sibling retry also failed";
   return out;
 }
@@ -459,7 +455,7 @@ void WorkerPool::monitor_loop() {
         count("serve.worker.respawns");
         idle_cv_.notify_all();
       } else {
-        w.backoff_ms = std::min(w.backoff_ms * 2, config_.respawn_backoff_cap_ms);
+        w.backoff_ms = std::min(w.backoff_ms * 2, kRespawnBackoffCapMs);
         w.respawn_at = now + std::chrono::milliseconds(w.backoff_ms);
       }
     }

@@ -6,9 +6,11 @@
 // existing length-prefixed frame protocol (AnalyzeRequest in, AnalyzeResponse
 // or Error out, one flight at a time per worker). Every worker applies
 // per-request RLIMIT_AS / RLIMIT_CPU soft limits derived from the flight's
-// *effective* RunBudget (govern/rlimit.hpp), so a segfault, runaway
-// allocation or wedged loop inside any kernel kills one worker process —
-// never the server, never another tenant's flight.
+// RunBudget (already clamped to the server caps at admission;
+// govern/rlimit.hpp) around serve::run_request, the same execution path the
+// in-process executor calls. So a segfault, runaway allocation or wedged
+// loop inside any kernel kills one worker process — never the server, never
+// another tenant's flight.
 //
 // Crash containment contract:
 //   * A worker death mid-flight is classified from its waitpid status into
@@ -21,12 +23,12 @@
 //     instead of crash-looping the fleet. A success resets the fingerprint's
 //     kill count (transient deaths — a chaos SIGKILL — don't poison).
 //   * Dead slots respawn on a monitor thread with per-slot exponential
-//     backoff (reset by a completed flight), so a crash storm cannot turn
-//     into a fork bomb.
+//     backoff (50 ms doubling to 5 s, reset by a completed flight), so a
+//     crash storm cannot turn into a fork bomb.
 //
 // The fault site robust::fault::Site::WorkerExec fires in the *supervisor*,
 // right after a flight is written to a worker: when selected, the supervisor
-// kills that worker with `fault_signal` (IND_SERVE_FAULT_SIGNAL). Firing on
+// kills that worker with SIGSEGV. Firing on
 // dispatch keeps the per-site call index deterministic — "worker_exec@0"
 // kills exactly the first dispatch and the sibling retry observes index 1 —
 // which is how the crash-retry tests assert bitwise-identical recovery.
@@ -42,7 +44,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "govern/budget.hpp"
 #include "robust/diagnostics.hpp"
 #include "serve/codec.hpp"
 #include "serve/health.hpp"
@@ -66,32 +67,7 @@ class WorkerPool {
     std::string worker_bin;
     /// Worker kills by one fingerprint before it is quarantined (>= 1).
     int poison_threshold = 2;
-    /// First respawn delay after a death; doubles per consecutive death of
-    /// the same slot up to the cap, resets on a completed flight.
-    std::uint64_t respawn_backoff_ms = 50;
-    std::uint64_t respawn_backoff_cap_ms = 5000;
     std::uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
-    /// Rlimit slacks forwarded to workers via environment (see
-    /// govern::worker_rlimits).
-    std::uint64_t as_slack_bytes = 512ull << 20;
-    std::uint64_t cpu_slack_seconds = 5;
-    /// Signal the WorkerExec fault site uses to kill a dispatched worker
-    /// (SIGSEGV by default; SIGKILL mimics the OOM killer).
-    int fault_signal = 11;
-  };
-
-  /// Result of running one flight through the pool.
-  struct Outcome {
-    bool ok = false;
-    ErrorCode code = ErrorCode::None;  ///< set when !ok
-    std::string detail;
-    /// Worst death observed while serving this flight (None = no crash,
-    /// CleanError = the worker answered a structured Error frame).
-    robust::CrashKind crash = robust::CrashKind::None;
-    int attempts = 0;  ///< dispatches that reached a worker
-    double build_seconds = 0.0;
-    double solve_seconds = 0.0;
-    std::vector<std::uint8_t> result_bytes;
   };
 
   explicit WorkerPool(Config config);
@@ -110,10 +86,9 @@ class WorkerPool {
 
   /// Runs one flight on an idle worker (blocking until one is free),
   /// handling crash classification, the single sibling retry and poison
-  /// quarantine. `fp` is the flight's effective-budget fingerprint;
-  /// `effective` replaces req.budget in the dispatched bytes.
-  Outcome run(const store::Digest& fp, const Request& req,
-              const govern::RunBudget& effective);
+  /// quarantine. `fp` is request_fingerprint(req). A worker's structured
+  /// Error frame comes back as the code and detail run_request produced.
+  Outcome run(const store::Digest& fp, const Request& req);
 
   /// True when `fp` is quarantined — the server's admission path answers
   /// PoisonedRequest without queueing.

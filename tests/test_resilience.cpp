@@ -1,5 +1,5 @@
 // End-to-end resilience tests: the retrying client (deterministic backoff
-// schedule, retryability classification, circuit breaker, hedging, reconnect
+// schedule, retryability classification, circuit breaker, reconnect
 // across a server restart), the server's health frame and wedged-executor
 // watchdog, torn-connection hardening (mid-frame disconnect at every byte
 // offset, the serve_send fault site), and crash-safe store recovery
@@ -460,33 +460,6 @@ TEST_F(ResilienceTest, ResilientClientReportsTerminalWhenServerStaysDown) {
   // Exhaustion is reported honestly: the detail names the attempt count.
   EXPECT_NE(out.reply.error.detail.find("retries exhausted"),
             std::string::npos);
-}
-
-TEST_F(ResilienceTest, ResilientClientHedgesSafely) {
-  serve::Server server(serve::ServerConfig{});
-  server.start();
-
-  serve::Endpoint ep;
-  ep.tcp_port = server.port();
-  serve::RetryPolicy policy;
-  policy.hedge_after_ms = 1;  // hedge almost immediately: the analysis takes
-                              // tens of ms, so the hedge reliably launches
-  policy.recv_timeout_ms = 5000;
-  serve::ResilientClient client(ep, policy);
-
-  const serve::CallOutcome out = client.analyze(1, grid_request());
-  ASSERT_TRUE(out.ok);
-  EXPECT_GE(client.total_hedges(), 1u);
-
-  // The hedge raced a duplicate of the same fingerprint: whichever lost was
-  // deduped or cached, and the winning bytes equal a fresh authoritative
-  // reply — hedging can never change an answer.
-  serve::Client plain;
-  plain.connect_tcp("127.0.0.1", server.port());
-  const serve::Reply check = plain.analyze(2, grid_request());
-  ASSERT_TRUE(check.ok);
-  EXPECT_EQ(out.reply.response.result_bytes, check.response.result_bytes);
-  server.shutdown();
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@
 // scheduler, and the live server end-to-end — in-flight dedup, response-cache
 // short-circuit, per-request budget degradation, client-disconnect
 // cancellation, malformed/oversized-frame rejection (including the
-// serve_read fault-injection site), graceful shutdown, and thread-count
-// independence of the result bytes.
+// serve_read fault-injection site), graceful shutdown, thread-count
+// independence of the result bytes, and the run_request path both serving
+// modes share (same bytes, codes and details in-process and in workers).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <semaphore>
@@ -20,6 +22,7 @@
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "core/analyzer.hpp"
@@ -254,29 +257,32 @@ TEST_F(ServeTest, FingerprintIsStableAndSensitive) {
 }
 
 TEST_F(ServeTest, FingerprintKeyedByEffectiveBudget) {
-  // The server hashes the request under the budget it will actually run
-  // with. Requests whose budgets clamp to the same effective values share a
-  // key; a cap change yields a different key, so cached results computed
-  // under old caps can never be replayed after a restart.
+  // Admission clamps the request's budget to the server caps and then
+  // hashes the request as it will actually run. Requests whose budgets clamp
+  // to the same values share a key; a cap change yields a different key, so
+  // cached results computed under old caps can never be replayed after a
+  // restart.
   serve::Request a = grid_request();
   serve::Request b = grid_request();
   a.budget.work_units = 500;
   b.budget.work_units = 1000;
   EXPECT_NE(serve::request_fingerprint(a), serve::request_fingerprint(b));
 
-  govern::RunBudget capped;
-  capped.work_units = 100;  // both requests clamp to this
-  EXPECT_EQ(serve::request_fingerprint(a, capped),
-            serve::request_fingerprint(b, capped));
+  const auto admitted = [](serve::Request req, std::uint64_t work_cap) {
+    govern::RunBudget caps;
+    caps.work_units = work_cap;
+    req.budget = serve::clamp_budget(req.budget, caps);
+    return serve::request_fingerprint(req);
+  };
+  EXPECT_EQ(admitted(a, 100), admitted(b, 100));  // both clamp to 100
+  EXPECT_NE(admitted(a, 100), admitted(a, 50));
 
-  govern::RunBudget tighter;
-  tighter.work_units = 50;
-  EXPECT_NE(serve::request_fingerprint(a, capped),
-            serve::request_fingerprint(a, tighter));
+  // With no caps the admitted request is the requested one.
+  EXPECT_EQ(admitted(a, 0), serve::request_fingerprint(a));
 
-  // With no caps the effective budget is the requested one.
-  EXPECT_EQ(serve::request_fingerprint(a, a.budget),
-            serve::request_fingerprint(a));
+  // Persisted serve_response artifacts are keyed by this hex: it must not
+  // move when the serving code is refactored.
+  EXPECT_EQ(admitted(a, 100).hex(), "4f634cc8439daa61f19001cca4bd01e5");
 }
 
 // ---------------------------------------------------------------------------
@@ -489,6 +495,7 @@ TEST_F(ServeTest, DisconnectedClientsRequestIsAbandoned) {
   const std::int64_t requests0 = counter("serve.requests");
   const std::int64_t abandoned0 = counter("serve.abandoned");
   const std::int64_t computed0 = counter("serve.computed");
+  const std::int64_t disconnects0 = counter("serve.disconnects");
   {
     serve::Client doomed;
     doomed.connect_tcp("127.0.0.1", server.port());
@@ -496,6 +503,9 @@ TEST_F(ServeTest, DisconnectedClientsRequestIsAbandoned) {
     ASSERT_TRUE(
         eventually([&] { return counter("serve.requests") == requests0 + 1; }));
   }  // disconnect while the executor is held at the gate
+  // The reader must have removed the waiter before the executor looks.
+  ASSERT_TRUE(eventually(
+      [&] { return counter("serve.disconnects") == disconnects0 + 1; }));
 
   gate.release();
   ASSERT_TRUE(
@@ -774,6 +784,37 @@ TEST(WorkerExitClassification, MapsWaitStatusToCrashKind) {
   EXPECT_STREQ(robust::to_string(CrashKind::Signal), "signal");
 }
 
+#if defined(__SANITIZE_ADDRESS__)
+#define IND_UNDER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define IND_UNDER_ASAN 1
+#endif
+#endif
+
+TEST(WorkerExitClassification, AllocationFailureExitsAsRlimitMem) {
+#ifdef IND_UNDER_ASAN
+  GTEST_SKIP() << "ASan's allocator aborts instead of returning null";
+#else
+  // What ind_worker's main installs: an allocation that fails anywhere in
+  // the worker must end the process with the OOM exit code, which the
+  // supervisor classifies as an RLIMIT_AS trip.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    govern::exit_on_allocation_failure();
+    void* volatile p = ::operator new(static_cast<std::size_t>(-1) / 2);
+    ::operator delete(p);
+    ::_exit(0);  // unreachable unless the allocation succeeded
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  ASSERT_TRUE(WIFEXITED(wstatus));
+  EXPECT_EQ(WEXITSTATUS(wstatus), govern::kWorkerOomExitCode);
+  EXPECT_EQ(serve::classify_worker_exit(wstatus), robust::CrashKind::RlimitMem);
+#endif
+}
+
 TEST_F(ServeTest, WorkerModeResultsBitwiseIdenticalToInProcess) {
   const serve::Request req = grid_request();
   std::vector<std::uint8_t> inproc, worker;
@@ -806,6 +847,13 @@ TEST_F(ServeTest, WorkerCrashMidFlightRetriesOnSiblingBitwise) {
     server.shutdown();
   }
 
+#ifdef IND_UNDER_ASAN
+  // An ASan-built worker would catch the SIGSEGV, print a report and exit 1
+  // (classified exit_error). Let the signal kill it, as in a normal build.
+  const char* asan_env = std::getenv("ASAN_OPTIONS");
+  const std::string asan_prev = asan_env ? asan_env : "";
+  ::setenv("ASAN_OPTIONS", (asan_prev + ":handle_segv=0").c_str(), 1);
+#endif
   const std::int64_t crashes0 = counter("serve.worker.crashes.signal");
   const std::int64_t retries0 = counter("serve.worker.retries");
   // Kill exactly the first dispatched worker (SIGSEGV mid-flight); the
@@ -819,6 +867,9 @@ TEST_F(ServeTest, WorkerCrashMidFlightRetriesOnSiblingBitwise) {
   EXPECT_EQ(counter("serve.worker.crashes.signal"), crashes0 + 1);
   EXPECT_EQ(counter("serve.worker.retries"), retries0 + 1);
   server.shutdown();
+#ifdef IND_UNDER_ASAN
+  ::setenv("ASAN_OPTIONS", asan_prev.c_str(), 1);
+#endif
 }
 
 TEST_F(ServeTest, PoisonedRequestQuarantinedAfterThresholdKills) {
@@ -858,44 +909,105 @@ TEST_F(ServeTest, PoisonedRequestQuarantinedAfterThresholdKills) {
 }
 
 TEST_F(ServeTest, OversizedWorkerReplyIsStructuredErrorNotLaneWedge) {
-  // Regression: a reply above max_frame_bytes used to deadlock the lane
+  // Regression: a reply above max_frame_bytes used to deadlock a worker lane
   // permanently — the supervisor's read threw FrameTooLarge, then blocked in
   // waitpid() on the *live* worker still writing the rest of the oversized
-  // frame. The worker now checks its encoded reply against the cap and
-  // answers a small structured FrameTooLarge error instead (and the
-  // supervisor SIGKILLs before reaping as a backstop), so the tenant gets a
-  // structured reply and the lane keeps serving.
-  serve::ServerConfig config = worker_config(2);
-  config.max_frame_bytes = 16u << 10;
-
+  // frame — and in-process mode sent the oversized frame anyway. run_request
+  // now checks the reply against the cap in both modes and answers a small
+  // structured FrameTooLarge error instead (the supervisor still SIGKILLs
+  // before reaping as a backstop), so the tenant gets the same structured
+  // reply either way and the lane keeps serving.
   serve::Request big = grid_request(240.0);
   big.include_waveforms = true;
   big.options.transient.t_stop = 5e-9;  // 5000 f64 samples per sink: the
   big.options.transient.dt = 1e-12;     // encoded reply dwarfs the 16 KiB cap
-  ASSERT_LT(encoded(big).size() + 64, config.max_frame_bytes)
-      << "request must still fit under the cap for this test to be valid";
 
-  const std::int64_t crashes0 = counter("serve.worker.crashes");
-  const std::int64_t retries0 = counter("serve.worker.retries");
-  serve::Server server(config);
-  server.start();
-  serve::Client client;
-  client.connect_tcp("127.0.0.1", server.port());
+  std::vector<std::string> details;
+  for (const std::size_t workers : {0, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    serve::ServerConfig config = worker_config(workers);
+    config.max_frame_bytes = 16u << 10;
+    ASSERT_LT(encoded(big).size() + 64, config.max_frame_bytes)
+        << "request must still fit under the cap for this test to be valid";
 
-  const serve::Reply reply = client.analyze(1, big);
-  ASSERT_FALSE(reply.ok);
-  EXPECT_EQ(reply.error.code, serve::ErrorCode::FrameTooLarge);
-  // The worker stayed alive and answered structurally: no crash, no retry.
-  EXPECT_EQ(counter("serve.worker.crashes"), crashes0);
-  EXPECT_EQ(counter("serve.worker.retries"), retries0);
+    const std::int64_t crashes0 = counter("serve.worker.crashes");
+    const std::int64_t retries0 = counter("serve.worker.retries");
+    serve::Server server(config);
+    server.start();
+    serve::Client client;
+    client.connect_tcp("127.0.0.1", server.port());
 
-  // The same lanes keep serving flights that fit.
-  serve::Client healthy;
-  healthy.connect_tcp("127.0.0.1", server.port());
-  const serve::Reply ok = healthy.analyze(2, grid_request(300.0));
-  ASSERT_TRUE(ok.ok) << serve::to_string(ok.error.code) << ": "
-                     << ok.error.detail;
-  server.shutdown();
+    const serve::Reply reply = client.analyze(1, big);
+    ASSERT_FALSE(reply.ok);
+    EXPECT_EQ(reply.error.code, serve::ErrorCode::FrameTooLarge);
+    details.push_back(reply.error.detail);
+    // The worker stayed alive and answered structurally: no crash, no retry.
+    EXPECT_EQ(counter("serve.worker.crashes"), crashes0);
+    EXPECT_EQ(counter("serve.worker.retries"), retries0);
+
+    // The same lanes keep serving flights that fit.
+    serve::Client healthy;
+    healthy.connect_tcp("127.0.0.1", server.port());
+    const serve::Reply ok = healthy.analyze(2, grid_request(300.0));
+    ASSERT_TRUE(ok.ok) << serve::to_string(ok.error.code) << ": "
+                       << ok.error.detail;
+    server.shutdown();
+  }
+  EXPECT_EQ(details[0], details[1]);
+}
+
+TEST_F(ServeTest, RunRequestIsAnalyzePlusEncode) {
+  const serve::Request req = grid_request();
+  const serve::Outcome out =
+      serve::run_request(req, serve::kDefaultMaxFrameBytes);
+  ASSERT_EQ(out.code, serve::ErrorCode::None) << out.detail;
+  govern::Governor::instance().configure({});
+  const core::AnalysisReport report = core::analyze(req.layout, req.options);
+  EXPECT_EQ(out.result_bytes, serve::encode_result(report, false));
+  EXPECT_GT(out.build_seconds, 0.0);
+
+  serve::Request bad = grid_request();
+  bad.options.flow = core::Flow::LoopRlc;
+  bad.options.signal_net = -1;  // LoopRlc needs a signal net
+  const serve::Outcome rejected =
+      serve::run_request(bad, serve::kDefaultMaxFrameBytes);
+  EXPECT_EQ(rejected.code, serve::ErrorCode::BadRequest);
+  EXPECT_NE(rejected.detail.find("signal_net"), std::string::npos)
+      << rejected.detail;
+  EXPECT_TRUE(rejected.result_bytes.empty());
+}
+
+TEST_F(ServeTest, ErrorRepliesIdenticalAcrossServingModes) {
+  // Both modes answer through the one run_request, so a failing request
+  // gets the same code *and* detail whether it ran in-process or in a
+  // sandboxed worker.
+  serve::Request bad = grid_request();
+  bad.options.flow = core::Flow::LoopRlc;
+  bad.options.signal_net = -1;
+
+  std::vector<serve::ErrorInfo> bad_replies, deadline_replies;
+  for (const std::size_t workers : {0, 2}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    serve::ServerConfig config = worker_config(workers);
+    config.budget_caps.work_units = 50;  // starves every ladder rung
+    serve::Server server(config);
+    server.start();
+    serve::Client client;
+    client.connect_tcp("127.0.0.1", server.port());
+    const serve::Reply rejected = client.analyze(1, bad);
+    const serve::Reply starved = client.analyze(2, grid_request());
+    server.shutdown();
+    ASSERT_FALSE(rejected.ok);
+    ASSERT_FALSE(starved.ok);
+    bad_replies.push_back(rejected.error);
+    deadline_replies.push_back(starved.error);
+  }
+  EXPECT_EQ(bad_replies[0].code, serve::ErrorCode::BadRequest);
+  EXPECT_EQ(bad_replies[1].code, bad_replies[0].code);
+  EXPECT_EQ(bad_replies[1].detail, bad_replies[0].detail);
+  EXPECT_EQ(deadline_replies[0].code, serve::ErrorCode::DeadlineExceeded);
+  EXPECT_EQ(deadline_replies[1].code, deadline_replies[0].code);
+  EXPECT_EQ(deadline_replies[1].detail, deadline_replies[0].detail);
 }
 
 TEST_F(ServeTest, WorkerModeCoalescingAndCacheStillWork) {

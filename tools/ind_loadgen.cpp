@@ -4,7 +4,7 @@
 //               [--clients C] [--outstanding K] [--requests R]
 //               [--distinct D] [--spec "flow=... seg_um=..."]
 //               [--retries N] [--backoff-ms MS] [--deadline-ms MS]
-//               [--recv-timeout-ms MS] [--hedge-ms MS]
+//               [--recv-timeout-ms MS]
 //               [--chaos] [--kill-pid PID --kill-after-ms MS]
 //               [--kill-worker segv|kill|xcpu|abrt [--kill-every-ms MS]]
 //               [--expect-poisoned] [--out BENCH_serve.json]
@@ -30,7 +30,7 @@
 //
 // --chaos mode drives each client through serve::ResilientClient
 // (sequential, one request at a time, deterministic backoff jitter, circuit
-// breaker, optional hedging) — built to run against an ind_chaos proxy
+// breaker) — built to run against an ind_chaos proxy
 // and/or a server that is being killed and restarted mid-run
 // (--kill-pid/--kill-after-ms sends SIGKILL from inside the load window).
 // Exit 0 in chaos mode means: every request resolved, zero wrong results —
@@ -81,7 +81,6 @@ struct Args {
   std::uint64_t backoff_ms = 5;       ///< base backoff (doubles per attempt)
   std::uint64_t deadline_ms = 30'000; ///< per-request budget (chaos mode)
   std::uint64_t recv_timeout_ms = 0;  ///< 0: off (chaos mode defaults 5000)
-  std::uint64_t hedge_ms = 0;         ///< hedged requests (chaos mode)
   bool chaos = false;
   long kill_pid = 0;
   std::uint64_t kill_after_ms = 0;
@@ -167,7 +166,6 @@ struct ClientStats {
   std::uint64_t poisoned = 0;    ///< terminal PoisonedRequest answers
   std::uint64_t retries = 0;
   std::uint64_t reconnects = 0;
-  std::uint64_t hedges = 0;
   std::array<std::uint64_t, kAttemptsHistSlots> attempts_hist{};
 };
 
@@ -417,7 +415,6 @@ void run_client_chaos(const Args& args, int client_index,
   policy.deadline_ms = args.deadline_ms;
   policy.recv_timeout_ms =
       args.recv_timeout_ms > 0 ? args.recv_timeout_ms : 5000;
-  policy.hedge_after_ms = args.hedge_ms;
   ind::serve::ResilientClient client(ep, policy);
 
   for (int r = 0; r < args.requests; ++r) {
@@ -466,7 +463,6 @@ void run_client_chaos(const Args& args, int client_index,
   }
   stats.retries += client.total_retries();
   stats.reconnects += client.total_reconnects();
-  stats.hedges += client.total_hedges();
 }
 
 double percentile(std::vector<double>& sorted, double p) {
@@ -502,7 +498,6 @@ int main(int argc, char** argv) {
     else if (arg == "--backoff-ms") args.backoff_ms = std::strtoull(next(), nullptr, 10);
     else if (arg == "--deadline-ms") args.deadline_ms = std::strtoull(next(), nullptr, 10);
     else if (arg == "--recv-timeout-ms") args.recv_timeout_ms = std::strtoull(next(), nullptr, 10);
-    else if (arg == "--hedge-ms") args.hedge_ms = std::strtoull(next(), nullptr, 10);
     else if (arg == "--chaos") args.chaos = true;
     else if (arg == "--kill-pid") args.kill_pid = std::atol(next());
     else if (arg == "--kill-after-ms") args.kill_after_ms = std::strtoull(next(), nullptr, 10);
@@ -514,7 +509,7 @@ int main(int argc, char** argv) {
                    "usage: ind_loadgen --port N [--host ADDR | --uds PATH] "
                    "[--clients C] [--outstanding K] [--requests R] "
                    "[--distinct D] [--spec S] [--retries N] [--backoff-ms MS] "
-                   "[--deadline-ms MS] [--recv-timeout-ms MS] [--hedge-ms MS] "
+                   "[--deadline-ms MS] [--recv-timeout-ms MS] "
                    "[--chaos] [--kill-pid PID --kill-after-ms MS] "
                    "[--kill-worker segv|kill|xcpu|abrt [--kill-every-ms MS]] "
                    "[--expect-poisoned] [--out FILE]\n");
@@ -639,7 +634,6 @@ int main(int argc, char** argv) {
     total.poisoned += s.poisoned;
     total.retries += s.retries;
     total.reconnects += s.reconnects;
-    total.hedges += s.hedges;
     for (std::size_t k = 0; k < kAttemptsHistSlots; ++k)
       total.attempts_hist[k] += s.attempts_hist[k];
   }
@@ -680,7 +674,6 @@ int main(int argc, char** argv) {
        << "    \"poisoned\": " << total.poisoned << ",\n"
        << "    \"retries\": " << total.retries << ",\n"
        << "    \"reconnects\": " << total.reconnects << ",\n"
-       << "    \"hedges\": " << total.hedges << ",\n"
        << "    \"attempts_hist\": [";
   for (std::size_t k = 1; k < kAttemptsHistSlots; ++k)
     json << (k > 1 ? ", " : "") << total.attempts_hist[k];

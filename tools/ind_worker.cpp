@@ -1,36 +1,30 @@
 // ind_worker: one sandboxed analysis lane of the serve worker pool.
 //
-//   ind_worker --fd N [--as-slack-bytes B] [--cpu-slack-s S]
-//              [--max-frame-bytes M]
+//   ind_worker --fd N [--max-frame-bytes M]
 //
 // Spawned by serve::WorkerPool (never run by hand): reads AnalyzeRequest
-// frames off the inherited socketpair (fd 3 by convention), runs
-// core::analyze under the request's *effective* RunBudget — the supervisor
-// re-encodes the dispatched request with the budget already clamped by the
-// server caps — and writes back one AnalyzeResponse or Error frame per
-// request. Before each analysis the per-request RLIMIT_AS / RLIMIT_CPU soft
-// limits derived from that budget are applied (govern/rlimit.hpp) and
-// relaxed again afterwards, so a runaway allocation or wedged kernel kills
-// this process — classified by the supervisor via its exit status — instead
-// of the server.
+// frames off the inherited socketpair (fd 3 by convention), runs each one
+// through serve::run_request — the execution path the in-process server
+// uses, so both modes answer the same codes, details and bytes — and writes
+// back one AnalyzeResponse or Error frame per request. The request's budget
+// was already clamped to the server caps at admission. Around each run the
+// RLIMIT_AS / RLIMIT_CPU soft limits derived from that budget are applied
+// and relaxed again (govern/rlimit.hpp), so a runaway allocation or wedged
+// kernel kills this process — classified by the supervisor via its exit
+// status — instead of the server.
 //
 // Exit protocol (what WorkerPool::classify_worker_exit reads):
 //   0                      clean shutdown: EOF on the job pipe (supervisor
 //                          closed it) or the supervisor vanished mid-reply
-//   govern::kWorkerOomExitCode   std::bad_alloc under RLIMIT_AS — the heap
+//   govern::kWorkerOomExitCode   an allocation failed (RLIMIT_AS) — the heap
 //                          cannot be trusted for a structured reply
 //   2                      protocol violation on the job pipe
 //   fatal signal           whatever the kernel says (SIGSEGV, SIGXCPU, ...)
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <new>
 #include <string>
-#include <unistd.h>
 
-#include "core/analyzer.hpp"
-#include "govern/budget.hpp"
 #include "govern/rlimit.hpp"
 #include "serve/codec.hpp"
 #include "serve/protocol.hpp"
@@ -38,10 +32,15 @@
 
 namespace {
 
+/// RLIMIT_AS headroom above the request's memory budget (the worker's code
+/// and heap baseline) and RLIMIT_CPU headroom above its deadline (assembly
+/// and serde around the governed kernels), so the cooperative budget almost
+/// always trips first.
+constexpr std::uint64_t kAsSlackBytes = 512ull << 20;
+constexpr std::uint64_t kCpuSlackSeconds = 5;
+
 struct Args {
   int fd = 3;
-  std::uint64_t as_slack_bytes = 512ull << 20;
-  std::uint64_t cpu_slack_s = 5;
   std::uint32_t max_frame_bytes = ind::serve::kDefaultMaxFrameBytes;
 };
 
@@ -58,70 +57,15 @@ Args parse_args(int argc, char** argv) {
     };
     if (arg == "--fd") {
       a.fd = std::atoi(next());
-    } else if (arg == "--as-slack-bytes") {
-      a.as_slack_bytes = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--cpu-slack-s") {
-      a.cpu_slack_s = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--max-frame-bytes") {
       a.max_frame_bytes =
           static_cast<std::uint32_t>(std::strtoull(next(), nullptr, 10));
     } else {
-      std::fprintf(stderr,
-                   "usage: ind_worker --fd N [--as-slack-bytes B] "
-                   "[--cpu-slack-s S] [--max-frame-bytes M]\n");
+      std::fprintf(stderr, "usage: ind_worker --fd N [--max-frame-bytes M]\n");
       std::exit(arg == "--help" ? 0 : 2);
     }
   }
   return a;
-}
-
-/// Runs one decoded request. Exception classification mirrors the server's
-/// in-process executor exactly, so a worker-mode failure answers the same
-/// structured code the in-process path would have.
-ind::serve::Frame serve_one(const Args& args, std::uint64_t job_id,
-                            const ind::serve::Request& req) {
-  using ind::serve::ErrorCode;
-  auto& gov = ind::govern::Governor::instance();
-  gov.configure(req.budget);  // already the effective (cap-clamped) budget
-
-  const ind::govern::WorkerRlimits limits = ind::govern::worker_rlimits(
-      req.budget, args.as_slack_bytes, args.cpu_slack_s);
-  ind::govern::apply_worker_rlimits(limits);
-
-  ErrorCode failure = ErrorCode::None;
-  std::string detail;
-  ind::core::AnalysisReport report;
-  try {
-    report = ind::core::analyze(req.layout, req.options);
-  } catch (const std::bad_alloc&) {
-    // RLIMIT_AS tripped (or the box is truly out of memory): building a
-    // structured reply needs heap we may not have. Self-exit with the
-    // classified code; the supervisor answers the tenant.
-    _exit(ind::govern::kWorkerOomExitCode);
-  } catch (const ind::govern::CancelledError& e) {
-    failure = e.kind() == ind::govern::BudgetKind::External
-                  ? ErrorCode::ShuttingDown
-                  : ErrorCode::DeadlineExceeded;
-    detail = e.what();
-  } catch (const std::invalid_argument& e) {
-    failure = ErrorCode::BadRequest;
-    detail = e.what();
-  } catch (const std::exception& e) {
-    failure = ErrorCode::Internal;
-    detail = e.what();
-  }
-  ind::govern::relax_worker_rlimits();
-
-  if (failure != ErrorCode::None)
-    return ind::serve::make_error(job_id, failure, detail);
-
-  ind::serve::Frame reply;
-  reply.type = ind::serve::FrameType::AnalyzeResponse;
-  reply.payload = ind::serve::encode_response_payload(
-      job_id, ind::serve::Response::ServedBy::Computed, report.build_seconds,
-      report.solve_seconds, 0.0,
-      ind::serve::encode_result(report, req.include_waveforms));
-  return reply;
 }
 
 }  // namespace
@@ -131,6 +75,7 @@ int main(int argc, char** argv) {
   // The supervisor closing the job pipe mid-write must surface as EPIPE
   // (write_frame maps it to "peer gone"), not kill us with SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
+  ind::govern::exit_on_allocation_failure();
 
   for (;;) {
     std::optional<ind::serve::Frame> job;
@@ -143,29 +88,30 @@ int main(int argc, char** argv) {
     if (job->type != ind::serve::FrameType::AnalyzeRequest) return 2;
 
     std::uint64_t job_id = 0;
-    ind::serve::Frame reply;
+    ind::serve::Outcome out;
     try {
       ind::store::ByteReader r(job->payload);
       job_id = r.u64();
       ind::serve::Request req;
       ind::serve::get_request(r, req);
-      reply = serve_one(args, job_id, req);
-    } catch (const std::bad_alloc&) {
-      _exit(ind::govern::kWorkerOomExitCode);
+      ind::govern::apply_worker_rlimits(ind::govern::worker_rlimits(
+          req.budget, kAsSlackBytes, kCpuSlackSeconds));
+      out = ind::serve::run_request(req, args.max_frame_bytes);
+      ind::govern::relax_worker_rlimits();
     } catch (const std::exception& e) {
-      reply = ind::serve::make_error(job_id, ind::serve::ErrorCode::BadRequest,
-                                     e.what());
+      out.code = ind::serve::ErrorCode::BadRequest;  // undecodable job
+      out.detail = e.what();
     }
-    // The supervisor reads replies under the same --max-frame-bytes cap it
-    // handed us: an oversized payload would be rejected there with
-    // FrameTooLarge while we sit blocked writing the remainder. Answer with a
-    // structured (small) Error instead of ever starting an oversized write.
-    if (reply.payload.size() > args.max_frame_bytes)
-      reply = ind::serve::make_error(
-          job_id, ind::serve::ErrorCode::FrameTooLarge,
-          "worker reply of " + std::to_string(reply.payload.size()) +
-              " bytes exceeds the " + std::to_string(args.max_frame_bytes) +
-              "-byte frame cap; lower t_stop/dt or disable include_waveforms");
+
+    ind::serve::Frame reply;
+    if (out.code != ind::serve::ErrorCode::None) {
+      reply = ind::serve::make_error(job_id, out.code, out.detail);
+    } else {
+      reply.type = ind::serve::FrameType::AnalyzeResponse;
+      reply.payload = ind::serve::encode_response_payload(
+          job_id, ind::serve::Response::ServedBy::Computed, out.build_seconds,
+          out.solve_seconds, 0.0, out.result_bytes);
+    }
     if (!ind::serve::write_frame(args.fd, reply)) return 0;
   }
 }
