@@ -11,7 +11,6 @@
 #include "circuit/transient.hpp"
 #include "extract/partial_inductance.hpp"
 #include "la/lu.hpp"
-#include "la/refine.hpp"
 #include "la/sparse_lu.hpp"
 #include "peec/model_builder.hpp"
 #include "runtime/bench_report.hpp"
@@ -23,8 +22,7 @@ using geom::um;
 
 namespace {
 
-// Deterministic diagonally-dominant dense test matrix (well-conditioned, so
-// the f32 factor passes the mixed-precision guard and refinement converges).
+// Deterministic diagonally-dominant dense test matrix (well-conditioned).
 la::Matrix dominant_matrix(std::size_t n, std::uint64_t seed) {
   la::Matrix a(n, n);
   std::uint64_t s = seed;
@@ -187,47 +185,6 @@ void BM_DenseLu2048Scalar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseLu2048Scalar)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-// Mixed-precision solve at n = 2048: f32 blocked factor + f64 refinement,
-// compared against the plain double factor+solve for both wall-clock and
-// the 1e-10 solution-agreement acceptance gate.
-void BM_MixedSolve2048(benchmark::State& state) {
-  const std::size_t n = 2048;
-  const la::Matrix a = dominant_matrix(n, 29);
-  la::Vector b(n);
-  for (std::size_t i = 0; i < n; ++i)
-    b[i] = std::sin(static_cast<double>(i) * 0.37) + 1.5;
-  auto& metrics = runtime::MetricsRegistry::instance();
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const la::MixedLuReal mixed(a);
-    la::Vector xm;
-    const la::RefineResult rr = mixed.solve(a, b, xm, {});
-    metrics.max_count("kernels.lu2048.mixed_ms",
-                      static_cast<std::int64_t>(std::llround(ms_since(t0))));
-    metrics.max_count("kernels.lu2048.mixed_converged", rr.converged ? 1 : 0);
-    metrics.max_count(
-        "kernels.lu2048.mixed_digest",
-        static_cast<std::int64_t>(
-            fnv1a_bytes(xm.data(), n * sizeof(double)) &
-            0x7fffffffffffffffULL));
-
-    const auto t1 = std::chrono::steady_clock::now();
-    la::Matrix copy = a;
-    const la::Vector xd = la::LU(std::move(copy)).solve(b);
-    metrics.max_count("kernels.lu2048.double_solve_ms",
-                      static_cast<std::int64_t>(std::llround(ms_since(t1))));
-    // Max relative component error vs the double solution, in units of
-    // 1e-13 (the 1e-10 acceptance bound is 1000).
-    double rel = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      rel = std::max(rel, std::abs(xm[i] - xd[i]) / std::abs(xd[i]));
-    metrics.max_count("kernels.lu2048.mixed_vs_double_e13",
-                      static_cast<std::int64_t>(std::llround(rel * 1e13)));
-    benchmark::DoNotOptimize(xm.data());
-  }
-}
-BENCHMARK(BM_MixedSolve2048)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 // Batch Grover kernel throughput (the assembly/Toeplitz hot loop).
 void BM_MutualBatch(benchmark::State& state) {

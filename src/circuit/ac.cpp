@@ -10,9 +10,8 @@
 namespace ind::circuit {
 namespace {
 
-// One frequency point over pre-assembled stamps. Splitting the stamping
-// from the per-omega solve lets ac_sweep share a single Mna + G/C pattern
-// across the whole sweep instead of re-deriving them every point.
+// One frequency point over pre-assembled stamps, so the sweep shares a
+// single Mna + G/C pattern instead of re-deriving them every point.
 AcResult solve_stamped(const Mna& mna, const la::TripletMatrix& g,
                        const la::TripletMatrix& c,
                        const AcExcitation& excitation, double omega) {
@@ -29,12 +28,12 @@ AcResult solve_stamped(const Mna& mna, const la::TripletMatrix& g,
   switch (excitation.kind) {
     case AcExcitation::Kind::VSource:
       if (excitation.index >= netlist.vsources().size())
-        throw std::out_of_range("ac_solve: vsource index");
+        throw std::out_of_range("ac_sweep: vsource index");
       b[mna.vsource_branch(excitation.index)] = 1.0;
       break;
     case AcExcitation::Kind::ISource: {
       if (excitation.index >= netlist.isources().size())
-        throw std::out_of_range("ac_solve: isource index");
+        throw std::out_of_range("ac_sweep: isource index");
       const ISource& src = netlist.isources()[excitation.index];
       if (src.a >= 0) b[static_cast<std::size_t>(src.a)] -= 1.0;
       if (src.b >= 0) b[static_cast<std::size_t>(src.b)] += 1.0;
@@ -72,15 +71,6 @@ AcResult solve_stamped(const Mna& mna, const la::TripletMatrix& g,
 }
 
 }  // namespace
-
-AcResult ac_solve(const Netlist& netlist, const AcExcitation& excitation,
-                  double omega, double driver_time) {
-  Mna mna(netlist);
-  la::TripletMatrix g, c;
-  mna.stamp_static(g, c);
-  mna.stamp_drivers(g, driver_time);
-  return solve_stamped(mna, g, c, excitation, omega);
-}
 
 std::vector<AcResult> ac_sweep(const Netlist& netlist,
                                const AcExcitation& excitation,

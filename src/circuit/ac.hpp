@@ -1,5 +1,6 @@
-// Small-signal AC analysis: solves (G + j w C) x = b for a unit phasor
-// excitation at one independent source, all other sources zeroed.
+// Small-signal AC sweep: solves (G + j w C) x = b at each frequency of a
+// sweep, for a unit phasor excitation at one independent source with all
+// other sources zeroed. A single point is a one-element sweep.
 //
 // Used to validate reduced-order models against the full PEEC model in the
 // frequency domain and to characterise the loop-model ladder fit (Fig. 3).
@@ -41,17 +42,11 @@ struct AcResult {
   }
 };
 
-/// Solves the AC system at angular frequency `omega` (rad/s). Switched
-/// drivers contribute their conductance at `driver_time` (default: fully
-/// settled).
-AcResult ac_solve(const Netlist& netlist, const AcExcitation& excitation,
-                  double omega, double driver_time = 1e12);
-
-/// Frequency sweep sharing one assembled pattern: the MNA index maps and
-/// the G / C stamps are built once, so every point costs one complex
-/// assembly + factorisation (only jw changes between points) instead of a
-/// full netlist re-stamp. Results are identical to calling ac_solve per
-/// omega.
+/// Solves the AC system at each angular frequency in `omegas` (rad/s).
+/// Switched drivers contribute their conductance at `driver_time` (default:
+/// fully settled). The MNA index maps and the G / C stamps are built once,
+/// so every point costs one complex assembly + factorisation (only jw
+/// changes between points).
 std::vector<AcResult> ac_sweep(const Netlist& netlist,
                                const AcExcitation& excitation,
                                const std::vector<double>& omegas,

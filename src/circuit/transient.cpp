@@ -59,6 +59,26 @@ class Factor {
   bool usable_ = false;
 };
 
+// Rejects a probe whose index names no element of its kind, so probe_value
+// never reads another unknown's slot (or past x) at run time.
+void check_probe(const Probe& p, const Mna& mna) {
+  const Netlist& nl = mna.netlist();
+  std::size_t count = 0;
+  switch (p.kind) {
+    case ProbeKind::NodeVoltage: count = mna.num_nodes(); break;
+    case ProbeKind::InductorCurrent: count = nl.inductors().size(); break;
+    case ProbeKind::VSourceCurrent: count = nl.vsources().size(); break;
+    case ProbeKind::DriverPullUpCurrent:
+    case ProbeKind::DriverPullDownCurrent:
+      count = nl.drivers().size();
+      break;
+  }
+  if (p.index >= count)
+    throw std::out_of_range("transient: probe '" + p.name + "' index " +
+                            std::to_string(p.index) + " out of range (" +
+                            std::to_string(count) + " of its kind)");
+}
+
 double probe_value(const Probe& p, const Mna& mna, const la::Vector& x,
                    double t) {
   const Netlist& nl = mna.netlist();
@@ -114,6 +134,7 @@ TransientResult transient(const Netlist& netlist,
   Mna mna(netlist);
   const std::size_t n = mna.size();
   if (n == 0) throw std::invalid_argument("transient: empty circuit");
+  for (const Probe& p : probes) check_probe(p, mna);
 
   la::TripletMatrix g_static_t, c_t;
   mna.stamp_static(g_static_t, c_t);

@@ -56,33 +56,6 @@ double net_coupling_capacitance(const geom::Layout& layout, int net_a,
   return acc;
 }
 
-WorstPatternResult worst_switching_pattern(
-    const geom::Layout& layout, const std::vector<int>& aggressor_nets,
-    int victim_net, const peec::PeecOptions& peec_opts,
-    const circuit::TransientOptions& tran_opts) {
-  if (aggressor_nets.size() > 12)
-    throw std::invalid_argument(
-        "worst_switching_pattern: too many aggressors for exhaustive search");
-  WorstPatternResult best;
-  best.rising.assign(aggressor_nets.size(), true);
-  for (unsigned mask = 0; mask < (1u << aggressor_nets.size()); ++mask) {
-    geom::Layout work = layout;
-    for (geom::Driver& d : work.drivers()) {
-      for (std::size_t a = 0; a < aggressor_nets.size(); ++a)
-        if (d.signal_net == aggressor_nets[a])
-          d.rising = ((mask >> a) & 1u) == 0u;
-    }
-    const NoiseResult res =
-        victim_noise(work, aggressor_nets, victim_net, peec_opts, tran_opts);
-    if (res.peak_volts > best.peak_volts) {
-      best.peak_volts = res.peak_volts;
-      for (std::size_t a = 0; a < aggressor_nets.size(); ++a)
-        best.rising[a] = ((mask >> a) & 1u) == 0u;
-    }
-  }
-  return best;
-}
-
 NoiseResult victim_noise(const geom::Layout& layout,
                          const std::vector<int>& aggressor_nets,
                          int victim_net, const peec::PeecOptions& peec_opts,

@@ -64,18 +64,4 @@ NoiseResult victim_noise(const geom::Layout& layout,
                          int victim_net, const peec::PeecOptions& peec_opts,
                          const circuit::TransientOptions& tran_opts);
 
-struct WorstPatternResult {
-  std::vector<bool> rising;  ///< polarity per aggressor (order of the input list)
-  double peak_volts = 0.0;   ///< the worst victim noise found
-};
-
-/// Exhaustive worst-case switching-pattern search: tries every rising /
-/// falling combination of the aggressors (2^n transient runs) and returns
-/// the pattern maximising victim noise — the signal-integrity sign-off
-/// question behind the Section-7 noise bounds.
-WorstPatternResult worst_switching_pattern(
-    const geom::Layout& layout, const std::vector<int>& aggressor_nets,
-    int victim_net, const peec::PeecOptions& peec_opts,
-    const circuit::TransientOptions& tran_opts);
-
 }  // namespace ind::design

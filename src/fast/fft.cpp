@@ -93,43 +93,12 @@ void FftPlan::transform(const la::Complex* in, la::Complex* out,
   recurse(in, 1, out, n_, 0, 1, inverse, radix_buf.data());
 }
 
-void FftPlan::forward(la::Complex* data, la::Complex* scratch) const {
-  transform(data, scratch, false);
-  for (std::size_t i = 0; i < n_; ++i) data[i] = scratch[i];
-}
-
-void FftPlan::inverse(la::Complex* data, la::Complex* scratch) const {
-  transform(data, scratch, true);
-  const double scale = 1.0 / static_cast<double>(n_);
-  for (std::size_t i = 0; i < n_; ++i) data[i] = scratch[i] * scale;
-}
-
-void fft_batch(const FftPlan& plan, la::Complex* data, std::size_t batch,
-               std::size_t row_stride, bool inverse) {
-  runtime::ScopedTimer timer("fast.fft");
-  const std::size_t n = plan.size();
-  runtime::parallel_for(
-      batch,
-      [&](std::size_t begin, std::size_t end) {
-        if (govern::checkpoint((end - begin) * line_units(n))) return;
-        std::vector<la::Complex> scratch(n);
-        for (std::size_t row = begin; row < end; ++row) {
-          la::Complex* line = data + row * row_stride;
-          if (inverse)
-            plan.inverse(line, scratch.data());
-          else
-            plan.forward(line, scratch.data());
-        }
-      },
-      {.cancel = govern::Governor::instance().cancel_token()});
-  govern::throw_if_cancelled("fast.fft");
-}
-
 namespace {
 
 /// Batched transform over strided lines: line l starts at base_of(l) and its
 /// elements sit `stride` apart. Gathers each line into a contiguous buffer,
-/// transforms, scatters back. Same chunking/determinism story as fft_batch.
+/// transforms, scatters back (scaled by 1/n on the inverse). Parallel over
+/// whole lines, each chunk charged a pure function of its line range.
 template <typename BaseFn>
 void strided_pass(const FftPlan& plan, la::Complex* data, std::size_t n_lines,
                   std::size_t stride, bool inverse, const BaseFn& base_of) {
@@ -160,25 +129,10 @@ void fft_3d(const std::array<std::size_t, 3>& shape,
   if (data.size() != n0 * n1 * n2)
     throw std::invalid_argument("fft_3d: data size does not match shape");
   runtime::ScopedTimer timer("fast.fft");
-  // Fastest axis first: contiguous rows need no gather.
   if (n2 > 1) {
     const FftPlan plan2(n2);
-    const std::size_t rows = n0 * n1;
-    runtime::parallel_for(
-        rows,
-        [&](std::size_t begin, std::size_t end) {
-          if (govern::checkpoint((end - begin) * line_units(n2))) return;
-          std::vector<la::Complex> scratch(n2);
-          for (std::size_t row = begin; row < end; ++row) {
-            la::Complex* line = data.data() + row * n2;
-            if (inverse)
-              plan2.inverse(line, scratch.data());
-            else
-              plan2.forward(line, scratch.data());
-          }
-        },
-        {.cancel = govern::Governor::instance().cancel_token()});
-    govern::throw_if_cancelled("fast.fft3d");
+    strided_pass(plan2, data.data(), n0 * n1, 1, inverse,
+                 [n2](std::size_t l) { return l * n2; });
   }
   if (n1 > 1) {
     const FftPlan plan1(n1);

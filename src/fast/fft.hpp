@@ -1,5 +1,5 @@
-// In-house mixed-radix complex FFT: 1-D plans, batched transforms, and the
-// blocked 3-D transform the Toeplitz operator is built on.
+// In-house mixed-radix complex FFT: 1-D plans and the batched 3-D transform
+// the Toeplitz operator is built on.
 //
 // The circulant embedding of the partial-inductance kernel (toeplitz_op.hpp)
 // needs forward/inverse 3-D DFTs of modest, highly composite sizes. Rather
@@ -9,8 +9,8 @@
 // combine step handles arbitrary prime radices so *any* n is valid (the
 // voxel grids themselves need not be padded to powers of two).
 //
-// Determinism: a single transform is strictly serial. Batched transforms
-// (fft_batch, fft_3d) parallelise over *whole transforms* with
+// Determinism: a single transform is strictly serial. fft_3d runs one
+// batched line pass per axis and parallelises over *whole lines* with
 // runtime::parallel_for — each line of the 3-D tensor is read and written by
 // exactly one chunk, so results are bitwise-identical to the serial loop at
 // any thread count (the runtime's chunking contract). Work is charged to the
@@ -41,14 +41,8 @@ class FftPlan {
 
   /// Out-of-place transform of one length-n line: out[k] = sum_j in[j] w^jk
   /// with w = exp(-2*pi*i/n) forward, exp(+2*pi*i/n) inverse. The inverse is
-  /// *unscaled* (apply 1/n yourself, or use the in-place helpers below).
-  /// `in` and `out` must not alias.
+  /// *unscaled* (apply 1/n yourself). `in` and `out` must not alias.
   void transform(const la::Complex* in, la::Complex* out, bool inverse) const;
-
-  /// In-place convenience (copies through an internal-size scratch the
-  /// caller provides: scratch must hold n elements). Inverse scales by 1/n.
-  void forward(la::Complex* data, la::Complex* scratch) const;
-  void inverse(la::Complex* data, la::Complex* scratch) const;
 
  private:
   void recurse(const la::Complex* in, std::size_t in_stride, la::Complex* out,
@@ -61,16 +55,11 @@ class FftPlan {
   std::vector<la::Complex> twiddles_;   // w^t, t in [0, n), forward sign
 };
 
-/// In-place transforms of `batch` contiguous length-plan.size() rows
-/// starting at `data` with the given row stride (elements). Parallel over
-/// rows; inverse scales by 1/n. Timed under "fast.fft".
-void fft_batch(const FftPlan& plan, la::Complex* data, std::size_t batch,
-               std::size_t row_stride, bool inverse);
-
 /// In-place 3-D transform of a row-major tensor with shape {n0, n1, n2}
-/// (n2 fastest-varying); data.size() must equal n0*n1*n2. Performs a batched
-/// 1-D pass per axis, gathering strided lines into contiguous blocks.
-/// Inverse scales by 1/(n0*n1*n2).
+/// (n2 fastest-varying); data.size() must equal n0*n1*n2. Performs one
+/// batched 1-D line pass per axis (n2, then n1, then n0), gathering each
+/// line into a contiguous buffer. Inverse scales by 1/(n0*n1*n2). Timed
+/// under "fast.fft".
 void fft_3d(const std::array<std::size_t, 3>& shape,
             std::vector<la::Complex>& data, bool inverse);
 

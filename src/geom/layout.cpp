@@ -46,20 +46,6 @@ void Layout::add_via(int net, Point at, int lower_layer, int upper_layer,
   vias_.push_back({at, lower_layer, upper_layer, cuts, net});
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> Layout::parallel_pairs(
-    double max_distance) const {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    for (std::size_t j = i + 1; j < segments_.size(); ++j) {
-      const auto g = parallel_geometry(segments_[i], segments_[j]);
-      if (!g) continue;
-      if (g->center_distance() > max_distance) continue;
-      out.emplace_back(i, j);
-    }
-  }
-  return out;
-}
-
 std::vector<std::pair<std::size_t, std::size_t>> Layout::adjacent_pairs(
     double max_spacing) const {
   std::vector<std::pair<std::size_t, std::size_t>> out;

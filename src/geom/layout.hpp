@@ -85,12 +85,6 @@ class Layout {
   std::vector<Receiver>& receivers() { return receivers_; }
 
   // --- queries ------------------------------------------------------------
-  /// Pairs of same-axis segments with centre distance <= max_distance.
-  /// These are the candidate mutual-inductance partners; orthogonal pairs
-  /// have zero mutual partial inductance and are never returned.
-  std::vector<std::pair<std::size_t, std::size_t>> parallel_pairs(
-      double max_distance) const;
-
   /// Same-layer side-by-side pairs with edge spacing <= max_spacing — the
   /// candidates for lateral coupling capacitance.
   std::vector<std::pair<std::size_t, std::size_t>> adjacent_pairs(

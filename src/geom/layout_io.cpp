@@ -71,12 +71,6 @@ void write_layout(std::ostream& os, const Layout& layout) {
   }
 }
 
-std::string to_text(const Layout& layout) {
-  std::ostringstream os;
-  write_layout(os, layout);
-  return os.str();
-}
-
 Layout read_layout(std::istream& is) { return read_layout(is, nullptr); }
 
 Layout read_layout(std::istream& is, robust::ValidationReport* validation) {

@@ -27,7 +27,6 @@ namespace ind::geom {
 /// Writes the layout (only `tech default` is representable; a custom stack
 /// round-trips geometry but reloads with the default technology).
 void write_layout(std::ostream& os, const Layout& layout);
-std::string to_text(const Layout& layout);
 
 /// Parses the format above. Throws std::invalid_argument with the line
 /// number on malformed records (including non-positive wire widths). The

@@ -43,9 +43,9 @@ inline constexpr std::size_t kGemmStrip = 256;
 
 /// Per-type k-direction unroll: each pass over a C row strip applies this
 /// many consecutive pivots, so C is loaded and stored once per that many
-/// rank-1 updates. 8 saturates both FP ports for double; wider types
-/// (complex arithmetic, float's doubled lane count) spill the unrolled
-/// broadcast registers at 8 and measure faster at 4.
+/// rank-1 updates. 8 saturates both FP ports for double; complex
+/// arithmetic spills the unrolled broadcast registers at 8 and measures
+/// faster at 4.
 template <typename T>
 inline constexpr std::size_t kGemmUnrollK = 4;
 template <>

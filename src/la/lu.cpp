@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 #include <string>
-#include <type_traits>
 
 #include "govern/budget.hpp"
 #include "govern/env.hpp"
@@ -17,42 +16,14 @@ namespace ind::la {
 namespace {
 
 double magnitude(double x) { return std::abs(x); }
-double magnitude(float x) { return std::abs(static_cast<double>(x)); }
 double magnitude(const Complex& x) { return std::abs(x); }
-double magnitude(const std::complex<float>& x) {
-  return std::abs(std::complex<double>(x));
-}
 
 // Unit-magnitude direction of x (Hager estimator); 1 for zero entries.
 double sign_of(double x) { return x >= 0.0 ? 1.0 : -1.0; }
-float sign_of(float x) { return x >= 0.0f ? 1.0f : -1.0f; }
 Complex sign_of(const Complex& x) {
   const double m = std::abs(x);
   return m == 0.0 ? Complex{1.0, 0.0} : x / m;
 }
-std::complex<float> sign_of(const std::complex<float>& x) {
-  const float m = std::abs(x);
-  return m == 0.0f ? std::complex<float>{1.0f, 0.0f} : x / m;
-}
-
-// Scalar field of T: float for the single-precision instantiations (their
-// complex type divides only by float), double otherwise.
-template <typename T>
-struct RealOf {
-  using type = double;
-};
-template <>
-struct RealOf<float> {
-  using type = float;
-};
-template <>
-struct RealOf<std::complex<float>> {
-  using type = float;
-};
-
-template <typename T>
-inline constexpr bool kSinglePrecisionV =
-    std::is_same_v<T, float> || std::is_same_v<T, std::complex<float>>;
 
 // Effective panel width: an explicit LuOptions::block wins, otherwise the
 // process-wide IND_LU_BLOCK knob (read once; the block size must stay fixed
@@ -71,12 +42,10 @@ LuFactor<T>::LuFactor(DenseMatrix<T> a, const LuOptions& opts)
     : lu_(std::move(a)) {
   if (lu_.rows() != lu_.cols())
     throw std::invalid_argument("LuFactor: matrix must be square");
-  constexpr bool single = kSinglePrecisionV<T>;
-  runtime::ScopedTimer timer(single ? "factor.lu.f32" : "factor.lu");
+  runtime::ScopedTimer timer("factor.lu");
   const std::size_t n = lu_.rows();
   runtime::MetricsRegistry::instance().max_count(
-      single ? "factor.lu.f32.max_dim" : "factor.lu.max_dim",
-      static_cast<std::int64_t>(n));
+      "factor.lu.max_dim", static_cast<std::int64_t>(n));
   perm_.resize(n);
   std::iota(perm_.begin(), perm_.end(), std::size_t{0});
 
@@ -330,8 +299,7 @@ double LuFactor<T>::condition_estimate() const {
   // Hager's 1-norm estimator for ||A^-1||_1: maximise ||A^-1 x||_1 over the
   // unit 1-norm ball by following sign-vector gradients. Deterministic, a
   // bounded handful of O(n^2) solves.
-  using R = typename RealOf<T>::type;
-  std::vector<T> x(n, T(static_cast<R>(1.0 / static_cast<double>(n))));
+  std::vector<T> x(n, T(1.0 / static_cast<double>(n)));
   double est = 0.0;
   std::size_t last_j = n;  // unit-vector index of the previous iteration
   for (int iter = 0; iter < 5; ++iter) {
@@ -369,8 +337,6 @@ T LuFactor<T>::determinant() const {
 
 template class LuFactor<double>;
 template class LuFactor<Complex>;
-template class LuFactor<float>;
-template class LuFactor<std::complex<float>>;
 
 Vector solve(Matrix a, const Vector& b) { return LU(std::move(a)).solve(b); }
 

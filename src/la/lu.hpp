@@ -9,11 +9,9 @@
 // a rank-kb GEMM on the trailing matrix. Because every kernel applies the
 // updates to each element in ascending pivot order, the blocked factor is
 // bitwise-identical to the classic unblocked loop (block = 1) and to itself
-// at any IND_THREADS for a fixed block size. float / complex<float>
-// instantiations back the mixed-precision refinement path (la/refine.hpp).
+// at any IND_THREADS for a fixed block size.
 #pragma once
 
-#include <complex>
 #include <stdexcept>
 
 #include "la/dense_matrix.hpp"
@@ -91,9 +89,6 @@ class LuFactor {
 
 using LU = LuFactor<double>;
 using CLU = LuFactor<Complex>;
-// Single-precision factors of the mixed-precision refinement path.
-using FLU = LuFactor<float>;
-using CFLU = LuFactor<std::complex<float>>;
 
 /// Convenience: solve A x = b with a one-shot factorisation.
 Vector solve(Matrix a, const Vector& b);

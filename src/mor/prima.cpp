@@ -118,29 +118,4 @@ ReducedModel prima_reduce(const la::Matrix& g, const la::Matrix& c,
   return r;
 }
 
-la::CMatrix transfer_function(const la::Matrix& g, const la::Matrix& c,
-                              const la::Matrix& b, const la::Matrix& l,
-                              double omega) {
-  const std::size_t n = g.rows();
-  la::CMatrix a(n, n);
-  const la::Complex jw{0.0, omega};
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      a(i, j) = la::Complex{g(i, j), 0.0} + jw * c(i, j);
-  const la::CLU factor(std::move(a));
-
-  la::CMatrix h(l.cols(), b.cols());
-  la::CVector col(n);
-  for (std::size_t p = 0; p < b.cols(); ++p) {
-    for (std::size_t i = 0; i < n; ++i) col[i] = b(i, p);
-    const la::CVector x = factor.solve(col);
-    for (std::size_t m = 0; m < l.cols(); ++m) {
-      la::Complex acc{};
-      for (std::size_t i = 0; i < n; ++i) acc += l(i, m) * x[i];
-      h(m, p) = acc;
-    }
-  }
-  return h;
-}
-
 }  // namespace ind::mor

@@ -48,10 +48,4 @@ ReducedModel prima_reduce(const la::Matrix& g, const la::Matrix& c,
                           const la::Matrix& b, const la::Matrix& l,
                           const PrimaOptions& opts = {});
 
-/// Transfer function H(s) = L^T (G + s C)^{-1} B of a (reduced or full)
-/// system, evaluated at s = j*omega. Used to validate the reduction.
-la::CMatrix transfer_function(const la::Matrix& g, const la::Matrix& c,
-                              const la::Matrix& b, const la::Matrix& l,
-                              double omega);
-
 }  // namespace ind::mor

@@ -30,7 +30,6 @@ const char* to_string(RecoveryKind kind) {
     case RecoveryKind::ArtifactRecompute: return "artifact_recompute";
     case RecoveryKind::BudgetExceeded: return "budget_exceeded";
     case RecoveryKind::GmresRestart: return "gmres_restart";
-    case RecoveryKind::MixedPrecisionFallback: return "mixed_precision_fallback";
   }
   return "unknown";
 }

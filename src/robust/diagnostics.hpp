@@ -40,8 +40,6 @@ enum class RecoveryKind {
   ArtifactRecompute,    ///< corrupt cached artifact discarded; recomputed
   BudgetExceeded,       ///< resource budget tripped; degraded or truncated
   GmresRestart,         ///< stagnated GMRES re-run with a larger Krylov space
-  MixedPrecisionFallback,  ///< f32 refinement guarded out / stalled; full
-                           ///< double refactor through the dense ladder
 };
 
 /// How a sandboxed serve worker process died (or failed), classified from

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "robust/fault_injection.hpp"
-#include "runtime/metrics.hpp"
 
 namespace ind::robust {
 namespace {
@@ -67,55 +66,6 @@ la::LU factor_dense_with_recovery(const la::Matrix& a, SolveReport& report,
 la::CLU factor_dense_with_recovery(const la::CMatrix& a, SolveReport& report,
                                    std::string_view where) {
   return guarded_dense_factor(a, report, where);
-}
-
-la::Vector solve_dense_mixed_with_recovery(const la::Matrix& a,
-                                           const la::Vector& b,
-                                           SolveReport& report,
-                                           std::string_view where,
-                                           const la::RefineOptions& opts) {
-  auto& metrics = runtime::MetricsRegistry::instance();
-  double guard_cond = 0.0;
-  if (fault::fire(fault::Site::DenseLuPivot)) {
-    report.detail = std::string(where) + ": injected singular dense pivot";
-  } else {
-    try {
-      const la::MixedLuReal mixed(a);
-      const double cond = mixed.condition_estimate();
-      guard_cond = cond;
-      report.pivot_growth = std::max(report.pivot_growth, mixed.pivot_growth());
-      report.condition_estimate = std::max(report.condition_estimate, cond);
-      if (cond <= opts.max_condition &&
-          mixed.pivot_growth() <= opts.max_pivot_growth) {
-        la::Vector x;
-        const la::RefineResult rr = mixed.solve(a, b, x, opts);
-        metrics.add_count("solve.mixed.refine_iterations", rr.iterations);
-        report.residual_norm = rr.residual;
-        if (rr.converged) {
-          metrics.add_count("solve.mixed.accepted", 1);
-          return x;
-        }
-        report.detail = std::string(where) +
-                        ": f32 refinement stalled at relative residual " +
-                        std::to_string(rr.residual);
-      } else {
-        report.detail = std::string(where) +
-                        ": f32 factor guard tripped (cond " +
-                        std::to_string(cond) + ", growth " +
-                        std::to_string(mixed.pivot_growth()) + ")";
-      }
-    } catch (const la::SingularMatrixError& e) {
-      report.detail = std::string(where) + ": " + e.what();
-    }
-  }
-  // Deterministic fallback: the full-double ladder, whose first rung factors
-  // `a` unmodified — bitwise-identical to never having tried f32.
-  report.add_action(RecoveryKind::MixedPrecisionFallback, 0, guard_cond,
-                    std::string(where));
-  metrics.add_count("solve.mixed.fallbacks", 1);
-  la::LU factor = guarded_dense_factor(a, report, where);
-  if (factor.size() == 0) return {};
-  return factor.solve(b);
 }
 
 GuardedSparseFactor factor_sparse_with_recovery(const la::CscMatrix& a,

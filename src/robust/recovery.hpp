@@ -23,7 +23,6 @@
 #include <string_view>
 
 #include "la/lu.hpp"
-#include "la/refine.hpp"
 #include "la/sparse.hpp"
 #include "la/sparse_lu.hpp"
 #include "robust/diagnostics.hpp"
@@ -54,19 +53,6 @@ struct GuardedSparseFactor {
     return sparse ? sparse->solve(b) : dense->solve(b);
   }
 };
-
-/// Mixed-precision guarded dense solve: float32 blocked factor + float64
-/// iterative refinement (la/refine.hpp), guarded by the f32 factor's
-/// condition / pivot-growth estimates. When the guard trips, the factor is
-/// singular in f32, or refinement stalls above tolerance, a
-/// RecoveryKind::MixedPrecisionFallback action is recorded and the solve
-/// falls back to the full-double ladder above — whose first rung factors
-/// the matrix as-is, so the fallback result is bitwise-identical to the
-/// plain double path. On an exhausted ladder the returned vector is empty
-/// and report.failed() is true.
-la::Vector solve_dense_mixed_with_recovery(
-    const la::Matrix& a, const la::Vector& b, SolveReport& report,
-    std::string_view where, const la::RefineOptions& opts = {});
 
 GuardedSparseFactor factor_sparse_with_recovery(
     const la::CscMatrix& a, SolveReport& report, std::string_view where,

@@ -107,42 +107,4 @@ void parallel_for(std::size_t n,
       opts);
 }
 
-void parallel_for_2d(std::size_t rows, std::size_t cols,
-                     const std::function<void(std::size_t, std::size_t,
-                                              std::size_t, std::size_t)>& body,
-                     const ParallelOptions& opts) {
-  if (rows == 0 || cols == 0) return;
-  if (opts.cancel != nullptr && opts.cancel->cancelled()) return;
-  if (ThreadPool::on_worker_thread()) {
-    body(0, rows, 0, cols);
-    return;
-  }
-  const std::size_t row_chunks = detail::chunk_count(rows, opts);
-  // Split columns only when the rows alone cannot occupy the pool.
-  const std::size_t workers =
-      (opts.pool != nullptr ? *opts.pool : global_pool()).size();
-  const std::size_t target = std::max<std::size_t>(workers * 4, 1);
-  std::size_t col_chunks = 1;
-  if (row_chunks < target)
-    col_chunks = std::clamp<std::size_t>(
-        target / std::max<std::size_t>(row_chunks, 1), 1,
-        detail::chunk_count(cols, opts));
-  const std::size_t tiles = row_chunks * col_chunks;
-  if (tiles <= 1) {
-    body(0, rows, 0, cols);
-    return;
-  }
-  detail::run_chunks(
-      tiles,
-      [&](std::size_t t) {
-        const std::size_t rc = t / col_chunks;
-        const std::size_t cc = t % col_chunks;
-        body(detail::chunk_begin(rc, row_chunks, rows),
-             detail::chunk_begin(rc + 1, row_chunks, rows),
-             detail::chunk_begin(cc, col_chunks, cols),
-             detail::chunk_begin(cc + 1, col_chunks, cols));
-      },
-      opts);
-}
-
 }  // namespace ind::runtime

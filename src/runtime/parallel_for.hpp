@@ -1,12 +1,12 @@
 // Chunked parallel loops with a determinism contract.
 //
-// parallel_for / parallel_for_2d split an index range into fixed chunks and
-// run the chunks on the process-wide ThreadPool (or an explicit one). Chunk
-// *boundaries* are a pure function of (n, grain, worker count); chunk
-// *assignment* to workers is dynamic. A body that writes only elements of
-// its own chunk range therefore produces results bitwise-identical to the
-// serial loop at any thread count — this is how the extraction and solver
-// hot paths stay deterministic (see DESIGN.md, "Parallel runtime").
+// parallel_for splits an index range into fixed chunks and runs the chunks
+// on the process-wide ThreadPool (or an explicit one). Chunk *boundaries*
+// are a pure function of (n, grain, worker count); chunk *assignment* to
+// workers is dynamic. A body that writes only elements of its own chunk
+// range therefore produces results bitwise-identical to the serial loop at
+// any thread count — this is how the extraction and solver hot paths stay
+// deterministic (see DESIGN.md, "Parallel runtime").
 //
 // parallel_reduce combines per-chunk partials in ascending chunk order on
 // the calling thread. With an explicit `grain`, chunk boundaries depend only
@@ -50,14 +50,6 @@ struct ParallelOptions {
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& body,
                   const ParallelOptions& opts = {});
-
-/// Calls body(row_begin, row_end, col_begin, col_end) over a fixed tiling of
-/// the rows × cols index rectangle. Rows are chunked like parallel_for;
-/// columns are split only when the row count alone cannot occupy the pool.
-void parallel_for_2d(std::size_t rows, std::size_t cols,
-                     const std::function<void(std::size_t, std::size_t,
-                                              std::size_t, std::size_t)>& body,
-                     const ParallelOptions& opts = {});
 
 namespace detail {
 

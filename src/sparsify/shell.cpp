@@ -1,7 +1,6 @@
 #include "sparsify/shell.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "extract/partial_inductance.hpp"
@@ -57,39 +56,6 @@ SparsifiedL shell(const std::vector<geom::Segment>& segments, double radius) {
     }
   }
   return out;
-}
-
-double suggest_shell_radius(const std::vector<geom::Segment>& segments,
-                            const la::Matrix& partial_l, double tolerance) {
-  if (tolerance <= 0.0)
-    throw std::invalid_argument("suggest_shell_radius: tolerance <= 0");
-  const std::size_t n = segments.size();
-  // Candidate radii: geometric sweep over the span of observed distances.
-  double d_min = 1e300, d_max = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double d = pair_distance(segments[i], segments[j]);
-      if (d >= 1e300) continue;
-      d_min = std::min(d_min, d);
-      d_max = std::max(d_max, d);
-    }
-  if (d_max <= 0.0) return 1.0;  // no parallel pairs: any radius works
-
-  for (double r = std::max(d_min, 1e-9); r < 2.0 * d_max; r *= 1.5) {
-    // Worst row: fraction of |coupling| dropped beyond r relative to self.
-    double worst = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double dropped = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i == j || partial_l(i, j) == 0.0) continue;
-        if (pair_distance(segments[i], segments[j]) >= r)
-          dropped += std::abs(partial_l(i, j));
-      }
-      worst = std::max(worst, dropped / partial_l(i, i));
-    }
-    if (worst <= tolerance) return r;
-  }
-  return 2.0 * d_max;
 }
 
 }  // namespace ind::sparsify

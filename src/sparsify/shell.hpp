@@ -16,18 +16,11 @@
 #include <vector>
 
 #include "geom/segment.hpp"
-#include "la/dense_matrix.hpp"
 #include "sparsify/mutual_spec.hpp"
 
 namespace ind::sparsify {
 
 /// `radius` is the shell radius r0 (metres).
 SparsifiedL shell(const std::vector<geom::Segment>& segments, double radius);
-
-/// Moment-matched shell radius per [14]: the smallest r0 such that the
-/// dropped coupling energy of the densest row falls below `tolerance` of the
-/// row's self inductance. Exposed so benches can sweep it.
-double suggest_shell_radius(const std::vector<geom::Segment>& segments,
-                            const la::Matrix& partial_l, double tolerance);
 
 }  // namespace ind::sparsify

@@ -211,14 +211,14 @@ void get(ByteReader& r, peec::PeecModel& m) {
     n.at.x = r.f64(); n.at.y = r.f64();
     n.layer = r.i32();
     n.net = r.i32();
-    n.kind = static_cast<geom::NetKind>(r.u8());
+    n.kind = r.enum8(geom::NetKind::Substrate);
   }
   m.ideal_vdd = r.i32();
   m.substrate_nodes = get_nodes(r);
   const std::uint64_t n_probes = r.count(r.u64(), 17);
   m.receiver_probes.resize(n_probes);
   for (circuit::Probe& p : m.receiver_probes) {
-    p.kind = static_cast<circuit::ProbeKind>(r.u8());
+    p.kind = r.enum8(circuit::ProbeKind::DriverPullDownCurrent);
     p.index = r.u64();
     p.name = r.str();
   }

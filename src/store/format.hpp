@@ -115,6 +115,16 @@ class ByteReader {
   std::int32_t i32() { std::int32_t v; raw(&v, sizeof v); return v; }
   std::int64_t i64() { std::int64_t v; raw(&v, sizeof v); return v; }
   bool boolean() { return u8() != 0; }
+  /// One-byte enum whose enumerators run from 0 to `last`; any other byte
+  /// throws StoreError(Malformed) rather than yielding an unnamed value.
+  template <typename E>
+  E enum8(E last) {
+    const std::uint8_t v = u8();
+    if (v > static_cast<std::uint8_t>(last))
+      throw StoreError(StoreErrc::Malformed,
+                       "enum byte " + std::to_string(v) + " out of range");
+    return static_cast<E>(v);
+  }
   double f64() { double v; raw(&v, sizeof v); return v; }
   std::string str() {
     const std::uint64_t n = count(u64(), 1);
@@ -145,6 +155,7 @@ class ByteReader {
   void raw(void* out, std::size_t n) {
     if (n > remaining())
       throw StoreError(StoreErrc::Truncated, "read past end of section");
+    if (n == 0) return;  // an empty vector's data() may be null: no memcpy
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
   }

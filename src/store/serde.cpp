@@ -223,7 +223,7 @@ void get(ByteReader& r, geom::Layout& l) {
   const std::uint64_t n_nets = r.count(r.u64(), 1);
   for (std::uint64_t n = 0; n < n_nets; ++n) {
     std::string name = r.str();
-    const auto kind = static_cast<geom::NetKind>(r.u8());
+    const auto kind = r.enum8(geom::NetKind::Substrate);
     l.add_net(std::move(name), kind);
   }
   const std::uint64_t n_segs = r.count(r.u64(), 7 * sizeof(double) + 9);
@@ -236,7 +236,7 @@ void get(ByteReader& r, geom::Layout& l) {
     s.z = r.f64();
     s.layer = r.i32();
     s.net = r.i32();
-    s.kind = static_cast<geom::NetKind>(r.u8());
+    s.kind = r.enum8(geom::NetKind::Substrate);
     l.add_segment(s);
   }
   const std::uint64_t n_vias = r.count(r.u64(), 2 * sizeof(double) + 16);
@@ -253,7 +253,7 @@ void get(ByteReader& r, geom::Layout& l) {
     geom::Pad p;
     p.at.x = r.f64(); p.at.y = r.f64();
     p.layer = r.i32();
-    p.kind = static_cast<geom::NetKind>(r.u8());
+    p.kind = r.enum8(geom::NetKind::Substrate);
     p.resistance = r.f64();
     p.inductance = r.f64();
     l.add_pad(p);
@@ -328,14 +328,14 @@ void put(ByteWriter& w, const robust::SolveReport& rep) {
 
 void get(ByteReader& r, robust::SolveReport& rep) {
   rep = robust::SolveReport{};
-  rep.status = static_cast<robust::SolveStatus>(r.u8());
+  rep.status = r.enum8(robust::SolveStatus::Failed);
   rep.condition_estimate = r.f64();
   rep.pivot_growth = r.f64();
   rep.residual_norm = r.f64();
   const std::uint64_t n = r.count(r.u64(), 2 * sizeof(double) + 5);
   rep.actions.resize(n);
   for (auto& a : rep.actions) {
-    a.kind = static_cast<robust::RecoveryKind>(r.u8());
+    a.kind = r.enum8(robust::RecoveryKind::GmresRestart);
     a.attempt = r.i32();
     a.magnitude = r.f64();
     a.where = r.str();

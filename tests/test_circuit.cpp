@@ -368,7 +368,7 @@ TEST(Ac, RcTransferFunction) {
   nl.add_capacitor(out, kGround, c);
   const double w0 = 1.0 / (r * c);
   const AcResult res =
-      ac_solve(nl, {AcExcitation::Kind::VSource, 0}, w0);
+      ac_sweep(nl, {AcExcitation::Kind::VSource, 0}, {w0})[0];
   // |H| = 1/sqrt(2) at the pole.
   EXPECT_NEAR(std::abs(res.node_voltage(out)), 1.0 / std::sqrt(2.0), 1e-9);
 }
@@ -380,7 +380,8 @@ TEST(Ac, InductorImpedance) {
   nl.add_vsource(in, kGround, Pwl::constant(0.0));
   const std::size_t k = nl.add_inductor(in, kGround, l);
   const double omega = 2 * M_PI * 1e9;
-  const AcResult res = ac_solve(nl, {AcExcitation::Kind::VSource, 0}, omega);
+  const AcResult res =
+      ac_sweep(nl, {AcExcitation::Kind::VSource, 0}, {omega})[0];
   // I = V / (jwL)
   const Complex i = res.inductor_current(k);
   EXPECT_NEAR(std::abs(i), 1.0 / (omega * l), 1e-6 / (omega * l));
@@ -392,7 +393,8 @@ TEST(Ac, CurrentSourceExcitation) {
   const NodeId n = nl.node("n");
   nl.add_resistor(n, kGround, 42.0);
   nl.add_isource(kGround, n, Pwl::constant(0.0));
-  const AcResult res = ac_solve(nl, {AcExcitation::Kind::ISource, 0}, 1e6);
+  const AcResult res =
+      ac_sweep(nl, {AcExcitation::Kind::ISource, 0}, {1e6})[0];
   // gmin (1e-12 S) shifts the answer in the 9th digit; allow for it.
   EXPECT_NEAR(res.node_voltage(n).real(), 42.0, 1e-6);
 }
@@ -545,6 +547,31 @@ TEST(Transient, VSourceCurrentProbe) {
       transient(nl, {{ProbeKind::VSourceCurrent, 0, "iv"}}, opts);
   // Branch current flows a -> b inside the source: +10 mA by convention.
   EXPECT_NEAR(std::abs(res.samples[0].back()), 0.01, 1e-5);
+}
+
+TEST(Transient, RejectsProbeIndexPastItsKind) {
+  // One inductor, then one V-source branch: an inductor-current probe at
+  // index 1 would land on the source's branch current.
+  Netlist nl;
+  const NodeId in = nl.node("in");
+  const NodeId mid = nl.node("mid");
+  nl.add_vsource(in, kGround, Pwl::constant(1.0));
+  nl.add_resistor(in, mid, 100.0);
+  nl.add_inductor(mid, kGround, 1e-9);
+  TransientOptions opts;
+  opts.t_stop = 1e-11;
+  opts.dt = 1e-12;
+  EXPECT_NO_THROW(
+      transient(nl, {{ProbeKind::InductorCurrent, 0, "il"}}, opts));
+  EXPECT_THROW(transient(nl, {{ProbeKind::InductorCurrent, 1, "il"}}, opts),
+               std::out_of_range);
+  EXPECT_THROW(transient(nl, {{ProbeKind::NodeVoltage, 2, "v"}}, opts),
+               std::out_of_range);
+  EXPECT_THROW(transient(nl, {{ProbeKind::VSourceCurrent, 1, "iv"}}, opts),
+               std::out_of_range);
+  EXPECT_THROW(
+      transient(nl, {{ProbeKind::DriverPullUpCurrent, 0, "iu"}}, opts),
+      std::out_of_range);
 }
 
 TEST(Transient, RejectsBadOptions) {

@@ -377,40 +377,3 @@ TEST(Significance, RejectsDegenerateLines) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Worst-case switching-pattern search.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-TEST(WorstPattern, FindsAtLeastTheAllRisingNoise) {
-  geom::Layout l(geom::default_tech());
-  geom::BusSpec spec;
-  spec.bits = 3;
-  spec.length = um(500);
-  spec.spacing = um(0.6);
-  const auto bus = geom::add_bus(l, spec);
-
-  peec::PeecOptions popts;
-  popts.max_segment_length = um(250);
-  circuit::TransientOptions topts;
-  topts.t_stop = 0.5e-9;
-  topts.dt = 2e-12;
-  const std::vector<int> aggressors{bus.signal_nets[0], bus.signal_nets[2]};
-  const auto base =
-      design::victim_noise(l, aggressors, bus.signal_nets[1], popts, topts);
-  const auto worst = design::worst_switching_pattern(
-      l, aggressors, bus.signal_nets[1], popts, topts);
-  EXPECT_GE(worst.peak_volts, base.peak_volts - 1e-12);
-  EXPECT_EQ(worst.rising.size(), 2u);
-}
-
-TEST(WorstPattern, RejectsHugeSearchSpace) {
-  geom::Layout l(geom::default_tech());
-  std::vector<int> many(13, 0);
-  EXPECT_THROW(design::worst_switching_pattern(l, many, 0, {}, {}),
-               std::invalid_argument);
-}
-
-}  // namespace

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "fast/fft.hpp"
@@ -107,10 +109,12 @@ TEST_F(FastTest, FftRoundTripAcrossSizes) {
        {1u, 2u, 3u, 4u, 5u, 6u, 8u, 12u, 16u, 30u, 60u, 100u, 101u, 128u}) {
     const auto original = random_signal(n, 42 + n);
     auto data = original;
-    std::vector<Complex> scratch(n);
+    std::vector<Complex> spectrum(n);
     const fast::FftPlan plan(n);
-    plan.forward(data.data(), scratch.data());
-    plan.inverse(data.data(), scratch.data());
+    plan.transform(data.data(), spectrum.data(), false);
+    plan.transform(spectrum.data(), data.data(), true);
+    const double scale = 1.0 / static_cast<double>(n);
+    for (Complex& x : data) x *= scale;
     EXPECT_LT(max_abs_diff(data, original), 1e-13) << "n=" << n;
   }
 }
@@ -177,22 +181,38 @@ TEST_F(FastTest, Fft3dRoundTrip) {
   EXPECT_LT(max_abs_diff(data, original), 1e-13);
 }
 
+// FNV-1a over the raw bit patterns of every real and imaginary part.
+std::uint64_t bits_digest(const std::vector<Complex>& v) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const Complex& x : v)
+    for (const double part : {x.real(), x.imag()}) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &part, sizeof bits);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xffu;
+        h *= 1099511628211ULL;
+      }
+    }
+  return h;
+}
+
 TEST_F(FastTest, BatchFftBitwiseDeterministicAcrossThreadCounts) {
-  const std::size_t n = 48, batch = 64;
-  const auto original = random_signal(n * batch, 77);
-  const fast::FftPlan plan(n);
-
-  runtime::set_global_threads(1);
-  auto serial = original;
-  fast::fft_batch(plan, serial.data(), batch, n, false);
-
-  runtime::set_global_threads(4);
-  auto parallel = original;
-  fast::fft_batch(plan, parallel.data(), batch, n, false);
-
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].real(), parallel[i].real()) << i;
-    EXPECT_EQ(serial[i].imag(), parallel[i].imag()) << i;
+  // Non-cubic shape: every axis has a different length, and the slowest one
+  // is prime (direct-DFT radix). Each axis pass is a batch of line
+  // transforms split into parallel chunks. The golden digests pin the exact
+  // output bits, so the pass structure may change but the bits may not.
+  const std::array<std::size_t, 3> shape = {7, 10, 48};
+  const auto original = random_signal(shape[0] * shape[1] * shape[2], 77);
+  constexpr std::uint64_t kForwardGolden = 0xe3e922855f1d8ffdULL;
+  constexpr std::uint64_t kInverseGolden = 0x5c3746c9d8c3838eULL;
+  for (const unsigned threads : {1u, 4u}) {
+    runtime::set_global_threads(threads);
+    auto data = original;
+    fast::fft_3d(shape, data, false);
+    EXPECT_EQ(bits_digest(data), kForwardGolden) << "threads=" << threads;
+    fast::fft_3d(shape, data, true);
+    EXPECT_EQ(bits_digest(data), kInverseGolden) << "threads=" << threads;
+    EXPECT_LT(max_abs_diff(data, original), 1e-13);
   }
 }
 

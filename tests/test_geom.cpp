@@ -135,8 +135,6 @@ TEST(Layout, ParallelAndAdjacentPairs) {
   const int b = l.add_net("b", NetKind::Signal);
   l.add_wire(a, 6, {0, 0}, {um(100), 0}, um(1));
   l.add_wire(b, 6, {0, um(2)}, {um(100), um(2)}, um(1));
-  EXPECT_EQ(l.parallel_pairs(um(10)).size(), 1u);
-  EXPECT_EQ(l.parallel_pairs(um(1)).size(), 0u);
   EXPECT_EQ(l.adjacent_pairs(um(2)).size(), 1u);
 }
 

@@ -1,6 +1,8 @@
 // Tests for the text layout format (geom/layout_io).
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "geom/layout_io.hpp"
 #include "geom/topologies.hpp"
 
@@ -16,7 +18,9 @@ TEST(LayoutIo, RoundTripPreservesEverything) {
   spec.grid.pitch = um(150);
   add_driver_receiver_grid(l, spec);
 
-  const Layout rt = layout_from_text(to_text(l));
+  std::ostringstream text;
+  write_layout(text, l);
+  const Layout rt = layout_from_text(text.str());
   EXPECT_EQ(rt.num_nets(), l.num_nets());
   ASSERT_EQ(rt.segments().size(), l.segments().size());
   ASSERT_EQ(rt.vias().size(), l.vias().size());

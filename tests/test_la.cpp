@@ -11,7 +11,6 @@
 #include "la/eig.hpp"
 #include "la/lu.hpp"
 #include "la/qr.hpp"
-#include "la/refine.hpp"
 #include "la/sparse.hpp"
 #include "la/sparse_lu.hpp"
 #include "robust/recovery.hpp"
@@ -605,47 +604,6 @@ TEST(Lu, MultiRhsMatchesVectorSolveBitwise) {
     const Vector xj = lu.solve(bj);
     for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x(i, j), xj[i]);
   }
-}
-
-TEST(MixedPrecision, RefinesWellConditionedToTolerance) {
-  const std::size_t n = 64;
-  const Matrix a = dominant_random(n, 23);
-  Vector x_ref(n);
-  for (std::size_t i = 0; i < n; ++i)
-    x_ref[i] = 1.0 + 0.25 * static_cast<double>(i % 7);
-  const Vector b = a.apply(x_ref);
-  const MixedLuReal mixed(a);
-  EXPECT_LT(mixed.condition_estimate(), 1e7);
-  Vector x;
-  const RefineResult rr = mixed.solve(a, b, x, {});
-  EXPECT_TRUE(rr.converged);
-  EXPECT_LE(rr.residual, 1e-12);
-  EXPECT_GE(rr.iterations, 1);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-10);
-}
-
-TEST(MixedPrecision, IllConditionedFallsBackDeterministically) {
-  // Hilbert matrix: condition ~1e17 at n = 12, far past the f32 guard, so
-  // the mixed solve must take the MixedPrecisionFallback rung — and that
-  // rung's first ladder step factors the matrix unmodified, so the result
-  // is bitwise-identical to never having tried f32.
-  const std::size_t n = 12;
-  Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      a(i, j) = 1.0 / static_cast<double>(i + j + 1);
-  const Vector b(n, 1.0);
-  ind::robust::SolveReport report;
-  const Vector x =
-      ind::robust::solve_dense_mixed_with_recovery(a, b, report, "test");
-  ASSERT_EQ(x.size(), n);
-  EXPECT_TRUE(report.usable());
-  bool fell_back = false;
-  for (const auto& action : report.actions)
-    fell_back |= action.kind == ind::robust::RecoveryKind::MixedPrecisionFallback;
-  EXPECT_TRUE(fell_back);
-  const Vector x_ref = LU(a).solve(b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x[i], x_ref[i]);
 }
 
 TEST(LuBlocked, WorkBudgetCancelsMidFactor) {

@@ -296,36 +296,23 @@ TEST(Substrate, BulkBouncesDuringSwitching) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Static IR-drop analysis (the [12] substrate).
+// Supply droop (the [12] substrate), read from a near-DC AC solve.
 // ---------------------------------------------------------------------------
 
-#include "peec/grid_analysis.hpp"
+#include "circuit/ac.hpp"
 
 namespace {
 
-TEST(IrDrop, StaticDroopScalesWithCurrent) {
-  const geom::Layout l = substrate_workload();
-  peec::PeecOptions opts;
-  opts.rc_only = true;  // IR drop is a DC/resistive question
-  opts.max_segment_length = um(150);
-  const auto m = peec::build_peec_model(l, opts);
-
-  peec::IrDropOptions ir1, ir2;
-  ir1.total_current = 20e-3;
-  ir2.total_current = 40e-3;
-  const auto r1 = peec::static_ir_drop(m, ir1);
-  const auto r2 = peec::static_ir_drop(m, ir2);
-  EXPECT_GT(r1.worst_vdd_droop, 0.0);
-  EXPECT_GT(r1.worst_gnd_bounce, 0.0);
-  // Linear network: doubling the current doubles the drop.
-  EXPECT_NEAR(r2.worst_vdd_droop, 2.0 * r1.worst_vdd_droop,
-              0.01 * r2.worst_vdd_droop);
-  EXPECT_GE(r1.worst_vdd_node, 0);
-  EXPECT_GE(r1.worst_gnd_node, 0);
-}
-
 TEST(IrDrop, MorePadsReduceDroop) {
-  auto build = [&](int pads_per_side) {
+  // Droop per amp of load: draw a unit current from the power node nearest
+  // the grid centre into its nearest ground node and solve at 1 kHz. There
+  // the pads' supply sources are AC ground, inductors short and capacitors
+  // open, so node voltages are the grid's resistive IR drop.
+  struct Droop {
+    double vdd;  // volts below nominal at the load's power node
+    double gnd;  // volts above 0 at the load's ground node
+  };
+  auto droop_per_amp = [&](int pads_per_side) {
     geom::Layout l(geom::default_tech());
     geom::DriverReceiverGridSpec spec;
     spec.grid.extent_x = um(400);
@@ -337,23 +324,28 @@ TEST(IrDrop, MorePadsReduceDroop) {
     peec::PeecOptions opts;
     opts.rc_only = true;
     opts.max_segment_length = um(100);
-    return peec::build_peec_model(l, opts);
+    peec::PeecModel m = peec::build_peec_model(l, opts);
+    const circuit::NodeId p =
+        m.nearest_node({um(200), um(200)}, geom::NetKind::Power);
+    const circuit::NodeId g = m.nearest_node(
+        m.nodes[static_cast<std::size_t>(p)].at, geom::NetKind::Ground);
+    EXPECT_GE(p, 0);
+    EXPECT_GE(g, 0);
+    const std::size_t load =
+        m.netlist.add_isource(p, g, circuit::Pwl::constant(0.0));
+    const circuit::AcResult res = circuit::ac_sweep(
+        m.netlist, {circuit::AcExcitation::Kind::ISource, load},
+        {2.0 * M_PI * 1e3})[0];
+    EXPECT_TRUE(res.report.usable());
+    return Droop{-res.node_voltage(p).real(), res.node_voltage(g).real()};
   };
-  // Same grid and loads; strictly stronger supply must droop less.
-  const auto weak = peec::static_ir_drop(build(1));
-  const auto strong = peec::static_ir_drop(build(4));
-  EXPECT_LT(strong.worst_vdd_droop, weak.worst_vdd_droop);
-  EXPECT_LT(strong.worst_gnd_bounce, weak.worst_gnd_bounce);
-}
-
-TEST(IrDrop, RequiresPowerAndGround) {
-  geom::Layout l(geom::default_tech());
-  const int sig = l.add_net("s", geom::NetKind::Signal);
-  l.add_wire(sig, 6, {0, 0}, {um(100), 0}, um(1));
-  peec::PeecOptions opts;
-  opts.rc_only = true;
-  const auto m = peec::build_peec_model(l, opts);
-  EXPECT_THROW(peec::static_ir_drop(m), std::invalid_argument);
+  // Same grid and load; a strictly stronger supply must droop less.
+  const Droop weak = droop_per_amp(1);
+  const Droop strong = droop_per_amp(4);
+  EXPECT_GT(strong.vdd, 0.0);
+  EXPECT_GT(strong.gnd, 0.0);
+  EXPECT_LT(strong.vdd, weak.vdd);
+  EXPECT_LT(strong.gnd, weak.gnd);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 
 #include "circuit/transient.hpp"
@@ -27,8 +28,10 @@ using geom::um;
 // is symmetric positive definite (passivity of the PEEC model).
 // ---------------------------------------------------------------------------
 
+// gtest names each case by the parameter's raw bytes, so the struct must have
+// no padding: a 64-bit `wires` keeps those bytes, and the test names, fixed.
 struct BusParams {
-  int wires;
+  std::int64_t wires;
   double pitch_um;
   double length_um;
   double width_um;
@@ -39,7 +42,7 @@ class PartialMatrixPsd : public ::testing::TestWithParam<BusParams> {};
 TEST_P(PartialMatrixPsd, FullMatrixIsSpd) {
   const BusParams p = GetParam();
   std::vector<geom::Segment> segs;
-  for (int i = 0; i < p.wires; ++i) {
+  for (std::int64_t i = 0; i < p.wires; ++i) {
     geom::Segment s;
     s.a = {0, i * um(p.pitch_um)};
     s.b = {um(p.length_um), i * um(p.pitch_um)};

@@ -320,7 +320,7 @@ TEST_F(RobustTransient, PersistentFaultFailsWithStructuredReport) {
 TEST_F(RobustAc, CleanSolveReportsResidual) {
   NodeId out;
   const Netlist nl = rc_line(out);
-  const auto res = circuit::ac_solve(nl, {}, 2.0 * M_PI * 1e9);
+  const auto res = circuit::ac_sweep(nl, {}, {2.0 * M_PI * 1e9})[0];
   EXPECT_TRUE(res.report.ok());
   EXPECT_GE(res.report.residual_norm, 0.0);
   EXPECT_LT(res.report.residual_norm, 1e-10);
@@ -331,10 +331,10 @@ TEST_F(RobustAc, InjectedPivotRecoversBitwise) {
   NodeId out;
   const Netlist nl = rc_line(out);
   const double w = 2.0 * M_PI * 1e9;
-  const auto base = circuit::ac_solve(nl, {}, w);
+  const auto base = circuit::ac_sweep(nl, {}, {w})[0];
 
   fault::configure("dense_lu_pivot@0");
-  const auto res = circuit::ac_solve(nl, {}, w);
+  const auto res = circuit::ac_sweep(nl, {}, {w})[0];
   EXPECT_EQ(res.report.status, SolveStatus::Recovered);
   EXPECT_TRUE(has_action(res.report, RecoveryKind::Retry));
   ASSERT_EQ(res.x.size(), base.x.size());

@@ -83,22 +83,6 @@ TEST(RuntimeParallelFor, OddRangeCoversEveryIndexExactlyOnce) {
   }
 }
 
-TEST(RuntimeParallelFor, TwoDimensionalTilingCoversEveryCellOnce) {
-  ThreadPool pool(4);
-  const std::size_t rows = 13, cols = 9;
-  std::vector<std::atomic<int>> hits(rows * cols);
-  runtime::parallel_for_2d(
-      rows, cols,
-      [&](std::size_t r0, std::size_t r1, std::size_t c0, std::size_t c1) {
-        for (std::size_t r = r0; r < r1; ++r)
-          for (std::size_t c = c0; c < c1; ++c)
-            hits[r * cols + c].fetch_add(1);
-      },
-      {.grain = 2, .pool = &pool});
-  for (std::size_t k = 0; k < hits.size(); ++k)
-    EXPECT_EQ(hits[k].load(), 1) << "cell " << k;
-}
-
 TEST(RuntimeParallelFor, ExceptionPropagatesAndPoolSurvives) {
   ThreadPool pool(4);
   EXPECT_THROW(

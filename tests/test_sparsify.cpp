@@ -126,14 +126,6 @@ TEST(Shell, LargerRadiusKeepsMoreCoupling) {
   EXPECT_LT(tight.kept_mutual_count(), wide.kept_mutual_count());
 }
 
-TEST(Shell, SuggestedRadiusMeetsTolerance) {
-  const auto segs = parallel_bus(8, um(4));
-  const la::Matrix l = extract::build_partial_inductance_matrix(segs);
-  const double r_loose = sparsify::suggest_shell_radius(segs, l, 0.5);
-  const double r_tight = sparsify::suggest_shell_radius(segs, l, 0.01);
-  EXPECT_GE(r_tight, r_loose);
-}
-
 TEST(Halo, BoundedByPowerGroundNeighbours) {
   // signal, gnd, signal, signal: halo of seg 0 is bounded above by the gnd
   // line, so coupling 0-2 and 0-3 must be dropped, 0-1 kept.

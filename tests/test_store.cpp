@@ -237,6 +237,59 @@ TEST(StoreSerde, SparsifiedLBitwise) {
   expect_bitwise_round_trip(sparsify::kmatrix_sparsify(x.partial_l, 0.05));
 }
 
+// Serializes `a` and `b`, which differ in exactly one one-byte enum field,
+// overwrites that byte of a's image with `byte`, decodes, and returns the
+// StoreError code the decode raised.
+template <typename T>
+store::StoreErrc decode_with_enum_byte(const T& a, const T& b,
+                                       std::uint8_t byte) {
+  std::vector<std::uint8_t> image = serialized(a);
+  const std::vector<std::uint8_t> other = serialized(b);
+  EXPECT_EQ(image.size(), other.size());
+  std::size_t diffs = 0, at = 0;
+  for (std::size_t i = 0; i < image.size() && i < other.size(); ++i)
+    if (image[i] != other[i]) {
+      ++diffs;
+      at = i;
+    }
+  EXPECT_EQ(diffs, 1u);
+  image[at] = byte;
+  T back;
+  store::ByteReader r(image);
+  try {
+    store::serde::get(r, back);
+  } catch (const store::StoreError& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "decode accepted enum byte " << int{byte};
+  return store::StoreErrc::IoError;
+}
+
+TEST(StoreSerde, OutOfRangeEnumBytesAreMalformed) {
+  robust::SolveReport rep;
+  rep.add_action(robust::RecoveryKind::Retry, 0, 0.0, "test");
+  robust::SolveReport other_kind = rep;
+  other_kind.actions[0].kind = robust::RecoveryKind::GmresRestart;
+  // Byte 9 named the deleted mixed-precision rung; no RecoveryKind has it.
+  EXPECT_EQ(decode_with_enum_byte(rep, other_kind, 9),
+            store::StoreErrc::Malformed);
+  robust::SolveReport other_status = rep;
+  other_status.status = robust::SolveStatus::Failed;
+  EXPECT_EQ(decode_with_enum_byte(
+                rep, other_status,
+                static_cast<std::uint8_t>(robust::SolveStatus::Failed) + 1),
+            store::StoreErrc::Malformed);
+
+  geom::Layout signal(geom::default_tech());
+  signal.add_net("n", geom::NetKind::Signal);
+  geom::Layout shield(geom::default_tech());
+  shield.add_net("n", geom::NetKind::Shield);
+  EXPECT_EQ(decode_with_enum_byte(
+                signal, shield,
+                static_cast<std::uint8_t>(geom::NetKind::Substrate) + 1),
+            store::StoreErrc::Malformed);
+}
+
 TEST(StoreSerde, LayoutBitwise) { expect_bitwise_round_trip(small_layout()); }
 
 TEST(StoreSerde, ExtractionBitwise) {
