@@ -31,18 +31,6 @@ Pwl Pwl::ramp(double t0, double rise, double amplitude) {
   return Pwl({{t0, 0.0}, {t0 + rise, amplitude}});
 }
 
-Pwl Pwl::falling_ramp(double t0, double fall, double amplitude) {
-  return Pwl({{t0, amplitude}, {t0 + fall, 0.0}});
-}
-
-Pwl Pwl::pulse(double t0, double rise, double width, double fall,
-               double amplitude) {
-  return Pwl({{t0, 0.0},
-              {t0 + rise, amplitude},
-              {t0 + rise + width, amplitude},
-              {t0 + rise + width + fall, 0.0}});
-}
-
 double SwitchingProfileGenerator::uniform() {
   // xorshift64*
   state_ ^= state_ >> 12;

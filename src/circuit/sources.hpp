@@ -30,11 +30,6 @@ class Pwl {
   static Pwl constant(double value);
   /// 0 -> `amplitude` linear ramp starting at t0 with the given rise time.
   static Pwl ramp(double t0, double rise, double amplitude);
-  /// Falling ramp `amplitude` -> 0.
-  static Pwl falling_ramp(double t0, double fall, double amplitude);
-  /// Single pulse with linear edges.
-  static Pwl pulse(double t0, double rise, double width, double fall,
-                   double amplitude);
 
  private:
   std::vector<std::pair<double, double>> points_;  // sorted by time

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "la/lu.hpp"
@@ -130,12 +129,6 @@ void write_spice(std::ostream& os, const Netlist& netlist,
        << node_name(d.gnd) << "))\n";
   }
   os << ".end\n";
-}
-
-std::string to_spice(const Netlist& netlist, const SpiceExportOptions& opts) {
-  std::ostringstream os;
-  write_spice(os, netlist, opts);
-  return os.str();
 }
 
 }  // namespace ind::circuit

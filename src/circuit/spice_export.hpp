@@ -31,8 +31,4 @@ struct SpiceExportOptions {
 void write_spice(std::ostream& os, const Netlist& netlist,
                  const SpiceExportOptions& opts = {});
 
-/// Convenience: deck as a string.
-std::string to_spice(const Netlist& netlist,
-                     const SpiceExportOptions& opts = {});
-
 }  // namespace ind::circuit

@@ -93,14 +93,6 @@ NoiseBreakdown compute_noise(const ShieldOrderProblem& p,
   return nb;
 }
 
-bool is_feasible(const ShieldOrderProblem& p, const TrackAssignment& t) {
-  const NoiseBreakdown nb = compute_noise(p, t);
-  for (std::size_t i = 0; i < nb.cap_in.size(); ++i)
-    if (nb.cap_in[i] > p.cap_noise_bound || nb.ind_in[i] > p.ind_noise_bound)
-      return false;
-  return true;
-}
-
 double evaluate_cost(const ShieldOrderProblem& p, const TrackAssignment& t) {
   const NoiseBreakdown nb = compute_noise(p, t);
   double cap = 0.0, ind = 0.0, violation = 0.0;

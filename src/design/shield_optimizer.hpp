@@ -44,10 +44,6 @@ struct NoiseBreakdown {
 NoiseBreakdown compute_noise(const ShieldOrderProblem& p,
                              const struct TrackAssignment& t);
 
-/// True if every victim satisfies both bounds.
-bool is_feasible(const ShieldOrderProblem& p,
-                 const struct TrackAssignment& t);
-
 /// A solution: nets placed left-to-right in `order`, with an optional shield
 /// after each position (shield_after.back() unused).
 struct TrackAssignment {

@@ -8,14 +8,6 @@
 
 namespace ind::design {
 
-double LineParameters::characteristic_impedance() const {
-  return std::sqrt(l_per_m / c_per_m);
-}
-
-double LineParameters::flight_time() const {
-  return length * std::sqrt(l_per_m * c_per_m);
-}
-
 LineParameters extract_line_parameters(
     const geom::Layout& layout, int signal_net, double freq,
     const loop::LoopExtractionOptions& opts) {

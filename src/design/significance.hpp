@@ -26,9 +26,6 @@ struct LineParameters {
   double l_per_m = 0.0;  ///< H/m    (loop inductance at `freq`)
   double c_per_m = 0.0;  ///< F/m    (ground + coupling capacitance)
   double length = 0.0;   ///< m
-
-  double characteristic_impedance() const;  ///< sqrt(L'/C')
-  double flight_time() const;               ///< l * sqrt(L'C')
 };
 
 /// Extracts the line parameters of `signal_net` (loop L at `freq` via the

@@ -2,21 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace ind::extract {
-
-double skin_depth(double rho_ohm_m, double freq_hz) {
-  if (!(rho_ohm_m > 0.0))
-    throw std::invalid_argument("skin_depth: resistivity must be > 0");
-  // DC (and negative-frequency inputs from sweep underflow) has no skin
-  // depth: current fills the whole cross-section. An infinite depth is the
-  // natural sentinel — every "is the conductor thicker than delta?" test
-  // comes out false, so callers need no special casing.
-  if (freq_hz <= 0.0) return std::numeric_limits<double>::infinity();
-  return std::sqrt(rho_ohm_m / (M_PI * freq_hz * geom::kMu0));
-}
 
 std::vector<geom::Segment> split_for_skin(const geom::Segment& s,
                                           const SkinSplitOptions& opts) {

@@ -20,13 +20,6 @@ struct SkinSplitOptions {
   int max_filaments_per_axis = 8;        ///< cap on the split factor (>= 1)
 };
 
-/// Skin depth (metres) of a conductor with resistivity rho (ohm-m) at
-/// frequency f (Hz): delta = sqrt(rho / (pi f mu0)). At DC (freq_hz <= 0)
-/// returns +infinity — current fills the whole cross-section, so every
-/// "thicker than delta?" comparison is false without special casing.
-/// Throws std::invalid_argument for non-positive resistivity.
-double skin_depth(double rho_ohm_m, double freq_hz);
-
 /// Splits a segment laterally (and vertically if thick) into filaments with
 /// identical length that share the original end cross-sections. Each
 /// filament keeps the parent's net/kind/layer; widths divide evenly. The

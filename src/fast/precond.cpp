@@ -1,142 +1,9 @@
 #include "fast/precond.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
-#include <unordered_map>
-
-#include "extract/partial_inductance.hpp"
 #include "la/sparse.hpp"
 #include "runtime/metrics.hpp"
 
 namespace ind::fast {
-namespace {
-
-std::uint64_t pack3(std::int64_t x, std::int64_t y, std::int64_t z) {
-  const std::uint64_t bias = 1u << 20;
-  return ((static_cast<std::uint64_t>(x + static_cast<std::int64_t>(bias))) << 42) |
-         ((static_cast<std::uint64_t>(y + static_cast<std::int64_t>(bias))) << 21) |
-         (static_cast<std::uint64_t>(z + static_cast<std::int64_t>(bias)));
-}
-
-}  // namespace
-
-sparsify::SparsifiedL voxel_sparsified_l(const ToeplitzLOperator& op,
-                                         const PrecondOptions& opts) {
-  const VoxelGrid& grid = op.grid();
-  const std::size_t n = grid.cells.size();
-  const double p = grid.pitch, pz = grid.pitch_z;
-  const double radius = opts.radius > 0.0 ? opts.radius : 3.5 * p;
-  const double self = op.kernel(geom::Axis::X, 0, 0, 0);
-  const double gmd = extract::self_gmd(grid.width, grid.thickness);
-
-  sparsify::SparsifiedL out;
-  out.diag.assign(n, self);
-  if (opts.kind == PrecondKind::Shell) {
-    // Diagonal shift of the shell scheme (sparsify/shell.cpp): subtract the
-    // coupling to the cell's own return shell, floored at 5% of self.
-    const double at_shell = extract::mutual_partial_inductance(
-        p, p, -p, std::max(radius, gmd));
-    const double shifted = std::max(self - at_shell, 0.05 * self);
-    out.diag.assign(n, shifted);
-  }
-  if (opts.kind == PrecondKind::None || opts.kind == PrecondKind::Diag)
-    return out;
-
-  // Lattice windows: the transverse window mirrors the dense schemes'
-  // pair_distance cut; the axial cut at the same radius is an additional
-  // lattice-specific bound (the shifted kernel decays like 1/s^3 axially, so
-  // far collinear terms contribute nothing a preconditioner needs).
-  const auto k_xy = static_cast<std::int64_t>(std::ceil(radius / p));
-  const auto k_z =
-      static_cast<std::int64_t>(pz > 0.0 ? std::ceil(radius / pz) : 0);
-
-  for (const geom::Axis axis : {geom::Axis::X, geom::Axis::Y}) {
-    // Cells of this orientation, hashed by lattice position.
-    std::vector<std::uint32_t> cells;
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> at;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const VoxelCell& c = grid.cells[i];
-      if (c.axis != axis) continue;
-      cells.push_back(i);
-      at[pack3(c.ix, c.iy, c.iz)].push_back(i);
-    }
-    if (cells.empty()) continue;
-
-    // One kernel evaluation per lattice offset, reused for every pair at
-    // that offset (the Toeplitz property the dense schemes cannot exploit).
-    struct Offset {
-      std::int64_t dx, dy, dz;
-      double value;
-    };
-    std::vector<Offset> offsets;
-    for (std::int64_t dx = -k_xy; dx <= k_xy; ++dx) {
-      for (std::int64_t dy = -k_xy; dy <= k_xy; ++dy) {
-        for (std::int64_t dz = -k_z; dz <= k_z; ++dz) {
-          const std::int64_t d_ax = axis == geom::Axis::X ? dx : dy;
-          const std::int64_t d_tr = axis == geom::Axis::X ? dy : dx;
-          // Transverse pair distance as the dense schemes compute it
-          // (GMD-clamped centre distance; the axial gap does not enter).
-          const double dist =
-              std::max(std::hypot(static_cast<double>(d_tr) * p,
-                                  static_cast<double>(dz) * pz),
-                       gmd);
-          double value = 0.0;
-          switch (opts.kind) {
-            case PrecondKind::Shell: {
-              if (dist >= radius) break;
-              const double gap =
-                  (std::llabs(d_ax) - 1) * p;  // facing-end gap of the cells
-              value = op.kernel(axis, dx, dy, dz) -
-                      extract::mutual_partial_inductance(p, p, gap, radius);
-              break;
-            }
-            case PrecondKind::Truncation: {
-              const double m = op.kernel(axis, dx, dy, dz);
-              if (std::abs(m) >= opts.truncation_ratio * self) value = m;
-              break;
-            }
-            case PrecondKind::BlockDiag:
-              value = op.kernel(axis, dx, dy, dz);
-              break;
-            case PrecondKind::None:
-            case PrecondKind::Diag:
-              break;
-          }
-          if (value != 0.0) offsets.push_back({dx, dy, dz, value});
-        }
-      }
-    }
-
-    const std::size_t strip = std::max<std::size_t>(1, opts.strip_cells);
-    auto strip_of = [&](const VoxelCell& c) {
-      const std::int64_t ax = axis == geom::Axis::X ? c.ix : c.iy;
-      // Floor division so strips tile negative coordinates consistently.
-      return ax >= 0 ? ax / static_cast<std::int64_t>(strip)
-                     : -((-ax + static_cast<std::int64_t>(strip) - 1) /
-                         static_cast<std::int64_t>(strip));
-    };
-
-    for (const std::uint32_t i : cells) {
-      const VoxelCell& ci = grid.cells[i];
-      for (const Offset& o : offsets) {
-        const auto it =
-            at.find(pack3(ci.ix + o.dx, ci.iy + o.dy, ci.iz + o.dz));
-        if (it == at.end()) continue;
-        for (const std::uint32_t j : it->second) {
-          if (j <= i) continue;  // unordered pairs once (offsets cover +/-)
-          if (opts.kind == PrecondKind::BlockDiag &&
-              strip_of(ci) != strip_of(grid.cells[j]))
-            continue;
-          out.terms.push_back({i, j, o.value});
-        }
-      }
-    }
-  }
-  runtime::MetricsRegistry::instance().add_count(
-      "fast.precond_terms", static_cast<std::int64_t>(out.terms.size()));
-  return out;
-}
 
 ComplexSparseFactor::ComplexSparseFactor(
     std::size_t m, const std::vector<ComplexTriplet>& entries,

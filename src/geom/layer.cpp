@@ -12,18 +12,6 @@ const Layer& Technology::layer(int index) const {
   return layers[static_cast<std::size_t>(index - 1)];
 }
 
-double Technology::gap_between(int lower, int upper) const {
-  if (lower >= upper)
-    throw std::invalid_argument("Technology::gap_between: lower >= upper");
-  return layer(upper).z_bottom - layer(lower).z_top();
-}
-
-double Technology::height_above_below(int index) const {
-  const Layer& l = layer(index);
-  if (index == 1) return l.z_bottom - substrate_z;
-  return l.z_bottom - layer(index - 1).z_top();
-}
-
 Technology default_tech() {
   Technology t;
   t.epsilon_r = 3.9;

@@ -41,14 +41,6 @@ struct Technology {
 
   const Layer& layer(int index) const;  ///< 1-based metal index
   std::size_t num_layers() const { return layers.size(); }
-
-  /// Vertical dielectric gap between the top of `lower` and bottom of
-  /// `upper` metal levels (1-based indices, lower < upper).
-  double gap_between(int lower, int upper) const;
-
-  /// Distance from the bottom of layer `index` to the plane below it
-  /// (previous metal top, or substrate for metal-1).
-  double height_above_below(int index) const;
 };
 
 /// Representative 6-layer copper/aluminium stack circa 2000 (0.18 um node):

@@ -74,32 +74,6 @@ std::pair<Point, Point> Layout::bounding_box() const {
   return {lo, hi};
 }
 
-Layout subdivide(const Layout& layout, double max_len) {
-  if (max_len <= 0.0)
-    throw std::invalid_argument("subdivide: max_len must be positive");
-  Layout fresh(layout.tech());
-  for (std::size_t n = 0; n < layout.num_nets(); ++n)
-    fresh.add_net(layout.net(static_cast<int>(n)).name,
-                  layout.net(static_cast<int>(n)).kind);
-  for (const Segment& s : layout.segments()) {
-    const double len = s.length();
-    const int pieces = std::max(1, static_cast<int>(std::ceil(len / max_len)));
-    const double dx = (s.b.x - s.a.x) / pieces;
-    const double dy = (s.b.y - s.a.y) / pieces;
-    for (int k = 0; k < pieces; ++k) {
-      Point a{s.a.x + k * dx, s.a.y + k * dy};
-      Point b{s.a.x + (k + 1) * dx, s.a.y + (k + 1) * dy};
-      fresh.add_wire(s.net, s.layer, a, b, s.width);
-    }
-  }
-  for (const Via& v : layout.vias())
-    fresh.add_via(v.net, v.at, v.lower_layer, v.upper_layer, v.cuts);
-  for (const Pad& p : layout.pads()) fresh.add_pad(p);
-  for (const Driver& d : layout.drivers()) fresh.add_driver(d);
-  for (const Receiver& r : layout.receivers()) fresh.add_receiver(r);
-  return fresh;
-}
-
 namespace {
 
 constexpr double kRefineEps = 1e-12;

@@ -106,15 +106,12 @@ class Layout {
   std::vector<Receiver> receivers_;
 };
 
-/// Returns a copy of `layout` in which every segment longer than `max_len`
-/// is split into equal pieces no longer than `max_len`. Controls PEEC model
-/// granularity (more segments -> finer distributed RLC, larger matrices).
-Layout subdivide(const Layout& layout, double max_len);
-
 /// Model-ready refinement: first cuts every wire at each electrical
 /// connection point lying on it (vias, drivers, receivers, pads) so those
-/// points become segment endpoints (= circuit nodes), then subdivides the
-/// pieces to `max_segment_length`.
+/// points become segment endpoints (= circuit nodes), then splits the
+/// pieces into equal parts no longer than `max_segment_length`. Controls
+/// model granularity (more segments -> finer distributed RLC, larger
+/// matrices).
 Layout refine(const Layout& layout, double max_segment_length);
 
 /// Physical shorts: pairs of same-layer segments of *different* nets whose

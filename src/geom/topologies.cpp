@@ -295,39 +295,6 @@ InterdigitatedResult add_interdigitated(Layout& layout,
   return result;
 }
 
-BusResult add_staggered_bus(Layout& layout, const StaggeredBusSpec& spec) {
-  BusResult result;
-  const double pitch = spec.width + spec.spacing;
-  for (int bit = 0; bit < spec.bits; ++bit) {
-    const double y = spec.origin.y + bit * pitch;
-    const int net = layout.add_net("stag" + std::to_string(bit),
-                                   NetKind::Signal);
-    Point west{spec.origin.x, y};
-    Point east{spec.origin.x + spec.length, y};
-    layout.add_wire(net, spec.layer, west, east, spec.width);
-    result.signal_nets.push_back(net);
-    result.track_positions.push_back(y);
-
-    const bool drive_from_east = spec.staggered && (bit % 2 == 1);
-    Driver d;
-    d.at = drive_from_east ? east : west;
-    d.layer = spec.layer;
-    d.signal_net = net;
-    d.strength_ohm = spec.driver_res;
-    d.slew = spec.slew;
-    d.name = "stag" + std::to_string(bit) + "_drv";
-    layout.add_driver(std::move(d));
-    Receiver r;
-    r.at = drive_from_east ? west : east;
-    r.layer = spec.layer;
-    r.signal_net = net;
-    r.load_cap = spec.sink_cap;
-    r.name = "stag" + std::to_string(bit) + "_rcv";
-    layout.add_receiver(std::move(r));
-  }
-  return result;
-}
-
 BusResult add_twisted_bundle(Layout& layout, const TwistedBundleSpec& spec) {
   if (spec.regions < 1)
     throw std::invalid_argument("add_twisted_bundle: regions must be >= 1");

@@ -144,28 +144,6 @@ InterdigitatedResult add_interdigitated(Layout& layout,
                                         const InterdigitatedSpec& spec);
 
 // ---------------------------------------------------------------------------
-// Fig. 8: staggered inverter (repeater) patterns
-// ---------------------------------------------------------------------------
-
-struct StaggeredBusSpec {
-  int bits = 3;
-  double length = um(2000.0);
-  double width = um(1.0);
-  double spacing = um(1.0);
-  int layer = 6;
-  Point origin{0.0, 0.0};
-  bool staggered = false;   ///< alternate driver ends on adjacent bits
-  double driver_res = 30.0;
-  double sink_cap = 20e-15;
-  double slew = 50e-12;
-};
-
-/// Bus whose adjacent bits are driven from alternating ends when
-/// `staggered`; signal polarities then alternate along the coupled run so
-/// capacitive and inductive coupling tend to cancel.
-BusResult add_staggered_bus(Layout& layout, const StaggeredBusSpec& spec);
-
-// ---------------------------------------------------------------------------
 // Fig. 9: twisted-bundle layout
 // ---------------------------------------------------------------------------
 

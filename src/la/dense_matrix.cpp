@@ -1,36 +1,8 @@
 #include "la/dense_matrix.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace ind::la {
-
-double max_abs(const Matrix& m) {
-  double best = 0.0;
-  for (std::size_t i = 0; i < m.rows(); ++i)
-    for (std::size_t j = 0; j < m.cols(); ++j)
-      best = std::max(best, std::abs(m(i, j)));
-  return best;
-}
-
-double frobenius_norm(const Matrix& m) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < m.rows(); ++i)
-    for (std::size_t j = 0; j < m.cols(); ++j) acc += m(i, j) * m(i, j);
-  return std::sqrt(acc);
-}
-
-double inf_norm(const Vector& v) {
-  double best = 0.0;
-  for (double x : v) best = std::max(best, std::abs(x));
-  return best;
-}
-
-double inf_norm(const CVector& v) {
-  double best = 0.0;
-  for (const Complex& x : v) best = std::max(best, std::abs(x));
-  return best;
-}
 
 double dot(const Vector& a, const Vector& b) {
   double acc = 0.0;
@@ -39,18 +11,5 @@ double dot(const Vector& a, const Vector& b) {
 }
 
 double norm2(const Vector& v) { return std::sqrt(dot(v, v)); }
-
-void axpy(double s, const Vector& b, Vector& a) {
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] += s * b[i];
-}
-
-bool is_symmetric(const Matrix& m, double tol) {
-  if (m.rows() != m.cols()) return false;
-  const double scale = std::max(max_abs(m), 1e-300);
-  for (std::size_t i = 0; i < m.rows(); ++i)
-    for (std::size_t j = i + 1; j < m.cols(); ++j)
-      if (std::abs(m(i, j) - m(j, i)) > tol * scale) return false;
-  return true;
-}
 
 }  // namespace ind::la

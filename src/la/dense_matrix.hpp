@@ -158,24 +158,8 @@ using CMatrix = DenseMatrix<Complex>;
 using Vector = std::vector<double>;
 using CVector = std::vector<Complex>;
 
-/// Maximum absolute entry; zero for an empty matrix.
-double max_abs(const Matrix& m);
-
-/// Frobenius norm.
-double frobenius_norm(const Matrix& m);
-
-/// Infinity norm of a vector (0 for empty).
-double inf_norm(const Vector& v);
-double inf_norm(const CVector& v);
-
 /// Euclidean dot product / norm.
 double dot(const Vector& a, const Vector& b);
 double norm2(const Vector& v);
-
-/// a += s * b
-void axpy(double s, const Vector& b, Vector& a);
-
-/// Symmetry check: max |A - A^T| <= tol * max|A|.
-bool is_symmetric(const Matrix& m, double tol = 1e-12);
 
 }  // namespace ind::la

@@ -39,22 +39,4 @@ double dominant_eigenvalue(const Matrix& a, int max_iters, double tol) {
   return power_iteration(a, max_iters, tol);
 }
 
-double smallest_eigenvalue(const Matrix& a, int max_iters, double tol) {
-  if (a.rows() != a.cols())
-    throw std::invalid_argument("smallest_eigenvalue: square matrix required");
-  // Gershgorin upper bound on |eig|.
-  double bound = 0.0;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    double row = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) row += std::abs(a(i, j));
-    bound = std::max(bound, row);
-  }
-  // eig_min(A) = bound - eig_max(bound*I - A).
-  Matrix shifted(a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j)
-      shifted(i, j) = (i == j ? bound : 0.0) - a(i, j);
-  return bound - power_iteration(shifted, max_iters, tol);
-}
-
 }  // namespace ind::la

@@ -14,10 +14,4 @@ namespace ind::la {
 double dominant_eigenvalue(const Matrix& a, int max_iters = 500,
                            double tol = 1e-10);
 
-/// Smallest (most negative) eigenvalue of a symmetric matrix, computed as a
-/// spectral shift of the dominant eigenvalue: eig_min(A) = s - eig_max(sI-A)
-/// where s = eig_max magnitude bound.
-double smallest_eigenvalue(const Matrix& a, int max_iters = 500,
-                           double tol = 1e-10);
-
 }  // namespace ind::la

@@ -107,7 +107,6 @@ LuFactor<T>::LuFactor(DenseMatrix<T> a, const LuOptions& opts)
         for (std::size_t j = 0; j < n; ++j)
           std::swap(d[k * n + j], d[pivot * n + j]);
         std::swap(perm_[k], perm_[pivot]);
-        perm_sign_ = -perm_sign_;
       }
       const T diag = d[k * n + k];
       const T* const rk = d + k * n;
@@ -326,13 +325,6 @@ double LuFactor<T>::condition_estimate() const {
     x[j] = T{1.0};
   }
   return norm1_ * est;
-}
-
-template <typename T>
-T LuFactor<T>::determinant() const {
-  T det = static_cast<T>(perm_sign_);
-  for (std::size_t i = 0; i < size(); ++i) det *= lu_(i, i);
-  return det;
 }
 
 template class LuFactor<double>;

@@ -57,9 +57,6 @@ class LuFactor {
   /// Solves A^T x = b (used by the 1-norm condition estimator).
   std::vector<T> solve_transposed(const std::vector<T>& b) const;
 
-  /// Determinant (product of pivots with sign of the permutation).
-  T determinant() const;
-
   /// Packed L\U storage (unit-lower L below the diagonal, U on and above).
   /// Exposed for the determinism digests in bench/tests.
   const DenseMatrix<T>& packed() const { return lu_; }
@@ -82,7 +79,6 @@ class LuFactor {
  private:
   DenseMatrix<T> lu_;
   std::vector<std::size_t> perm_;
-  int perm_sign_ = 1;
   double norm1_ = 0.0;
   double pivot_growth_ = 0.0;
 };

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "extract/partial_inductance.hpp"
+#include "fast/precond.hpp"
 #include "la/lu.hpp"
 #include "robust/diagnostics.hpp"
 #include "robust/recovery.hpp"
@@ -196,7 +197,7 @@ MqsSolver::MqsSolver(const std::vector<geom::Segment>& segments,
           static_cast<std::int64_t>(
               grid.stats.relative_error(grid.pitch) * 1e6));
       toeplitz_ = std::make_shared<const fast::ToeplitzLOperator>(std::move(grid));
-      precond_l_ = fast::voxel_sparsified_l(*toeplitz_, opts.fast.precond);
+      self_l_ = toeplitz_->kernel(geom::Axis::X, 0, 0, 0);
     }
   }
   if (method_ != ExtractionMethod::FftGmres) {
@@ -404,133 +405,86 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
   la::CVector b(size, la::Complex{});
   b[static_cast<std::size_t>(compact[p_lat])] = 1.0;
 
-  // Preconditioner: the same MQS structure with the sparsified L', factored
-  // as a real-equivalent sparse system through the recovery ladder.
+  // Preconditioner: the MQS system with L replaced by its cell self term.
+  // The branch rows are then decoupled, so eliminate the branch currents
+  // exactly, i_c = y_c (v_a - v_b - r_i,c) with y_c = 1 / (R_c + jw L_self),
+  // and factor the nodal admittance Y = A diag(y) A^T + pins as a
+  // real-equivalent sparse system through the recovery ladder. Y has a
+  // non-zero diagonal, so the AMD order holds without the off-diagonal
+  // pivots the saddle form forces; the preconditioner is the same operator
+  // in exact arithmetic.
   robust::SolveReport report;
-  std::unique_ptr<fast::ComplexSparseFactor> pre;
-  la::CApplyFn pre_apply;
-  std::vector<la::Complex> y_cell;
-  if (opts_.fast.precond.kind != fast::PrecondKind::None &&
-      precond_l_.terms.empty()) {
-    // Diagonal L': the branch rows are decoupled, so eliminate the branch
-    // currents exactly, i_c = y_c (v_a - v_b - r_i,c) with
-    // y_c = 1 / (R_c + jw L'_cc), and factor the nodal admittance
-    // Y = A diag(y) A^T + pins. Y has a non-zero diagonal, so the AMD order
-    // holds without the off-diagonal pivots the saddle form forces; the
-    // preconditioner is the same operator in exact arithmetic.
-    y_cell.resize(nc);
-    std::vector<fast::ComplexTriplet> entries;
-    entries.reserve(4 * nc + pin_nodes.size());
-    for (std::size_t c = 0; c < nc; ++c) {
-      y_cell[c] = 1.0 / (la::Complex{grid.resistance[c], 0.0} +
-                         jw * precond_l_.diag[c]);
-      const std::ptrdiff_t na = compact[cell_a[c]];
-      const std::ptrdiff_t nb = compact[cell_b[c]];
-      if (na >= 0)
-        entries.push_back({static_cast<std::size_t>(na),
-                           static_cast<std::size_t>(na), y_cell[c]});
-      if (nb >= 0)
-        entries.push_back({static_cast<std::size_t>(nb),
-                           static_cast<std::size_t>(nb), y_cell[c]});
-      if (na >= 0 && nb >= 0) {
-        entries.push_back({static_cast<std::size_t>(na),
-                           static_cast<std::size_t>(nb), -y_cell[c]});
-        entries.push_back({static_cast<std::size_t>(nb),
-                           static_cast<std::size_t>(na), -y_cell[c]});
-      }
-    }
-    for (std::size_t node : pin_nodes)
-      entries.push_back({static_cast<std::size_t>(compact[node]),
-                         static_cast<std::size_t>(compact[node]), 1.0});
-    pre = std::make_unique<fast::ComplexSparseFactor>(
-        n_active, entries, report, "mqs_precond",
-        opts_.fast.dense_fallback_limit);
-    // Incidence A: v_a - v_b across cell c, and s scattered into a and -s
-    // into b (the reference node has no row).
-    const auto drop = [&](const la::CVector& v, std::size_t c) {
-      la::Complex d{};
-      if (const std::ptrdiff_t na = compact[cell_a[c]]; na >= 0)
-        d += v[static_cast<std::size_t>(na)];
-      if (const std::ptrdiff_t nb = compact[cell_b[c]]; nb >= 0)
-        d -= v[static_cast<std::size_t>(nb)];
-      return d;
-    };
-    const auto scatter = [&](la::CVector& out, std::size_t c, la::Complex s) {
-      if (const std::ptrdiff_t na = compact[cell_a[c]]; na >= 0)
-        out[static_cast<std::size_t>(na)] += s;
-      if (const std::ptrdiff_t nb = compact[cell_b[c]]; nb >= 0)
-        out[static_cast<std::size_t>(nb)] -= s;
-    };
-    pre_apply = [&, drop, scatter](const la::CVector& r, la::CVector& z) {
-      // rhs = r_v + A (y o r_i); solve Y v = rhs; recover the currents.
-      la::CVector rhs(r.begin(), r.begin() + n_active);
-      for (std::size_t c = 0; c < nc; ++c)
-        scatter(rhs, c, y_cell[c] * r[n_active + c]);
-      la::CVector v = pre->solve(rhs);
-      // One step of iterative refinement: along long series chains Y's
-      // condition grows like the chain length squared, and the currents
-      // y_c (v_a - v_b) difference away v's leading digits. Unrefined, a
-      // 3072-cell series loop needs one more GMRES iteration than the
-      // saddle factor did.
-      la::CVector res = std::move(rhs);
-      for (std::size_t c = 0; c < nc; ++c)
-        scatter(res, c, -y_cell[c] * drop(v, c));
-      for (std::size_t node : pin_nodes) {
-        const auto idx = static_cast<std::size_t>(compact[node]);
-        res[idx] -= v[idx];
-      }
-      const la::CVector dv = pre->solve(res);
-      z.assign(size, la::Complex{});
-      for (std::size_t k = 0; k < n_active; ++k) z[k] = v[k] + dv[k];
-      for (std::size_t c = 0; c < nc; ++c)
-        z[n_active + c] = y_cell[c] * (drop(z, c) - r[n_active + c]);
-    };
-    if (!pre->usable()) {
-      pre.reset();  // unpreconditioned GMRES is still well-defined
-      pre_apply = nullptr;
-    }
-  } else if (opts_.fast.precond.kind != fast::PrecondKind::None) {
-    std::vector<fast::ComplexTriplet> entries;
-    entries.reserve(4 * nc + 2 * precond_l_.terms.size() + pin_nodes.size());
-    for (std::size_t c = 0; c < nc; ++c) {
-      const std::ptrdiff_t na = compact[cell_a[c]];
-      const std::ptrdiff_t nb = compact[cell_b[c]];
-      const std::size_t br = n_active + c;
-      if (na >= 0) {
-        entries.push_back({static_cast<std::size_t>(na), br, 1.0});
-        entries.push_back({br, static_cast<std::size_t>(na), 1.0});
-      }
-      if (nb >= 0) {
-        entries.push_back({static_cast<std::size_t>(nb), br, -1.0});
-        entries.push_back({br, static_cast<std::size_t>(nb), -1.0});
-      }
-      entries.push_back(
-          {br, br,
-           -(la::Complex{grid.resistance[c], 0.0} + jw * precond_l_.diag[c])});
-    }
-    for (const sparsify::MutualTerm& t : precond_l_.terms) {
-      entries.push_back(
-          {n_active + t.i, n_active + t.j, -jw * la::Complex{t.value}});
-      entries.push_back(
-          {n_active + t.j, n_active + t.i, -jw * la::Complex{t.value}});
-    }
-    for (std::size_t node : pin_nodes)
-      entries.push_back({static_cast<std::size_t>(compact[node]),
-                         static_cast<std::size_t>(compact[node]), 1.0});
-    pre = std::make_unique<fast::ComplexSparseFactor>(
-        size, entries, report, "mqs_precond", opts_.fast.dense_fallback_limit);
-    if (pre->usable()) {
-      pre_apply = [&pre](const la::CVector& r, la::CVector& z) {
-        z = pre->solve(r);
-      };
-    } else {
-      pre.reset();  // unpreconditioned GMRES is still well-defined
+  std::vector<la::Complex> y_cell(nc);
+  std::vector<fast::ComplexTriplet> entries;
+  entries.reserve(4 * nc + pin_nodes.size());
+  for (std::size_t c = 0; c < nc; ++c) {
+    y_cell[c] = 1.0 / (la::Complex{grid.resistance[c], 0.0} + jw * self_l_);
+    const std::ptrdiff_t na = compact[cell_a[c]];
+    const std::ptrdiff_t nb = compact[cell_b[c]];
+    if (na >= 0)
+      entries.push_back({static_cast<std::size_t>(na),
+                         static_cast<std::size_t>(na), y_cell[c]});
+    if (nb >= 0)
+      entries.push_back({static_cast<std::size_t>(nb),
+                         static_cast<std::size_t>(nb), y_cell[c]});
+    if (na >= 0 && nb >= 0) {
+      entries.push_back({static_cast<std::size_t>(na),
+                         static_cast<std::size_t>(nb), -y_cell[c]});
+      entries.push_back({static_cast<std::size_t>(nb),
+                         static_cast<std::size_t>(na), -y_cell[c]});
     }
   }
+  for (std::size_t node : pin_nodes)
+    entries.push_back({static_cast<std::size_t>(compact[node]),
+                       static_cast<std::size_t>(compact[node]), 1.0});
+  const fast::ComplexSparseFactor pre(n_active, entries, report,
+                                      "mqs_precond",
+                                      opts_.fast.dense_fallback_limit);
+  // Incidence A: v_a - v_b across cell c, and s scattered into a and -s
+  // into b (the reference node has no row).
+  const auto drop = [&](const la::CVector& v, std::size_t c) {
+    la::Complex d{};
+    if (const std::ptrdiff_t na = compact[cell_a[c]]; na >= 0)
+      d += v[static_cast<std::size_t>(na)];
+    if (const std::ptrdiff_t nb = compact[cell_b[c]]; nb >= 0)
+      d -= v[static_cast<std::size_t>(nb)];
+    return d;
+  };
+  const auto scatter = [&](la::CVector& out, std::size_t c, la::Complex s) {
+    if (const std::ptrdiff_t na = compact[cell_a[c]]; na >= 0)
+      out[static_cast<std::size_t>(na)] += s;
+    if (const std::ptrdiff_t nb = compact[cell_b[c]]; nb >= 0)
+      out[static_cast<std::size_t>(nb)] -= s;
+  };
+  const la::CApplyFn pre_apply = [&](const la::CVector& r, la::CVector& z) {
+    // rhs = r_v + A (y o r_i); solve Y v = rhs; recover the currents.
+    la::CVector rhs(r.begin(), r.begin() + n_active);
+    for (std::size_t c = 0; c < nc; ++c)
+      scatter(rhs, c, y_cell[c] * r[n_active + c]);
+    la::CVector v = pre.solve(rhs);
+    // One step of iterative refinement: along long series chains Y's
+    // condition grows like the chain length squared, and the currents
+    // y_c (v_a - v_b) difference away v's leading digits. Unrefined, a
+    // 3072-cell series loop needs one more GMRES iteration than the
+    // saddle factor did.
+    la::CVector res = std::move(rhs);
+    for (std::size_t c = 0; c < nc; ++c)
+      scatter(res, c, -y_cell[c] * drop(v, c));
+    for (std::size_t node : pin_nodes) {
+      const auto idx = static_cast<std::size_t>(compact[node]);
+      res[idx] -= v[idx];
+    }
+    const la::CVector dv = pre.solve(res);
+    z.assign(size, la::Complex{});
+    for (std::size_t k = 0; k < n_active; ++k) z[k] = v[k] + dv[k];
+    for (std::size_t c = 0; c < nc; ++c)
+      z[n_active + c] = y_cell[c] * (drop(z, c) - r[n_active + c]);
+  };
 
   auto& metrics = runtime::MetricsRegistry::instance();
   la::CVector x(size, la::Complex{});
-  const la::CApplyFn* pre_ptr = pre_apply ? &pre_apply : nullptr;
+  // An unusable factor leaves unpreconditioned GMRES, still well-defined.
+  const la::CApplyFn* pre_ptr = pre.usable() ? &pre_apply : nullptr;
 
   // Ladder: GMRES → retry → larger restart → dense fallback.
   la::GmresResult gr = la::gmres(apply, b, x, pre_ptr, opts_.fast.gmres);

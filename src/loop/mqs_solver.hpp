@@ -16,8 +16,10 @@
 //     plus an O(meshes³) solve.
 //   * FftGmres — the src/fast/ path: filaments voxelized onto a regular
 //     lattice, L applied matrix-free through the circulant-embedded FFT
-//     operator, the system solved by restarted GMRES with a sparsified-L
-//     preconditioner factored by the real-equivalent SparseLu. O(n log n)
+//     operator, the system solved by restarted GMRES. The preconditioner
+//     keeps only the cell self inductance, eliminates the branch currents
+//     and factors the nodal admittance matrix with the real-equivalent
+//     SparseLu (fast/precond.hpp). O(n log n)
 //     per iteration; accuracy governed by the voxel pitch (exact on
 //     lattice-aligned layouts — see fast/voxelize.hpp).
 //   * Auto — Dense below fast.auto_threshold filaments, FftGmres above.
@@ -28,7 +30,6 @@
 #include <vector>
 
 #include "extract/skin.hpp"
-#include "fast/precond.hpp"
 #include "fast/toeplitz_op.hpp"
 #include "fast/voxelize.hpp"
 #include "geom/layout.hpp"
@@ -48,7 +49,6 @@ const char* to_string(ExtractionMethod method);
 /// Knobs of the FftGmres path (ignored by Dense).
 struct FastSolveOptions {
   fast::VoxelOptions voxel{};
-  fast::PrecondOptions precond{};
   la::GmresOptions gmres{};
   /// Auto method switches to FftGmres at this many filaments.
   std::size_t auto_threshold = 1024;
@@ -136,7 +136,7 @@ class MqsSolver {
   ExtractionMethod method_ = ExtractionMethod::Dense;
   // Shared, immutable after construction — keeps MqsSolver copyable.
   std::shared_ptr<const fast::ToeplitzLOperator> toeplitz_;  // FftGmres only
-  sparsify::SparsifiedL precond_l_;  // frequency-independent sparsified L
+  double self_l_ = 0.0;  // cell self inductance, the preconditioner's L'
 };
 
 }  // namespace ind::loop

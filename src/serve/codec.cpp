@@ -92,10 +92,13 @@ void put_options(store::ByteWriter& w, const core::AnalysisOptions& o) {
   w.f64(fs.voxel.pitch_z);
   w.f64(fs.voxel.width);
   w.f64(fs.voxel.thickness);
-  w.u8(static_cast<std::uint8_t>(fs.precond.kind));
-  w.f64(fs.precond.radius);
-  w.f64(fs.precond.truncation_ratio);
-  w.u64(fs.precond.strip_cells);
+  // Codec v2's preconditioner block (kind, radius, truncation ratio, strip
+  // cells), kept at the one kind's values so that request fingerprints and
+  // persisted response keys do not move. Drop it at the next version bump.
+  w.u8(1);
+  w.f64(0.0);
+  w.f64(0.05);
+  w.u64(16);
   w.u64(fs.gmres.restart);
   w.u64(fs.gmres.max_restarts);
   w.f64(fs.gmres.tol);
@@ -181,12 +184,13 @@ void get_options(store::ByteReader& r, core::AnalysisOptions& o) {
   fs.voxel.pitch_z = r.f64();
   fs.voxel.width = r.f64();
   fs.voxel.thickness = r.f64();
-  fs.precond.kind = checked_enum<fast::PrecondKind>(
-      r.u8(), static_cast<std::uint8_t>(fast::PrecondKind::Truncation),
-      "precond_kind");
-  fs.precond.radius = r.f64();
-  fs.precond.truncation_ratio = r.f64();
-  fs.precond.strip_cells = r.u64();
+  // The preconditioner block (see put_options): only the diagonal kind, 1.
+  if (const std::uint8_t kind = r.u8(); kind != 1)
+    throw std::invalid_argument("serve: out-of-range precond_kind value " +
+                                std::to_string(kind));
+  r.f64();
+  r.f64();
+  r.u64();
   fs.gmres.restart = r.u64();
   fs.gmres.max_restarts = r.u64();
   fs.gmres.tol = r.f64();
@@ -499,22 +503,6 @@ void apply_option_spec(core::AnalysisOptions& opts, std::string_view spec) {
     } else if (key == "fft_pitch_um") {
       opts.loop.extraction.mqs.fast.voxel.pitch =
           geom::um(parse_double(key, value));
-    } else if (key == "fft_precond") {
-      fast::PrecondOptions& pc = opts.loop.extraction.mqs.fast.precond;
-      if (value == "none") {
-        pc.kind = fast::PrecondKind::None;
-      } else if (value == "diag") {
-        pc.kind = fast::PrecondKind::Diag;
-      } else if (value == "blockdiag") {
-        pc.kind = fast::PrecondKind::BlockDiag;
-      } else if (value == "shell") {
-        pc.kind = fast::PrecondKind::Shell;
-      } else if (value == "trunc") {
-        pc.kind = fast::PrecondKind::Truncation;
-      } else {
-        throw std::invalid_argument("serve: unknown preconditioner '" +
-                                    std::string(value) + "'");
-      }
     } else if (key == "gmres_tol") {
       opts.loop.extraction.mqs.fast.gmres.tol = parse_double(key, value);
     } else if (key == "gmres_restart") {

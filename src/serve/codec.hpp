@@ -75,9 +75,13 @@ struct Response {
 
 // --- binary serde ----------------------------------------------------------
 
+/// Codec v2 layout. The 25 bytes after the voxel options once carried the
+/// FFT preconditioner choice; they are written as the diagonal kind's
+/// constant values, so fingerprints and persisted response keys do not move.
 void put_request(store::ByteWriter& w, const Request& req);
 /// Throws store::StoreError on truncated/malformed input and
-/// std::invalid_argument on out-of-range enum values.
+/// std::invalid_argument on out-of-range enum values, including any
+/// preconditioner kind other than the diagonal one.
 void get_request(store::ByteReader& r, Request& req);
 
 /// Encodes the RESULT block of a finished analysis (see header comment for
@@ -141,7 +145,6 @@ Outcome run_request(const Request& req, std::uint32_t max_frame_bytes);
 ///                   (loop.extraction.max_segment_length, um)
 ///   method          dense | fft | auto (loop.extraction.mqs.method)
 ///   fft_pitch_um    voxel pitch of the fft method (0 = auto-select)
-///   fft_precond     none | diag | blockdiag | shell | trunc
 ///   gmres_tol       GMRES relative-residual tolerance
 ///   gmres_restart   GMRES restart (Krylov space) dimension
 ///   fft_auto_threshold  filament count where Auto switches to fft

@@ -682,6 +682,12 @@ void Server::execute(const FlightPtr& flight) {
         out.result_bytes);
     if (w.conn->send(f)) count("serve.responses");
   }
+  // Write-through, after the waiters are answered and outside
+  // state_mutex_: a response evicted from the in-memory LRU, or lost with
+  // the process, still warms a restarted server.
+  if (out.code == ErrorCode::None)
+    cache_save_disk(flight->fp, out.result_bytes, out.build_seconds,
+                    out.solve_seconds);
 }
 
 // ---------------------------------------------------------------------------
@@ -718,6 +724,24 @@ bool Server::cache_load_disk(const store::Digest& fp,
   return true;
 }
 
+void Server::cache_save_disk(const store::Digest& fp,
+                             const std::vector<std::uint8_t>& result,
+                             double build_seconds, double solve_seconds) {
+  auto& disk = store::ArtifactCache::instance();
+  if (!disk.enabled()) return;
+  store::Artifact a;
+  a.kind = kResponseKind;
+  a.fingerprint = fp;
+  store::ByteWriter bytes;
+  bytes.raw(result.data(), result.size());
+  a.add("result", std::move(bytes));
+  store::ByteWriter stats;
+  stats.f64(build_seconds);
+  stats.f64(solve_seconds);
+  a.add("stats", std::move(stats));
+  disk.save(a);
+}
+
 void Server::cache_store(const store::Digest& fp,
                          const std::vector<std::uint8_t>& result,
                          double build_seconds, double solve_seconds) {
@@ -726,7 +750,6 @@ void Server::cache_store(const store::Digest& fp,
   if (response_cache_.contains(key)) return;
   lru_.push_front(key);
   CacheEntry entry;
-  entry.fp = fp;
   entry.result = result;
   entry.build_seconds = build_seconds;
   entry.solve_seconds = solve_seconds;
@@ -736,26 +759,6 @@ void Server::cache_store(const store::Digest& fp,
     response_cache_.erase(lru_.back());
     lru_.pop_back();
     count("serve.cache_evictions");
-  }
-}
-
-void Server::flush_cache_to_store() {
-  auto& disk = store::ArtifactCache::instance();
-  if (!disk.enabled()) return;
-  std::lock_guard lock(state_mutex_);
-  for (const auto& [key, entry] : response_cache_) {
-    store::Artifact a;
-    a.kind = kResponseKind;
-    a.fingerprint = entry.fp;
-    store::ByteWriter result;
-    result.raw(entry.result.data(), entry.result.size());
-    a.add("result", std::move(result));
-    store::ByteWriter stats;
-    stats.f64(entry.build_seconds);
-    stats.f64(entry.solve_seconds);
-    a.add("stats", std::move(stats));
-    disk.save(a);
-    count("serve.cache_flushed");
   }
 }
 
@@ -866,9 +869,6 @@ void Server::shutdown() {
     std::lock_guard lock(conns_mutex_);
     conns_.clear();
   }
-
-  // 8. Persist the response cache so a restarted server starts warm.
-  flush_cache_to_store();
   running_.store(false);
 }
 

@@ -14,7 +14,8 @@
 //                  executor lane ── serve::run_request in-process, or
 //                        │          WorkerPool::run -> ind_worker -> run_request
 //                        ▼
-//                  respond to every waiter; store result in the cache
+//                  respond to every waiter; store result in the cache and
+//                  write it through to the artifact store
 //
 // In-process mode (IND_SERVE_WORKERS=0) analyses execute one at a time, in
 // the scheduler's fair order: the parallelism of a single core::analyze
@@ -69,8 +70,9 @@
 // answered ShuttingDown and the in-flight analysis is cancelled through the
 // CancelToken; the remaining sockets are then shut down *before* the worker
 // threads are joined (a blocked send fails fast instead of wedging the
-// join), and finally the response cache is flushed to the artifact store
-// (when IND_CACHE_DIR is set) and the listener exits 0.
+// join), and the listener exits 0. Nothing is left to persist at that point:
+// every computed response was already written through to the artifact store
+// (when IND_CACHE_DIR is set) as soon as its waiters were answered.
 #pragma once
 
 #include <atomic>
@@ -170,7 +172,7 @@ class Server {
   bool running() const { return running_.load(); }
 
   /// Graceful stop as documented in the header comment. Idempotent;
-  /// blocks until every thread is joined and the cache is flushed.
+  /// blocks until every thread is joined.
   void shutdown();
 
   /// Point-in-time health snapshot (also answered to HealthRequest frames).
@@ -208,10 +210,14 @@ class Server {
   bool cache_load_disk(const store::Digest& fp,
                        std::vector<std::uint8_t>* result, double* build_seconds,
                        double* solve_seconds);
+  /// Write-through of one computed response to the artifact store, when
+  /// IND_CACHE_DIR is set. Disk I/O: caller must NOT hold state_mutex_.
+  void cache_save_disk(const store::Digest& fp,
+                       const std::vector<std::uint8_t>& result,
+                       double build_seconds, double solve_seconds);
   void cache_store(const store::Digest& fp,
                    const std::vector<std::uint8_t>& result,
                    double build_seconds, double solve_seconds);
-  void flush_cache_to_store();
 
   ServerConfig config_;
   int listen_fd_ = -1;
@@ -235,7 +241,6 @@ class Server {
   std::unique_ptr<WorkerPool> pool_;
 
   struct CacheEntry {
-    store::Digest fp;
     std::vector<std::uint8_t> result;
     double build_seconds = 0.0;
     double solve_seconds = 0.0;

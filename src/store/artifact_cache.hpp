@@ -33,7 +33,9 @@
 #include <optional>
 #include <string>
 
+#include "govern/budget.hpp"
 #include "robust/diagnostics.hpp"
+#include "runtime/metrics.hpp"
 #include "store/format.hpp"
 
 namespace ind::store {
@@ -100,5 +102,50 @@ class ArtifactCache {
   std::string dir_;
   std::uint64_t max_bytes_ = kDefaultMaxBytes;
 };
+
+/// The load-or-compute skeleton every cache-aware wrapper shares. With the
+/// cache disabled it is exactly compute(): no fingerprint, no cancel check.
+/// Otherwise a hit decodes the stored value with `get_fn`; a miss computes,
+/// encodes with `put_fn` and stores it. Both codecs run under the
+/// store.(de)serialize timers so cache overhead is visible in BENCH json.
+template <typename T, typename Fingerprint, typename Compute, typename Put,
+          typename Get>
+T cached(const char* kind, Fingerprint fingerprint, Compute compute,
+         Put put_fn, Get get_fn) {
+  ArtifactCache& cache = ArtifactCache::instance();
+  if (!cache.enabled()) return compute();
+  // An already-cancelled run must not start a compute just to populate the
+  // cache; the degradation ladder handles the throw.
+  govern::throw_if_cancelled(kind);
+  const Digest fp = fingerprint();
+  robust::SolveReport report;
+  if (auto artifact = cache.load(kind, fp, &report)) {
+    runtime::ScopedTimer t("store.deserialize");
+    T value;
+    ByteReader r = artifact->reader(kind);
+    get_fn(r, value);
+    if (!report.actions.empty()) report.record("store");
+    return value;
+  }
+  T value = compute();
+  // A compute that ran to completion under a fired token may still be
+  // partial (a parallel stage skipped chunks): never persist it.
+  if (govern::Governor::instance().cancelled()) {
+    runtime::MetricsRegistry::instance().add_count("store.save_skipped", 1);
+    return value;
+  }
+  Artifact a;
+  a.kind = kind;
+  a.fingerprint = fp;
+  ByteWriter w;
+  {
+    runtime::ScopedTimer t("store.serialize");
+    put_fn(w, value);
+  }
+  a.add(kind, std::move(w));
+  cache.save(a);
+  if (!report.actions.empty()) report.record("store");
+  return value;
+}
 
 }  // namespace ind::store

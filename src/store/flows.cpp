@@ -1,7 +1,5 @@
 #include "store/flows.hpp"
 
-#include "govern/budget.hpp"
-#include "runtime/metrics.hpp"
 #include "sparsify/kmatrix.hpp"
 #include "store/artifact_cache.hpp"
 
@@ -251,49 +249,6 @@ void get(ByteReader& r, mor::ReducedModel& m) {
 }  // namespace ind::store::serde
 
 namespace ind::store {
-namespace {
-
-/// Shared hit/miss skeleton: returns the decoded object on a hit, otherwise
-/// computes, stores and returns it. `Serialize`/`Deserialize` run under the
-/// store.(de)serialize timers so cache overhead is visible in BENCH json.
-template <typename T, typename Compute, typename Put, typename Get>
-T cached(const char* kind, const Digest& fp, Compute compute, Put put_fn,
-         Get get_fn) {
-  // An already-cancelled run must not start a compute just to populate the
-  // cache; the degradation ladder handles the throw.
-  govern::throw_if_cancelled(kind);
-  ArtifactCache& cache = ArtifactCache::instance();
-  robust::SolveReport report;
-  if (auto artifact = cache.load(kind, fp, &report)) {
-    runtime::ScopedTimer t("store.deserialize");
-    T value;
-    ByteReader r = artifact->reader(kind);
-    get_fn(r, value);
-    if (!report.actions.empty()) report.record("store");
-    return value;
-  }
-  T value = compute();
-  // A compute that ran to completion under a fired token may still be
-  // partial (a parallel stage skipped chunks): never persist it.
-  if (govern::Governor::instance().cancelled()) {
-    runtime::MetricsRegistry::instance().add_count("store.save_skipped", 1);
-    return value;
-  }
-  Artifact a;
-  a.kind = kind;
-  a.fingerprint = fp;
-  ByteWriter w;
-  {
-    runtime::ScopedTimer t("store.serialize");
-    put_fn(w, value);
-  }
-  a.add(kind, std::move(w));
-  cache.save(a);
-  if (!report.actions.empty()) report.record("store");
-  return value;
-}
-
-}  // namespace
 
 void hash_peec_options(Hasher& h, const peec::PeecOptions& o) {
   h.boolean(o.rc_only);
@@ -362,10 +317,8 @@ Digest fingerprint_kmatrix(const la::Matrix& partial_l,
 
 peec::PeecModel cached_peec_model(const geom::Layout& input,
                                   const peec::PeecOptions& opts) {
-  if (!ArtifactCache::instance().enabled())
-    return peec::build_peec_model(input, opts);
   return cached<peec::PeecModel>(
-      "peec_model", fingerprint(input, opts),
+      "peec_model", [&] { return fingerprint(input, opts); },
       [&] { return peec::build_peec_model(input, opts); },
       [](ByteWriter& w, const peec::PeecModel& m) { serde::put(w, m); },
       [](ByteReader& r, peec::PeecModel& m) { serde::get(r, m); });
@@ -374,10 +327,8 @@ peec::PeecModel cached_peec_model(const geom::Layout& input,
 mor::ReducedModel cached_prima_reduce(const la::Matrix& g, const la::Matrix& c,
                                       const la::Matrix& b, const la::Matrix& l,
                                       const mor::PrimaOptions& opts) {
-  if (!ArtifactCache::instance().enabled())
-    return mor::prima_reduce(g, c, b, l, opts);
   return cached<mor::ReducedModel>(
-      "prima_rom", fingerprint_prima(g, c, b, l, opts),
+      "prima_rom", [&] { return fingerprint_prima(g, c, b, l, opts); },
       [&] { return mor::prima_reduce(g, c, b, l, opts); },
       [](ByteWriter& w, const mor::ReducedModel& m) { serde::put(w, m); },
       [](ByteReader& r, mor::ReducedModel& m) { serde::get(r, m); });
@@ -385,10 +336,9 @@ mor::ReducedModel cached_prima_reduce(const la::Matrix& g, const la::Matrix& c,
 
 sparsify::SparsifiedL cached_kmatrix_sparsify(const la::Matrix& partial_l,
                                               double threshold_ratio) {
-  if (!ArtifactCache::instance().enabled())
-    return sparsify::kmatrix_sparsify(partial_l, threshold_ratio);
   return cached<sparsify::SparsifiedL>(
-      "kmatrix", fingerprint_kmatrix(partial_l, threshold_ratio),
+      "kmatrix",
+      [&] { return fingerprint_kmatrix(partial_l, threshold_ratio); },
       [&] { return sparsify::kmatrix_sparsify(partial_l, threshold_ratio); },
       [](ByteWriter& w, const sparsify::SparsifiedL& s) { serde::put(w, s); },
       [](ByteReader& r, sparsify::SparsifiedL& s) { serde::get(r, s); });

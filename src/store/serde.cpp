@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "govern/budget.hpp"
-#include "runtime/metrics.hpp"
 #include "store/artifact_cache.hpp"
 
 namespace ind::store::serde {
@@ -440,35 +438,11 @@ Digest fingerprint(const geom::Layout& layout,
 
 extract::Extraction cached_extraction(const geom::Layout& layout,
                                       const extract::ExtractionOptions& opts) {
-  ArtifactCache& cache = ArtifactCache::instance();
-  if (!cache.enabled()) return extract::extract(layout, opts);
-
-  const Digest fp = fingerprint(layout, opts);
-  robust::SolveReport report;
-  if (auto artifact = cache.load("extraction", fp, &report)) {
-    runtime::ScopedTimer t("store.deserialize");
-    extract::Extraction x;
-    ByteReader r = artifact->reader("extraction");
-    serde::get(r, x);
-    if (!report.actions.empty()) report.record("store");
-    return x;
-  }
-  extract::Extraction x = extract::extract(layout, opts);
-  // A fired cancel token means a parallel assembly stage may have skipped
-  // chunks — the extraction could be partial, so it must not be persisted.
-  if (govern::Governor::instance().cancelled()) {
-    runtime::MetricsRegistry::instance().add_count("store.save_skipped", 1);
-    return x;
-  }
-  Artifact a;
-  a.kind = "extraction";
-  a.fingerprint = fp;
-  ByteWriter w;
-  serde::put(w, x);
-  a.add("extraction", std::move(w));
-  cache.save(a);
-  if (!report.actions.empty()) report.record("store");
-  return x;
+  return cached<extract::Extraction>(
+      "extraction", [&] { return fingerprint(layout, opts); },
+      [&] { return extract::extract(layout, opts); },
+      [](ByteWriter& w, const extract::Extraction& x) { serde::put(w, x); },
+      [](ByteReader& r, extract::Extraction& x) { serde::get(r, x); });
 }
 
 }  // namespace ind::store

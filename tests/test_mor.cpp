@@ -235,6 +235,7 @@ TEST(Cosim, RejectsBadPortIndex) {
 
 #include "la/cholesky.hpp"
 #include "mor/hierarchical.hpp"
+#include "matrix_checks.hpp"
 
 namespace {
 
@@ -342,7 +343,7 @@ TEST(Hierarchical, ReducedSystemKeepsPassivityStructure) {
   // Congruence preserves symmetry of the C part (pure RC circuit) and
   // semidefiniteness: check C_red is symmetric PSD.
   const la::Matrix& cr = hier.model.c;
-  EXPECT_TRUE(la::is_symmetric(cr, 1e-9));
+  EXPECT_TRUE(test::is_symmetric(cr, 1e-9));
   la::Matrix shifted = cr;
   for (std::size_t i = 0; i < shifted.rows(); ++i)
     shifted(i, i) += 1e-20;  // tolerate zero rows (global branch currents)

@@ -17,6 +17,7 @@
 #include "sparsify/kmatrix.hpp"
 #include "sparsify/shell.hpp"
 #include "sparsify/stability.hpp"
+#include "matrix_checks.hpp"
 
 namespace {
 
@@ -51,7 +52,7 @@ TEST_P(PartialMatrixPsd, FullMatrixIsSpd) {
     segs.push_back(s);
   }
   const la::Matrix l = extract::build_partial_inductance_matrix(segs);
-  EXPECT_TRUE(la::is_symmetric(l));
+  EXPECT_TRUE(test::is_symmetric(l));
   EXPECT_TRUE(la::is_positive_definite(l));
   // Passivity pairwise bound: |M| < sqrt(Li Lj).
   for (std::size_t i = 0; i < l.rows(); ++i)

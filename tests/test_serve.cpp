@@ -8,10 +8,12 @@
 // modes share (same bytes, codes and details in-process and in workers).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <semaphore>
 #include <string>
@@ -38,6 +40,7 @@
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
+#include "store/artifact_cache.hpp"
 #include "store/format.hpp"
 #include "store/serde.hpp"
 
@@ -142,6 +145,31 @@ TEST_F(ServeTest, RequestDecodeRejectsOutOfRangeEnum) {
   serve::Request back;
   store::ByteReader r(corrupt);
   EXPECT_THROW(serve::get_request(r, back), std::invalid_argument);
+}
+
+TEST_F(ServeTest, RequestDecodeAcceptsOnlyTheDiagonalPreconditioner) {
+  // The reserved preconditioner block (kind u8, radius f64, truncation
+  // ratio f64, strip cells u64) sits right before the GMRES restart.
+  const serve::Request req = grid_request();
+  auto image = encoded(req);
+  store::ByteWriter tail;
+  tail.u8(1);
+  tail.f64(0.0);
+  tail.f64(0.05);
+  tail.u64(16);
+  tail.u64(req.options.loop.extraction.mqs.fast.gmres.restart);
+  const std::vector<std::uint8_t> block = tail.take();
+  const auto at = std::search(image.begin(), image.end(), block.begin(),
+                              block.end());
+  ASSERT_NE(at, image.end());
+  *at = 2;  // a windowed kind the codec no longer knows
+  serve::Request back;
+  store::ByteReader r(image);
+  EXPECT_THROW(serve::get_request(r, back), std::invalid_argument);
+
+  // Its spec key is gone with it: an unknown key.
+  EXPECT_THROW(serve::options_from_spec("fft_precond=diag"),
+               std::invalid_argument);
 }
 
 TEST_F(ServeTest, ResultBlockRoundTripsWithWaveforms) {
@@ -708,6 +736,59 @@ TEST_F(ServeTest, GracefulShutdownDrainsAdmittedWork) {
   EXPECT_FALSE(server.running());
   // Idempotent: a second shutdown is a no-op.
   server.shutdown();
+}
+
+TEST_F(ServeTest, ComputedResponsesPersistPastEvictionAndRestart) {
+  // Each computed response is written through to the artifact store, so
+  // the ones evicted from a one-entry LRU still warm a restarted server.
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "ind_serve_write_through";
+  fs::remove_all(dir);
+  auto& disk = store::ArtifactCache::instance();
+  disk.configure(dir);
+  struct Restore {
+    std::string dir;
+    ~Restore() {
+      store::ArtifactCache::instance().configure("");
+      fs::remove_all(dir);
+    }
+  } restore{dir};
+
+  serve::ServerConfig config;
+  config.result_cache_entries = 1;
+  const std::vector<serve::Request> bodies = {
+      grid_request(220.0), grid_request(240.0), grid_request(260.0)};
+  std::vector<std::vector<std::uint8_t>> computed;
+  {
+    serve::Server server(config);
+    server.start();
+    serve::Client client;
+    client.connect_tcp("127.0.0.1", server.port());
+    for (const serve::Request& req : bodies) {
+      const serve::Reply reply = client.analyze(computed.size() + 1, req);
+      ASSERT_TRUE(reply.ok) << serve::to_string(reply.error.code);
+      EXPECT_EQ(reply.response.served_by, serve::Response::ServedBy::Computed);
+      computed.push_back(reply.response.result_bytes);
+    }
+    server.shutdown();
+  }
+  std::size_t artifacts = 0;
+  for (const auto& entry : fs::directory_iterator(dir))
+    if (entry.path().filename().string().starts_with("serve_response-"))
+      ++artifacts;
+  EXPECT_EQ(artifacts, bodies.size());
+
+  serve::Server restarted(config);
+  restarted.start();
+  serve::Client client;
+  client.connect_tcp("127.0.0.1", restarted.port());
+  for (std::size_t k = 0; k < bodies.size(); ++k) {
+    const serve::Reply reply = client.analyze(k + 1, bodies[k]);
+    ASSERT_TRUE(reply.ok) << serve::to_string(reply.error.code);
+    EXPECT_EQ(reply.response.served_by, serve::Response::ServedBy::Cache);
+    EXPECT_EQ(reply.response.result_bytes, computed[k]);
+  }
+  restarted.shutdown();
 }
 
 TEST_F(ServeTest, ResultBytesIdenticalAcrossThreadCounts) {

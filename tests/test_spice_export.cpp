@@ -1,11 +1,20 @@
 // Tests for the SPICE deck exporter.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "circuit/spice_export.hpp"
 
 namespace {
 
 using namespace ind::circuit;
+
+std::string to_spice(const Netlist& nl, const SpiceExportOptions& opts = {}) {
+  std::ostringstream os;
+  write_spice(os, nl, opts);
+  return os.str();
+}
 
 TEST(SpiceExport, BasicCards) {
   Netlist nl;

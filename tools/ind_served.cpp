@@ -5,9 +5,10 @@
 // Listens on TCP (default: 127.0.0.1, ephemeral port — the bound port is
 // printed on stdout so harnesses can parse it) or a Unix-domain socket, and
 // serves the serve/ wire protocol until SIGINT/SIGTERM. Shutdown is
-// graceful: admission stops, in-flight work drains (IND_SERVE_DRAIN_MS), the
-// response cache is flushed to IND_CACHE_DIR, metrics land in
-// BENCH_served.json, and the process exits 0.
+// graceful: admission stops, in-flight work drains (IND_SERVE_DRAIN_MS),
+// metrics land in BENCH_served.json, and the process exits 0. Computed
+// responses are written through to IND_CACHE_DIR as they complete, so a
+// restart (even after kill -9) starts warm.
 //
 // All tuning is via the IND_SERVE_* environment knobs (see ServerConfig) on
 // top of the usual IND_THREADS / IND_CACHE_DIR / IND_DEADLINE_MS family.
