@@ -121,23 +121,4 @@ void Mna::apply_g(const la::CscMatrix& g_static, double t, const la::Vector& x,
   }
 }
 
-DenseSystem build_dense_system(const Netlist& netlist,
-                               const std::vector<NodeId>& port_nodes,
-                               double driver_time) {
-  Mna mna(netlist);
-  la::TripletMatrix g, c;
-  mna.stamp_static(g, c);
-  if (driver_time >= 0.0) mna.stamp_drivers(g, driver_time);
-  DenseSystem sys;
-  sys.g = g.to_dense();
-  sys.c = c.to_dense();
-  sys.b.resize(mna.size(), port_nodes.size());
-  for (std::size_t p = 0; p < port_nodes.size(); ++p) {
-    if (port_nodes[p] < 0)
-      throw std::invalid_argument("build_dense_system: ground port");
-    sys.b(static_cast<std::size_t>(port_nodes[p]), p) = 1.0;
-  }
-  return sys;
-}
-
 }  // namespace ind::circuit

@@ -49,21 +49,4 @@ class Mna {
   std::size_t n_nodes_ = 0, n_inductors_ = 0, n_vsources_ = 0, size_ = 0;
 };
 
-/// Dense G, C system plus a port incidence matrix B — the inputs PRIMA
-/// needs. Port k is a current injection at a node.
-struct DenseSystem {
-  la::Matrix g;
-  la::Matrix c;
-  la::Matrix b;  ///< size x num_ports
-};
-
-/// Builds the dense MNA system with unit current-injection columns at
-/// `port_nodes`. Driver conductances are evaluated at `driver_time`; a
-/// negative `driver_time` excludes the drivers entirely (used by the PRIMA
-/// co-simulation flow, which keeps switching devices outside the reduced
-/// linear macromodel).
-DenseSystem build_dense_system(const Netlist& netlist,
-                               const std::vector<NodeId>& port_nodes,
-                               double driver_time = 1e12);
-
 }  // namespace ind::circuit

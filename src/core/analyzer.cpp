@@ -176,9 +176,11 @@ AnalysisReport analyze_prima(const geom::Layout& layout,
   for (std::size_t m = 0; m < model.receiver_probes.size(); ++m)
     l_out(model.receiver_probes[m].index, m) = 1.0;
 
-  // G, C without driver conductances.
-  const circuit::DenseSystem sys =
-      circuit::build_dense_system(model.netlist, {}, /*driver_time=*/-1.0);
+  // G, C without driver conductances: the drivers stay outside the
+  // macromodel and are co-simulated through their ports.
+  la::TripletMatrix g_stamps, c_stamps;
+  mna.stamp_static(g_stamps, c_stamps);
+  const la::CscMatrix g(g_stamps), c(c_stamps);
 
   mor::ReducedModel reduced;
   if (opts.flow == Flow::PeecRlcHier) {
@@ -201,12 +203,12 @@ AnalysisReport analyze_prima(const geom::Layout& layout,
     mor::HierarchicalOptions hopts;
     hopts.order_per_block = opts.params.hier_order_per_block;
     mor::HierarchicalResult hier = mor::hierarchical_reduce(
-        sys.g, sys.c, b, l_out, std::move(block_of), hopts);
+        g, c, b, l_out, std::move(block_of), hopts);
     reduced = std::move(hier.model);
   } else {
     mor::PrimaOptions prima_opts;
     prima_opts.max_order = opts.params.prima_order;
-    reduced = store::cached_prima_reduce(sys.g, sys.c, b, l_out, prima_opts);
+    reduced = store::cached_prima_reduce(g, c, b, l_out, prima_opts);
   }
   report.build_seconds = seconds_since(t_build);
   report.unknowns = n;

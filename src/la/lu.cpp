@@ -292,12 +292,12 @@ std::vector<T> LuFactor<T>::solve_transposed(const std::vector<T>& b) const {
 }
 
 template <typename T>
-double LuFactor<T>::condition_estimate() const {
-  const std::size_t n = size();
+double inverse_norm1_estimate(
+    std::size_t n,
+    const std::function<std::vector<T>(const std::vector<T>&)>& solve,
+    const std::function<std::vector<T>(const std::vector<T>&)>&
+        solve_transposed) {
   if (n == 0) return 0.0;
-  // Hager's 1-norm estimator for ||A^-1||_1: maximise ||A^-1 x||_1 over the
-  // unit 1-norm ball by following sign-vector gradients. Deterministic, a
-  // bounded handful of O(n^2) solves.
   std::vector<T> x(n, T(1.0 / static_cast<double>(n)));
   double est = 0.0;
   std::size_t last_j = n;  // unit-vector index of the previous iteration
@@ -324,7 +324,23 @@ double LuFactor<T>::condition_estimate() const {
     std::fill(x.begin(), x.end(), T{});
     x[j] = T{1.0};
   }
-  return norm1_ * est;
+  return est;
+}
+
+template double inverse_norm1_estimate<double>(
+    std::size_t, const std::function<Vector(const Vector&)>&,
+    const std::function<Vector(const Vector&)>&);
+template double inverse_norm1_estimate<Complex>(
+    std::size_t, const std::function<CVector(const CVector&)>&,
+    const std::function<CVector(const CVector&)>&);
+
+template <typename T>
+double LuFactor<T>::condition_estimate() const {
+  return norm1_ * inverse_norm1_estimate<T>(
+                      size(), [this](const std::vector<T>& b) { return solve(b); },
+                      [this](const std::vector<T>& b) {
+                        return solve_transposed(b);
+                      });
 }
 
 template class LuFactor<double>;

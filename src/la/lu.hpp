@@ -12,6 +12,7 @@
 // at any IND_THREADS for a fixed block size.
 #pragma once
 
+#include <functional>
 #include <stdexcept>
 
 #include "la/dense_matrix.hpp"
@@ -85,6 +86,18 @@ class LuFactor {
 
 using LU = LuFactor<double>;
 using CLU = LuFactor<Complex>;
+
+/// Hager's deterministic estimate of ||A^-1||_1 for an n x n system given
+/// only its solve (A x = b) and transposed solve (A^T x = b): maximises
+/// ||A^-1 x||_1 over the unit 1-norm ball by following sign-vector
+/// gradients, at most five iterations. Shared by the dense and sparse
+/// factorisations' condition estimates; +inf when a solve overflows.
+template <typename T>
+double inverse_norm1_estimate(
+    std::size_t n,
+    const std::function<std::vector<T>(const std::vector<T>&)>& solve,
+    const std::function<std::vector<T>(const std::vector<T>&)>&
+        solve_transposed);
 
 /// Convenience: solve A x = b with a one-shot factorisation.
 Vector solve(Matrix a, const Vector& b);

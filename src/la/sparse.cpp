@@ -95,4 +95,54 @@ Matrix CscMatrix::to_dense() const {
   return m;
 }
 
+Matrix operator*(const CscMatrix& a, const Matrix& x) {
+  if (x.rows() != a.cols())
+    throw std::invalid_argument("CscMatrix * Matrix: inner dimension");
+  const std::size_t w = x.cols();
+  const auto& cp = a.col_ptr();
+  const auto& ri = a.row_idx();
+  const auto& av = a.values();
+  Matrix y(a.rows(), w);
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    const double* xj = x.data() + j * w;
+    for (std::size_t p = cp[j]; p < cp[j + 1]; ++p) {
+      double* yi = y.data() + ri[p] * w;
+      for (std::size_t c = 0; c < w; ++c) yi[c] += av[p] * xj[c];
+    }
+  }
+  return y;
+}
+
+CscMatrix add_scaled(const CscMatrix& a, double beta, const CscMatrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols())
+    throw std::invalid_argument("add_scaled: dimension mismatch");
+  std::vector<std::size_t> col_ptr(a.cols() + 1, 0), row_idx;
+  std::vector<double> values;
+  row_idx.reserve(a.nnz() + b.nnz());
+  values.reserve(a.nnz() + b.nnz());
+  const auto &ap = a.col_ptr(), &ar = a.row_idx(), &bp = b.col_ptr(),
+             &br = b.row_idx();
+  const auto &av = a.values(), &bv = b.values();
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    std::size_t p = ap[j], q = bp[j];
+    while (p < ap[j + 1] || q < bp[j + 1]) {
+      const std::size_t ra = p < ap[j + 1] ? ar[p] : a.rows();
+      const std::size_t rb = q < bp[j + 1] ? br[q] : b.rows();
+      if (ra < rb) {
+        row_idx.push_back(ra);
+        values.push_back(av[p++]);
+      } else if (rb < ra) {
+        row_idx.push_back(rb);
+        values.push_back(beta * bv[q++]);
+      } else {
+        row_idx.push_back(ra);
+        values.push_back(av[p++] + beta * bv[q++]);
+      }
+    }
+    col_ptr[j + 1] = row_idx.size();
+  }
+  return CscMatrix(a.rows(), a.cols(), std::move(col_ptr), std::move(row_idx),
+                   std::move(values));
+}
+
 }  // namespace ind::la

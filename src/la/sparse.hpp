@@ -89,4 +89,11 @@ class CscMatrix {
   govern::MemCharge charge_;
 };
 
+/// A X for a dense block of columns (X has a.cols() rows).
+Matrix operator*(const CscMatrix& a, const Matrix& x);
+
+/// a + beta * b over the union of both patterns (same dimensions). Entries
+/// present in only one operand keep that operand's (scaled) value.
+CscMatrix add_scaled(const CscMatrix& a, double beta, const CscMatrix& b);
+
 }  // namespace ind::la

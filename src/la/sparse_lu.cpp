@@ -289,4 +289,32 @@ Vector SparseLu::solve(const Vector& b) const {
   return x;
 }
 
+Vector SparseLu::solve_transposed(const Vector& b) const {
+  if (b.size() != n_)
+    throw std::invalid_argument("SparseLu::solve_transposed: size");
+  const auto& perm = symbolic_.perm_;
+  const auto& order = symbolic_.order_;
+  // A Q = L U with Q the column order and L holding original row indices
+  // (L(perm[k], k) = 1), so A^T x = b  <=>  U^T (L^T x) = Q^T b.
+  // Forward with U^T: column k of U is row k of U^T (pivot steps < k).
+  Vector z(n_);
+  for (std::size_t k = 0; k < n_; ++k) {
+    double acc = b[order[k]];
+    const Col& col = upper_[k];
+    for (std::size_t q = 0; q < col.rows.size(); ++q)
+      acc -= col.vals[q] * z[col.rows[q]];
+    z[k] = acc / diag_[k];
+  }
+  // Backward with L^T: row k reads x at rows pivoted after step k.
+  Vector x(n_);
+  for (std::size_t k = n_; k-- > 0;) {
+    double acc = z[k];
+    const Col& col = lower_[k];
+    for (std::size_t q = 0; q < col.rows.size(); ++q)
+      acc -= col.vals[q] * x[col.rows[q]];
+    x[perm[k]] = acc;
+  }
+  return x;
+}
+
 }  // namespace ind::la

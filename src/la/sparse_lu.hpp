@@ -98,6 +98,9 @@ class SparseLu {
   /// Solves A x = b.
   Vector solve(const Vector& b) const;
 
+  /// Solves A^T x = b with the same factors (no refactorisation).
+  Vector solve_transposed(const Vector& b) const;
+
  private:
   struct Col {
     std::vector<std::size_t> rows;

@@ -1,5 +1,6 @@
 #include "mor/hierarchical.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "la/lu.hpp"
@@ -7,8 +8,8 @@
 
 namespace ind::mor {
 
-HierarchicalResult hierarchical_reduce(const la::Matrix& g,
-                                       const la::Matrix& c,
+HierarchicalResult hierarchical_reduce(const la::CscMatrix& g,
+                                       const la::CscMatrix& c,
                                        const la::Matrix& b,
                                        const la::Matrix& l,
                                        std::vector<int> block_of,
@@ -27,16 +28,32 @@ HierarchicalResult hierarchical_reduce(const la::Matrix& g,
     for (std::size_t j = 0; j < l.cols(); ++j) io |= l(i, j) != 0.0;
     if (io) block_of[i] = -1;
   }
+  // Coupling partners of each unknown: j with a nonzero G or C entry at
+  // (i, j) or (j, i), ascending. One pass over both CSC patterns instead of
+  // an n^2 scan per promotion sweep.
+  std::vector<std::vector<std::size_t>> partners(n);
+  for (const la::CscMatrix* m : {&g, &c}) {
+    const auto& cp = m->col_ptr();
+    const auto& ri = m->row_idx();
+    const auto& mv = m->values();
+    for (std::size_t j = 0; j < n; ++j)
+      for (std::size_t p = cp[j]; p < cp[j + 1]; ++p) {
+        if (mv[p] == 0.0 || ri[p] == j) continue;
+        partners[ri[p]].push_back(j);
+        partners[j].push_back(ri[p]);
+      }
+  }
+  for (auto& list : partners) {
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+  }
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t i = 0; i < n; ++i) {
       if (block_of[i] < 0) continue;
-      for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t j : partners[i]) {
         if (block_of[j] < 0 || block_of[j] == block_of[i]) continue;
-        if (g(i, j) == 0.0 && c(i, j) == 0.0 && g(j, i) == 0.0 &&
-            c(j, i) == 0.0)
-          continue;
         // Promote the unknown with the weaker block claim (higher index).
         block_of[std::max(i, j)] = -1;
         changed = true;

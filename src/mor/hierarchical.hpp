@@ -34,8 +34,8 @@ struct HierarchicalResult {
 /// Reduces (g, c, b, l) given a block id per unknown (entries < 0 are
 /// forced global). Unknowns with nonzero rows in b or l, and unknowns
 /// coupling to a different block, are promoted to global automatically.
-HierarchicalResult hierarchical_reduce(const la::Matrix& g,
-                                       const la::Matrix& c,
+HierarchicalResult hierarchical_reduce(const la::CscMatrix& g,
+                                       const la::CscMatrix& c,
                                        const la::Matrix& b,
                                        const la::Matrix& l,
                                        std::vector<int> block_of,

@@ -1,5 +1,6 @@
 #include "mor/prima.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -13,8 +14,101 @@
 #include "runtime/metrics.hpp"
 
 namespace ind::mor {
+namespace {
 
-ReducedModel prima_reduce(const la::Matrix& g, const la::Matrix& c,
+std::vector<double> diagonal(const la::CscMatrix& m) {
+  std::vector<double> d(m.cols(), 0.0);
+  for (std::size_t j = 0; j < m.cols(); ++j)
+    for (std::size_t p = m.col_ptr()[j]; p < m.col_ptr()[j + 1]; ++p)
+      if (m.row_idx()[p] == j) d[j] += m.values()[p];
+  return d;
+}
+
+// Row scales for factoring G + s0 C. An inductor-branch row (its diagonal
+// comes from C alone: v_a - v_b - s0 L i = 0) is an equation in volts, a
+// node row one in amperes. At s0 a node's diagonal s0 C_node is far below
+// the unit incidence entries the branch rows put into its column, so the
+// pivots leave the diagonal and the LU fills ~2.6x more than the same
+// pattern at the transient's shift. Scaling the branch rows by the
+// characteristic admittance Y0 = sqrt(C_node / L_branch) (geometric means
+// of the diagonal stamps) puts both in amperes and keeps the pivots on the
+// diagonal. Unscaled rows get exactly 1.
+std::vector<double> branch_row_scales(const la::CscMatrix& g,
+                                      const la::CscMatrix& c) {
+  const std::vector<double> gd = diagonal(g), cd = diagonal(c);
+  double log_c = 0.0, log_l = 0.0;
+  std::size_t caps = 0, branches = 0;
+  for (std::size_t i = 0; i < cd.size(); ++i) {
+    if (cd[i] == 0.0) continue;
+    if (gd[i] != 0.0) {
+      log_c += std::log(std::abs(cd[i]));
+      ++caps;
+    } else {
+      log_l += std::log(std::abs(cd[i]));
+      ++branches;
+    }
+  }
+  std::vector<double> scale(cd.size(), 1.0);
+  if (caps == 0 || branches == 0) return scale;
+  const double y0 = std::exp(0.5 * (log_c / static_cast<double>(caps) -
+                                    log_l / static_cast<double>(branches)));
+  for (std::size_t i = 0; i < cd.size(); ++i)
+    if (cd[i] != 0.0 && gd[i] == 0.0) scale[i] = y0;
+  return scale;
+}
+
+la::CscMatrix scale_rows(const la::CscMatrix& a,
+                         const std::vector<double>& scale) {
+  std::vector<double> values = a.values();
+  for (std::size_t p = 0; p < values.size(); ++p)
+    values[p] *= scale[a.row_idx()[p]];
+  return la::CscMatrix(a.rows(), a.cols(), a.col_ptr(), a.row_idx(),
+                       std::move(values));
+}
+
+// Solves with A = G + s0 C through the factor of D A (D = row scales):
+// A^-1 b = (D A)^-1 (D b) and A^-T b = D (D A)^-T b.
+struct ScaledFactor {
+  robust::GuardedSparseFactor lu;
+  std::vector<double> row_scale;
+
+  la::Vector solve(la::Vector b) const {
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] *= row_scale[i];
+    return lu.solve(b);
+  }
+  la::Vector solve_transposed(const la::Vector& b) const {
+    la::Vector x = lu.solve_transposed(b);
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] *= row_scale[i];
+    return x;
+  }
+};
+
+// One solve per column of the block.
+la::Matrix solve_block(const ScaledFactor& factor, const la::Matrix& rhs) {
+  la::Matrix x(rhs.rows(), rhs.cols());
+  la::Vector col(rhs.rows());
+  for (std::size_t j = 0; j < rhs.cols(); ++j) {
+    for (std::size_t i = 0; i < rhs.rows(); ++i) col[i] = rhs(i, j);
+    const la::Vector sol = factor.solve(col);
+    for (std::size_t i = 0; i < rhs.rows(); ++i) x(i, j) = sol[i];
+  }
+  return x;
+}
+
+double norm1(const la::CscMatrix& a) {
+  double norm = 0.0;
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    double sum = 0.0;
+    for (std::size_t p = a.col_ptr()[j]; p < a.col_ptr()[j + 1]; ++p)
+      sum += std::abs(a.values()[p]);
+    norm = std::max(norm, sum);
+  }
+  return norm;
+}
+
+}  // namespace
+
+ReducedModel prima_reduce(const la::CscMatrix& g, const la::CscMatrix& c,
                           const la::Matrix& b, const la::Matrix& l,
                           const PrimaOptions& opts) {
   const std::size_t n = g.rows();
@@ -27,18 +121,27 @@ ReducedModel prima_reduce(const la::Matrix& g, const la::Matrix& c,
   ReducedModel r;
   robust::SolveReport& report = r.report;
 
-  // A = (G + s0 C)^{-1}; factor once, reuse for every Krylov block.
-  la::Matrix shifted = g;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) shifted(i, j) += opts.s0 * c(i, j);
-  const la::LU factor =
-      robust::factor_dense_with_recovery(shifted, report, "prima");
-  if (factor.size() == 0) {
+  // A = (G + s0 C)^{-1}; factor once (row-scaled), reuse for every block.
+  const la::CscMatrix shifted = la::add_scaled(g, opts.s0, c);
+  ScaledFactor factor;
+  factor.row_scale = branch_row_scales(g, c);
+  factor.lu = robust::factor_sparse_with_recovery(
+      scale_rows(shifted, factor.row_scale), report, "prima");
+  if (!factor.lu.usable()) {
     report.record("prima");
     throw la::SingularMatrixError(
         "prima_reduce: G + s0*C is singular (fallback ladder exhausted)");
   }
+  report.condition_estimate = std::max(
+      report.condition_estimate,
+      norm1(shifted) *
+          la::inverse_norm1_estimate<double>(
+              n, [&](const la::Vector& v) { return factor.solve(v); },
+              [&](const la::Vector& v) {
+                return factor.solve_transposed(v);
+              }));
 
+  runtime::ScopedTimer timer("solve.prima_krylov");
   auto finite_col = [](const la::Matrix& m, std::size_t j) {
     for (std::size_t i = 0; i < m.rows(); ++i)
       if (!std::isfinite(m(i, j))) return false;
@@ -57,7 +160,7 @@ ReducedModel prima_reduce(const la::Matrix& g, const la::Matrix& c,
       bad = !finite_col(blk, j);
     if (!bad) return;
     report.add_action(robust::RecoveryKind::Retry, 0, 0.0, site);
-    blk = factor.solve(rhs);
+    blk = solve_block(factor, rhs);
     if (robust::fault::fire(robust::fault::Site::KrylovBlock))
       blk(0, 0) = std::numeric_limits<double>::quiet_NaN();
     std::vector<std::size_t> keep;
@@ -74,7 +177,7 @@ ReducedModel prima_reduce(const la::Matrix& g, const la::Matrix& c,
 
   // First block: orth((G + s0 C)^{-1} B).
   la::Matrix basis(n, 0);
-  la::Matrix block = factor.solve(b);
+  la::Matrix block = solve_block(factor, b);
   std::int64_t krylov_iterations = 0;
   guard_block(block, b, krylov_iterations);
   while (basis.cols() < opts.max_order && block.cols() > 0) {
@@ -97,7 +200,7 @@ ReducedModel prima_reduce(const la::Matrix& g, const la::Matrix& c,
     if (basis.cols() >= opts.max_order) break;
     // Next block: A * C * (new columns).
     const la::Matrix rhs = c * taken;
-    block = factor.solve(rhs);
+    block = solve_block(factor, rhs);
     guard_block(block, rhs, krylov_iterations);
   }
   if (basis.cols() == 0) {

@@ -12,10 +12,16 @@
 // (driver attachment points, excited) from *passive sinks* (observed only):
 // that variant simply passes the sink selectors in L rather than B, which
 // shrinks the Krylov block width and the reduction cost.
+//
+// G and C stay sparse throughout (the CSC stamps of circuit::Mna): G + s0 C
+// is factored once by the sparse LU, each Krylov block costs one sparse
+// mat-vec and one sparse solve per column, and the congruence projection
+// forms V^T (G V) from sparse products. Only the n x q basis and the q x q
+// reduced matrices are dense.
 #pragma once
 
-#include "circuit/mna.hpp"
 #include "la/dense_matrix.hpp"
+#include "la/sparse.hpp"
 #include "robust/diagnostics.hpp"
 
 namespace ind::mor {
@@ -42,9 +48,10 @@ struct ReducedModel {
 
 /// Reduces (G, C, B, L). Non-finite Krylov blocks are re-solved and then
 /// deflated (the offending columns dropped) rather than propagated into the
-/// basis; a singular (G + s0 C) goes through the gmin fallback ladder and
-/// throws la::SingularMatrixError only once every rung is exhausted.
-ReducedModel prima_reduce(const la::Matrix& g, const la::Matrix& c,
+/// basis; a singular (G + s0 C) goes through the sparse fallback ladder
+/// (retry, dense LU, gmin) and throws la::SingularMatrixError only once
+/// every rung is exhausted.
+ReducedModel prima_reduce(const la::CscMatrix& g, const la::CscMatrix& c,
                           const la::Matrix& b, const la::Matrix& l,
                           const PrimaOptions& opts = {});
 

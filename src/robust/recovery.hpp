@@ -52,6 +52,9 @@ struct GuardedSparseFactor {
   la::Vector solve(const la::Vector& b) const {
     return sparse ? sparse->solve(b) : dense->solve(b);
   }
+  la::Vector solve_transposed(const la::Vector& b) const {
+    return sparse ? sparse->solve_transposed(b) : dense->solve_transposed(b);
+  }
 };
 
 GuardedSparseFactor factor_sparse_with_recovery(

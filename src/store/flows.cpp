@@ -286,6 +286,16 @@ void hash_matrix(Hasher& h, const la::Matrix& m) {
   h.bytes(m.data(), m.rows() * m.cols() * sizeof(double));
 }
 
+void hash_matrix(Hasher& h, const la::CscMatrix& m) {
+  h.str("csc");
+  h.u64(m.rows());
+  h.u64(m.cols());
+  for (std::size_t p : m.col_ptr()) h.u64(p);
+  h.u64(m.nnz());
+  for (std::size_t i : m.row_idx()) h.u64(i);
+  h.f64s(m.values());
+}
+
 Digest fingerprint(const geom::Layout& layout, const peec::PeecOptions& opts) {
   Hasher h = fingerprint_base("peec_model");
   hash_layout(h, layout);
@@ -293,7 +303,7 @@ Digest fingerprint(const geom::Layout& layout, const peec::PeecOptions& opts) {
   return h.digest();
 }
 
-Digest fingerprint_prima(const la::Matrix& g, const la::Matrix& c,
+Digest fingerprint_prima(const la::CscMatrix& g, const la::CscMatrix& c,
                          const la::Matrix& b, const la::Matrix& l,
                          const mor::PrimaOptions& opts) {
   Hasher h = fingerprint_base("prima_rom");
@@ -324,7 +334,8 @@ peec::PeecModel cached_peec_model(const geom::Layout& input,
       [](ByteReader& r, peec::PeecModel& m) { serde::get(r, m); });
 }
 
-mor::ReducedModel cached_prima_reduce(const la::Matrix& g, const la::Matrix& c,
+mor::ReducedModel cached_prima_reduce(const la::CscMatrix& g,
+                                      const la::CscMatrix& c,
                                       const la::Matrix& b, const la::Matrix& l,
                                       const mor::PrimaOptions& opts) {
   return cached<mor::ReducedModel>(

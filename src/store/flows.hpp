@@ -38,10 +38,11 @@ namespace ind::store {
 
 void hash_peec_options(Hasher& h, const peec::PeecOptions& o);
 void hash_matrix(Hasher& h, const la::Matrix& m);
+void hash_matrix(Hasher& h, const la::CscMatrix& m);
 
 /// Cache keys for the three model-level artifact kinds.
 Digest fingerprint(const geom::Layout& layout, const peec::PeecOptions& opts);
-Digest fingerprint_prima(const la::Matrix& g, const la::Matrix& c,
+Digest fingerprint_prima(const la::CscMatrix& g, const la::CscMatrix& c,
                          const la::Matrix& b, const la::Matrix& l,
                          const mor::PrimaOptions& opts);
 Digest fingerprint_kmatrix(const la::Matrix& partial_l, double threshold_ratio);
@@ -52,8 +53,10 @@ Digest fingerprint_kmatrix(const la::Matrix& partial_l, double threshold_ratio);
 peec::PeecModel cached_peec_model(const geom::Layout& input,
                                   const peec::PeecOptions& opts);
 
-/// mor::prima_reduce with a warm path keyed on the exact (G, C, B, L) bits.
-mor::ReducedModel cached_prima_reduce(const la::Matrix& g, const la::Matrix& c,
+/// mor::prima_reduce with a warm path keyed on the exact (G, C, B, L) bits:
+/// the compressed arrays of G and C, so the key also pins their patterns.
+mor::ReducedModel cached_prima_reduce(const la::CscMatrix& g,
+                                      const la::CscMatrix& c,
                                       const la::Matrix& b, const la::Matrix& l,
                                       const mor::PrimaOptions& opts);
 

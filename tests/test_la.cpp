@@ -265,6 +265,80 @@ TEST(SparseLu, LargeRandomGrid) {
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(x[i], x_ref[i], 1e-9);
 }
 
+// Unsymmetric, with a zero diagonal entry so the sparse LU must pivot off
+// the diagonal: exercises both permutations in the transposed solve.
+TripletMatrix unsymmetric_stamps() {
+  TripletMatrix t(5, 5);
+  const double vals[5][5] = {{4, -1, 0, 0, 2},
+                             {0, 0, 3, -1, 0},
+                             {1, 0, 5, 0, -2},
+                             {0, 2, 0, 6, 1},
+                             {-1, 0, 0, 1, 3}};
+  for (std::size_t i = 0; i < 5; ++i)
+    for (std::size_t j = 0; j < 5; ++j)
+      if (vals[i][j] != 0) t.add(i, j, vals[i][j]);
+  return t;
+}
+
+TEST(SparseLu, SolveTransposedMatchesDense) {
+  const TripletMatrix t = unsymmetric_stamps();
+  const SparseLu lu{CscMatrix(t)};
+  const LU dense(t.to_dense());
+  const Vector b{1.0, -2.0, 0.5, 3.0, -1.0};
+  const Vector x = lu.solve_transposed(b);
+  const Vector x_ref = dense.solve_transposed(b);
+  for (std::size_t i = 0; i < b.size(); ++i)
+    EXPECT_NEAR(x[i], x_ref[i], 1e-12);
+  // And it really is the transposed system: A^T x = b.
+  const Vector atx = t.to_dense().transposed().apply(x);
+  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(atx[i], b[i], 1e-12);
+}
+
+TEST(SparseLu, HagerEstimateMatchesDense) {
+  const TripletMatrix t = unsymmetric_stamps();
+  const SparseLu lu{CscMatrix(t)};
+  const LU dense(t.to_dense());
+  const double sparse_est = inverse_norm1_estimate<double>(
+      5, [&](const Vector& b) { return lu.solve(b); },
+      [&](const Vector& b) { return lu.solve_transposed(b); });
+  const double dense_est = dense.condition_estimate() / dense.norm1();
+  EXPECT_GT(sparse_est, 0.0);
+  EXPECT_NEAR(sparse_est, dense_est, 1e-9 * dense_est);
+}
+
+TEST(Sparse, AddScaledMergesPatterns) {
+  TripletMatrix ta(3, 3), tb(3, 3);
+  ta.add(0, 0, 1.0);
+  ta.add(2, 1, 4.0);
+  tb.add(0, 0, 2.0);
+  tb.add(1, 1, 3.0);
+  const CscMatrix s = add_scaled(CscMatrix(ta), 0.5, CscMatrix(tb));
+  EXPECT_EQ(s.nnz(), 3u);
+  const Matrix d = s.to_dense();
+  EXPECT_EQ(d(0, 0), 2.0);
+  EXPECT_EQ(d(1, 1), 1.5);
+  EXPECT_EQ(d(2, 1), 4.0);
+  EXPECT_THROW(add_scaled(CscMatrix(ta), 1.0, CscMatrix(TripletMatrix(2, 3))),
+               std::invalid_argument);
+}
+
+TEST(Sparse, TimesBlockMatchesColumnApply) {
+  const TripletMatrix t = unsymmetric_stamps();
+  const CscMatrix a(t);
+  Matrix x(5, 2);
+  for (std::size_t i = 0; i < 5; ++i) {
+    x(i, 0) = 1.0 + static_cast<double>(i);
+    x(i, 1) = std::cos(static_cast<double>(i));
+  }
+  const Matrix y = a * x;
+  for (std::size_t c = 0; c < 2; ++c) {
+    Vector col(5);
+    for (std::size_t i = 0; i < 5; ++i) col[i] = x(i, c);
+    const Vector yc = a.apply(col);
+    for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(y(i, c), yc[i]);
+  }
+}
+
 TEST(Eig, DominantEigenvalue) {
   Matrix a{{2, 0}, {0, 5}};
   EXPECT_NEAR(dominant_eigenvalue(a), 5.0, 1e-7);

@@ -23,6 +23,7 @@
 #include "la/sparse.hpp"
 #include "la/sparse_lu.hpp"
 #include "loop/ladder_fit.hpp"
+#include "mna_system.hpp"
 #include "mor/prima.hpp"
 #include "robust/diagnostics.hpp"
 #include "robust/fault_injection.hpp"
@@ -347,18 +348,43 @@ TEST_F(RobustAc, InjectedPivotRecoversBitwise) {
 // ---------------------------------------------------------------------------
 
 struct PrimaSystem {
-  la::Matrix g, c, b, l;
+  la::CscMatrix g, c;
+  la::Matrix b, l;
 };
 
 PrimaSystem prima_system() {
   NodeId out;
   const Netlist nl = rc_line(out);
-  const circuit::DenseSystem sys = circuit::build_dense_system(nl, {});
+  const test::MnaSystem sys = test::stamp_mna(nl);
   const circuit::Mna mna(nl);
   PrimaSystem s{sys.g, sys.c, la::Matrix(sys.g.rows(), 1),
                 la::Matrix(sys.g.rows(), 1)};
   s.b(mna.vsource_branch(0), 0) = 1.0;
   s.l(static_cast<std::size_t>(out), 0) = 1.0;
+  return s;
+}
+
+// The same line with a series inductor per stage, so G + s0 C has
+// inductor-branch rows (the rows prima_reduce scales before factoring).
+PrimaSystem rlc_prima_system() {
+  Netlist nl;
+  const NodeId in = nl.node("in");
+  nl.add_vsource(in, kGround, Pwl({{0.0, 0.0}, {5e-12, 1.0}}));
+  NodeId prev = in;
+  for (int k = 0; k < 4; ++k) {
+    const NodeId mid = nl.make_node();
+    const NodeId next = nl.make_node();
+    nl.add_resistor(prev, mid, 50.0);
+    nl.add_inductor(mid, next, 1e-10);
+    nl.add_capacitor(next, kGround, 20e-15);
+    prev = next;
+  }
+  const test::MnaSystem sys = test::stamp_mna(nl);
+  const circuit::Mna mna(nl);
+  PrimaSystem s{sys.g, sys.c, la::Matrix(sys.g.rows(), 1),
+                la::Matrix(sys.g.rows(), 1)};
+  s.b(mna.vsource_branch(0), 0) = 1.0;
+  s.l(static_cast<std::size_t>(prev), 0) = 1.0;
   return s;
 }
 
@@ -369,6 +395,50 @@ TEST_F(RobustPrima, CleanReductionReportsOk) {
   const auto red = mor::prima_reduce(s.g, s.c, s.b, s.l, opts);
   EXPECT_TRUE(red.report.ok());
   EXPECT_GT(red.report.condition_estimate, 0.0);
+}
+
+void expect_bitwise_equal(const la::Matrix& a, const la::Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j) EXPECT_EQ(a(i, j), b(i, j));
+}
+
+TEST_F(RobustPrima, InjectedSparsePivotRetriesBitwise) {
+  const PrimaSystem s = rlc_prima_system();
+  mor::PrimaOptions opts;
+  opts.max_order = 4;
+  const auto base = mor::prima_reduce(s.g, s.c, s.b, s.l, opts);
+
+  fault::configure("sparse_lu_pivot@0");
+  const auto red = mor::prima_reduce(s.g, s.c, s.b, s.l, opts);
+  EXPECT_EQ(red.report.status, SolveStatus::Recovered);
+  EXPECT_TRUE(has_action(red.report, RecoveryKind::Retry));
+  EXPECT_FALSE(has_action(red.report, RecoveryKind::DenseFallback));
+  expect_bitwise_equal(red.g, base.g);
+  expect_bitwise_equal(red.c, base.c);
+  expect_bitwise_equal(red.b, base.b);
+  expect_bitwise_equal(red.l, base.l);
+  expect_bitwise_equal(red.v, base.v);
+}
+
+TEST_F(RobustPrima, PersistentSparsePivotFaultsReachDenseFallback) {
+  const PrimaSystem s = rlc_prima_system();
+  mor::PrimaOptions opts;
+  opts.max_order = 4;
+  const auto base = mor::prima_reduce(s.g, s.c, s.b, s.l, opts);
+
+  // Both sparse attempts fail; the dense-LU rung factors the row-scaled
+  // G + s0 C.
+  fault::configure("sparse_lu_pivot@0,1");
+  const auto red = mor::prima_reduce(s.g, s.c, s.b, s.l, opts);
+  EXPECT_TRUE(red.report.usable());
+  EXPECT_TRUE(has_action(red.report, RecoveryKind::DenseFallback));
+  EXPECT_GT(red.report.condition_estimate, 0.0);
+  ASSERT_EQ(red.order(), base.order());
+  for (std::size_t i = 0; i < red.g.rows(); ++i)
+    for (std::size_t j = 0; j < red.g.cols(); ++j)
+      EXPECT_NEAR(red.g(i, j), base.g(i, j), 1e-9 * std::abs(base.g(0, 0)));
 }
 
 TEST_F(RobustPrima, SingleInjectedBlockRecoversIdentically) {

@@ -16,6 +16,7 @@
 #include "extract/extractor.hpp"
 #include "geom/layout.hpp"
 #include "geom/topologies.hpp"
+#include "la/sparse.hpp"
 #include "mor/prima.hpp"
 #include "peec/model_builder.hpp"
 #include "robust/diagnostics.hpp"
@@ -333,22 +334,58 @@ TEST(StoreSerde, PeecModelBitwise) {
   expect_bitwise_round_trip(peec::build_peec_model(small_layout(), opts));
 }
 
-TEST(StoreSerde, PrimaRomBitwise) {
+// Tridiagonal (G, C) stamps of a 6-unknown RC chain, with one input and
+// one output column.
+struct PrimaInputs {
+  la::TripletMatrix g, c;
+  la::Matrix b, l;
+};
+
+PrimaInputs prima_inputs() {
   const std::size_t n = 6;
-  la::Matrix g(n, n), c(n, n), b(n, 1), l(n, 1);
+  PrimaInputs in{la::TripletMatrix(n, n), la::TripletMatrix(n, n),
+                 la::Matrix(n, 1), la::Matrix(n, 1)};
   for (std::size_t i = 0; i < n; ++i) {
-    g(i, i) = 2.0 + 0.1 * static_cast<double>(i);
-    c(i, i) = 1e-15;
+    in.g.add(i, i, 2.0 + 0.1 * static_cast<double>(i));
+    in.c.add(i, i, 1e-15);
     if (i + 1 < n) {
-      g(i, i + 1) = g(i + 1, i) = -1.0;
-      c(i, i + 1) = c(i + 1, i) = -1e-16;
+      in.g.add(i, i + 1, -1.0);
+      in.g.add(i + 1, i, -1.0);
+      in.c.add(i, i + 1, -1e-16);
+      in.c.add(i + 1, i, -1e-16);
     }
   }
-  b(0, 0) = 1.0;
-  l(n - 1, 0) = 1.0;
+  in.b(0, 0) = 1.0;
+  in.l(n - 1, 0) = 1.0;
+  return in;
+}
+
+TEST(StoreSerde, PrimaRomBitwise) {
+  const PrimaInputs in = prima_inputs();
   mor::PrimaOptions opts;
   opts.max_order = 4;
-  expect_bitwise_round_trip(mor::prima_reduce(g, c, b, l, opts));
+  expect_bitwise_round_trip(mor::prima_reduce(
+      la::CscMatrix(in.g), la::CscMatrix(in.c), in.b, in.l, opts));
+}
+
+TEST(StoreHash, PrimaKeyTracksEveryCscValue) {
+  PrimaInputs in = prima_inputs();
+  const mor::PrimaOptions opts;
+  const la::CscMatrix g(in.g);
+  const store::Digest base = store::fingerprint_prima(
+      g, la::CscMatrix(in.c), in.b, in.l, opts);
+  EXPECT_EQ(base, store::fingerprint_prima(g, la::CscMatrix(in.c), in.b,
+                                           in.l, opts));
+  // One more stamp on an existing C entry changes one stored value only.
+  in.c.add(2, 3, 1e-18);
+  const la::CscMatrix c_bumped(in.c);
+  ASSERT_EQ(c_bumped.nnz(), la::CscMatrix(prima_inputs().c).nnz());
+  EXPECT_NE(base, store::fingerprint_prima(g, c_bumped, in.b, in.l, opts));
+  // The same values in a different pattern (an explicit zero) also differ.
+  PrimaInputs padded = prima_inputs();
+  padded.c.add(0, 5, 0.0);
+  EXPECT_NE(base, store::fingerprint_prima(g, la::CscMatrix(padded.c), in.b,
+                                           in.l, opts));
 }
 
 // --- format error taxonomy -------------------------------------------------
