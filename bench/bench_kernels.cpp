@@ -128,7 +128,7 @@ void BM_DenseLuFactor(benchmark::State& state) {
 BENCHMARK(BM_DenseLuFactor)->Range(32, 512)->Complexity();
 
 // Block-size sweep at n = 512: Arg(1) is the classic unblocked elimination,
-// the rest are cache-blocked panel widths (0 = the IND_LU_BLOCK default).
+// the rest are cache-blocked panel widths (48 = the LuOptions default).
 void BM_DenseLuFactorBlocked(benchmark::State& state) {
   const std::size_t n = 512;
   const auto blk = static_cast<std::size_t>(state.range(0));
@@ -145,7 +145,6 @@ BENCHMARK(BM_DenseLuFactorBlocked)
     ->Arg(48)
     ->Arg(64)
     ->Arg(128)
-    ->Arg(0)
     ->Unit(benchmark::kMillisecond);
 
 // Headline blocked-vs-scalar comparison at n = 2048 (the ROADMAP item-4

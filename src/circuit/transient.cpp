@@ -1,14 +1,14 @@
 #include "circuit/transient.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 
 #include "govern/budget.hpp"
 #include "la/lu.hpp"
-#include "la/sparse_lu.hpp"
+#include "la/sparse.hpp"
 #include "robust/fault_injection.hpp"
 #include "robust/recovery.hpp"
 #include "runtime/metrics.hpp"
@@ -18,46 +18,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Bounded dt-halving retries when a step produces non-finite state: retry m
+// re-integrates the step as 2^m backward-Euler substeps (after one plain
+// re-solve, which alone clears transient/injected faults).
+constexpr int kMaxStepRetries = 3;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-// Either a dense LU or a sparse LU behind one interface, factored through
-// the robust fallback ladder (retry -> dense fallback -> gmin escalation).
-class Factor {
- public:
-  void factor_dense(const la::Matrix& a, robust::SolveReport& report) {
-    dense_ = std::make_unique<la::LU>(
-        robust::factor_dense_with_recovery(a, report, "transient"));
-    usable_ = dense_->size() > 0;
-    sparse_ = {};
-  }
-  void factor_sparse(const la::CscMatrix& a, robust::SolveReport& report) {
-    sparse_ = robust::factor_sparse_with_recovery(a, report, "transient");
-    usable_ = sparse_.usable();
-    dense_.reset();
-  }
-  /// In-place sparse refactorisation: reuses the previous factor's symbolic
-  /// state (ordering, reach, pivot sequence) when the pattern is unchanged,
-  /// which is exactly the driver-transition case.
-  void refactor_sparse(const la::CscMatrix& a, robust::SolveReport& report) {
-    if (dense_) {
-      factor_sparse(a, report);
-      return;
-    }
-    robust::refactor_sparse_with_recovery(sparse_, a, report, "transient");
-    usable_ = sparse_.usable();
-  }
-  bool usable() const { return usable_; }
-  la::Vector solve(const la::Vector& b) const {
-    return dense_ ? dense_->solve(b) : sparse_.solve(b);
-  }
-
- private:
-  std::unique_ptr<la::LU> dense_;
-  robust::GuardedSparseFactor sparse_;
-  bool usable_ = false;
-};
 
 // Rejects a probe whose index names no element of its kind, so probe_value
 // never reads another unknown's slot (or past x) at run time.
@@ -141,60 +109,37 @@ TransientResult transient(const Netlist& netlist,
   const la::CscMatrix g_static(g_static_t);
   const la::CscMatrix c_csc(c_t);
 
-  // Auto solver selection: dense for small systems and for dense-coupled
-  // ones (the fully coupled PEEC L-block stamps O(n^2) mutual terms, where
-  // sparse elimination would just rediscover a dense factor); sparse for
-  // everything grid-shaped, where the AMD-ordered sparse LU with symbolic
-  // reuse wins by orders of magnitude.
-  const double density =
-      n == 0 ? 1.0
-             : static_cast<double>(g_static.nnz() + c_csc.nnz()) /
-                   (static_cast<double>(n) * static_cast<double>(n));
-  const bool dense =
-      options.solver == TransientOptions::Solver::Dense ||
-      (options.solver == TransientOptions::Solver::Auto &&
-       (n <= options.dense_threshold || density > options.auto_density));
-  // Dense copies are only materialised on the dense path.
-  la::Matrix g_dense, c_dense;
-  if (dense) {
-    g_dense = g_static_t.to_dense();
-    c_dense = c_t.to_dense();
-  }
-
   TransientResult result;
   result.unknowns = n;
-  result.used_dense = dense;
   result.names.reserve(probes.size());
   for (const Probe& p : probes) result.names.push_back(p.name);
   result.samples.assign(probes.size(), {});
 
   const double h = options.dt;
-  const double c_scale = options.backward_euler ? 1.0 / h : 2.0 / h;
+  const double c_scale = 2.0 / h;
 
-  // Builds the companion factor G + scale*C (+ drivers at t) through the
-  // robust fallback ladder; a failed ladder leaves the factor unusable and
-  // the failure recorded in `report`.
-  auto build_factor = [&](double scale, double t, robust::SolveReport& rep) {
-    Factor f;
-    if (dense) {
-      la::Matrix a = g_dense;
-      if (scale != 0.0)
-        for (std::size_t i = 0; i < n; ++i)
-          for (std::size_t j = 0; j < n; ++j)
-            a(i, j) += scale * c_dense(i, j);
-      la::TripletMatrix drv(n, n);
-      mna.stamp_drivers(drv, t);
-      for (const auto& e : drv.entries()) a(e.row, e.col) += e.value;
-      f.factor_dense(a, rep);
-    } else {
-      la::TripletMatrix a = g_static_t;
-      mna.stamp_drivers(a, t);
-      if (scale != 0.0)
-        for (const auto& e : c_t.entries())
-          a.add(e.row, e.col, scale * e.value);
-      f.factor_sparse(la::CscMatrix(a), rep);
-    }
-    return f;
+  // Companion matrix G + scale*C (+ drivers at t). Re-stamping produces the
+  // same triplet sequence every time, so the compressed pattern is identical
+  // across driver transitions and the factor's numeric-only refactor path
+  // applies.
+  auto companion = [&](double scale, double t) {
+    la::TripletMatrix a = g_static_t;
+    mna.stamp_drivers(a, t);
+    if (scale != 0.0)
+      for (const auto& e : c_t.entries()) a.add(e.row, e.col, scale * e.value);
+    return la::CscMatrix(a);
+  };
+  // Hager's kappa_1 estimate of a freshly factored matrix, from the factor's
+  // own solves (a handful of backsolves, no densification).
+  auto estimate_condition = [&](const la::CscMatrix& a,
+                                const robust::GuardedSparseFactor& f) {
+    result.report.condition_estimate = std::max(
+        result.report.condition_estimate,
+        la::norm1(a) * la::inverse_norm1_estimate<double>(
+                           n, [&](const la::Vector& v) { return f.solve(v); },
+                           [&](const la::Vector& v) {
+                             return f.solve_transposed(v);
+                           }));
   };
   auto finish = [&]() {
     auto& metrics = runtime::MetricsRegistry::instance();
@@ -215,24 +160,17 @@ TransientResult transient(const Netlist& netlist,
     return finish();
   };
 
-  Factor factor;
+  robust::GuardedSparseFactor factor;
   std::vector<double> factored_state;
   auto refactor = [&](double t) {
     const auto t0 = Clock::now();
-    if (dense) {
-      factor = build_factor(c_scale, t, result.report);
-    } else {
-      // Re-stamping produces the same triplet sequence every time, so the
-      // compressed pattern is identical across driver transitions and the
-      // persistent factor's numeric-only refactor path applies.
-      la::TripletMatrix a = g_static_t;
-      mna.stamp_drivers(a, t);
-      if (c_scale != 0.0)
-        for (const auto& e : c_t.entries())
-          a.add(e.row, e.col, c_scale * e.value);
-      factor.refactor_sparse(la::CscMatrix(a), result.report);
-    }
+    const la::CscMatrix a = companion(c_scale, t);
+    robust::refactor_sparse_with_recovery(factor, a, result.report,
+                                          "transient");
     factored_state = driver_state(netlist, t);
+    // Driver transitions only move a few conductances: estimate once.
+    if (result.refactor_count == 0 && factor.usable())
+      estimate_condition(a, factor);
     ++result.refactor_count;
     result.factor_seconds += seconds_since(t0);
     return factor.usable();
@@ -244,8 +182,11 @@ TransientResult transient(const Netlist& netlist,
     const auto t0 = Clock::now();
     la::Vector b0;
     mna.rhs(0.0, b0);
-    Factor dc = build_factor(0.0, 0.0, result.report);
+    const la::CscMatrix g0 = companion(0.0, 0.0);
+    const robust::GuardedSparseFactor dc =
+        robust::factor_sparse_with_recovery(g0, result.report, "transient");
     if (!dc.usable()) return fail("DC operating point factorisation failed");
+    estimate_condition(g0, dc);
     x = dc.solve(b0);
     result.step_seconds += seconds_since(t0);
     if (!robust::all_finite(x))
@@ -261,7 +202,8 @@ TransientResult transient(const Netlist& netlist,
                                 int sub) {
     const double hs = h / sub;
     robust::SolveReport subrep;
-    Factor f = build_factor(1.0 / hs, t_start + h, subrep);
+    const robust::GuardedSparseFactor f = robust::factor_sparse_with_recovery(
+        companion(1.0 / hs, t_start + h), subrep, "transient");
     la::Vector xs = x_start;
     if (!f.usable()) {
       // Keep the rung's actions/detail, but let the outer ladder decide the
@@ -307,14 +249,13 @@ TransientResult transient(const Netlist& netlist,
 
   la::Vector b_prev;
   mna.rhs(0.0, b_prev);
-  // Budget charge per step: the dominant per-step cost is the backsolve —
-  // n^2 on the dense path, nnz-proportional on the sparse one. Both are pure
-  // functions of the problem shape, so the running total stays deterministic,
-  // and a cheaper (sparser) model genuinely reports less work — which is what
-  // lets the analyzer's degradation ladder find a rung that fits the budget.
+  // Budget charge per step: the dominant per-step cost is the
+  // nnz-proportional backsolve. It is a pure function of the problem shape,
+  // so the running total stays deterministic, and a cheaper (sparser) model
+  // genuinely reports less work — which is what lets the analyzer's
+  // degradation ladder find a rung that fits the budget.
   const std::uint64_t step_cost =
-      dense ? static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n)
-            : static_cast<std::uint64_t>(g_static.nnz() + c_csc.nnz() + n);
+      static_cast<std::uint64_t>(g_static.nnz() + c_csc.nnz() + n);
   for (std::size_t k = 1; k <= steps; ++k) {
     // Budget poll per step. A tripped budget keeps the waveform prefix
     // computed so far, marked truncated — an explicit partial answer beats
@@ -354,17 +295,12 @@ TransientResult transient(const Netlist& netlist,
     la::Vector b_next;
     mna.rhs(t_next, b_next);
 
+    // Trapezoidal: y = (2/h)C x_n - G(t_n) x_n + b_n + b_{n+1}.
     la::Vector y = c_csc.apply(x);
     for (double& v : y) v *= c_scale;
-    if (options.backward_euler) {
-      for (std::size_t i = 0; i < n; ++i) y[i] += b_next[i];
-    } else {
-      // Trapezoidal: y = (2/h)C x_n - G(t_n) x_n + b_n + b_{n+1}.
-      la::Vector gx(n, 0.0);
-      mna.apply_g(g_static, t_prev, x, gx);
-      for (std::size_t i = 0; i < n; ++i)
-        y[i] += b_next[i] + b_prev[i] - gx[i];
-    }
+    la::Vector gx(n, 0.0);
+    mna.apply_g(g_static, t_prev, x, gx);
+    for (std::size_t i = 0; i < n; ++i) y[i] += b_next[i] + b_prev[i] - gx[i];
 
     const la::Vector x_prev = x;
     x = factor.solve(y);
@@ -378,9 +314,8 @@ TransientResult transient(const Netlist& netlist,
       x = factor.solve(y);
       if (robust::fault::fire(robust::fault::Site::TransientStep))
         x[0] = std::numeric_limits<double>::quiet_NaN();
-      // Rungs 1..max_step_retries: re-integrate the step at halved dt.
-      for (int m = 1;
-           !robust::all_finite(x) && m <= options.max_step_retries; ++m) {
+      // Rungs 1..kMaxStepRetries: re-integrate the step at halved dt.
+      for (int m = 1; !robust::all_finite(x) && m <= kMaxStepRetries; ++m) {
         const int sub = 1 << m;
         result.report.add_action(robust::RecoveryKind::DtHalving, m, h / sub,
                                  site);
@@ -389,7 +324,7 @@ TransientResult transient(const Netlist& netlist,
       if (!robust::all_finite(x))
         return fail("non-finite solution at step " + std::to_string(k) +
                     " (t = " + std::to_string(t_next) + " s) after " +
-                    std::to_string(options.max_step_retries) +
+                    std::to_string(kMaxStepRetries) +
                     " dt-halving retries");
     }
     b_prev = std::move(b_next);

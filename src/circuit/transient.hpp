@@ -1,14 +1,13 @@
-// Transient analysis: trapezoidal (default) or backward-Euler integration of
-// G(t) x + C x' = b(t).
+// Transient analysis: trapezoidal integration of G(t) x + C x' = b(t).
 //
 // The companion matrix A = G + (2/h)C is factorised once and reused across
 // steps; the switched drivers are the only time-varying conductances, so the
-// engine refactorises only while a driver is mid-transition. Matrices factor
-// dense (LU) or sparse (AMD-ordered Gilbert-Peierls) depending on size and
-// coupling density — the dense path matches the fully coupled PEEC L-block,
-// the sparse path the grid-sized RC / sparsified models of Table 1. Sparse
-// driver-transition refactorisations share one SparseLuSymbolic (the pattern
-// never changes), so only the numeric phase reruns per transition.
+// engine refactorises only while a driver is mid-transition. Every matrix
+// factors through the guarded sparse LU (AMD-ordered Gilbert-Peierls behind
+// the robust fallback ladder), which serves the grid-sized RC / sparsified
+// models of Table 1 and the small examples alike. Driver-transition
+// refactorisations reuse the held factor's symbolic state (the pattern never
+// changes), so only the numeric phase reruns per transition.
 #pragma once
 
 #include <string>
@@ -36,20 +35,6 @@ struct Probe {
 struct TransientOptions {
   double t_stop = 1e-9;
   double dt = 1e-12;
-  enum class Solver { Auto, Dense, Sparse } solver = Solver::Auto;
-  /// Auto: dense at or below this size. Above it the AMD-ordered sparse LU
-  /// with symbolic reuse is faster for anything grid-shaped, so the
-  /// threshold only needs to cover genuinely small systems.
-  std::size_t dense_threshold = 128;
-  /// Auto: dense when nnz(G) + nnz(C) exceeds this fraction of n^2 — the
-  /// fully coupled PEEC L-block case, where sparse elimination would just
-  /// rediscover a (slower) dense factor.
-  double auto_density = 0.20;
-  bool backward_euler = false;        ///< default: trapezoidal
-  /// Bounded dt-halving retries when a step produces non-finite state: retry
-  /// m re-integrates the step as 2^m backward-Euler substeps (after one
-  /// plain re-solve, which alone clears transient/injected faults).
-  int max_step_retries = 3;
 };
 
 struct TransientResult {
@@ -62,17 +47,17 @@ struct TransientResult {
   double step_seconds = 0.0;
   std::size_t refactor_count = 0;
   std::size_t unknowns = 0;
-  bool used_dense = false;
   /// True when a resource budget (deadline / memory / work) cancelled the
   /// integration mid-run: `time`/`samples` hold the prefix computed so far
   /// and the report carries a BudgetExceeded action. The partial waveform
   /// is usable but must be surfaced as truncated, never as complete.
   bool truncated = false;
 
-  /// Robustness diagnostics: factorisation condition estimate, every
-  /// fallback action taken (gmin regularisation, dense fallback, dt
-  /// halving), and the final status. A Failed status means the integration
-  /// stopped early and `time`/`samples` hold the prefix computed so far.
+  /// Robustness diagnostics: the condition estimate of the DC and first
+  /// companion factors, every fallback action taken (gmin regularisation,
+  /// dense fallback, dt halving), and the final status. A Failed status
+  /// means the integration stopped early and `time`/`samples` hold the
+  /// prefix computed so far.
   robust::SolveReport report;
 
   /// Waveform lookup by probe name; throws if absent.

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "govern/budget.hpp"
-#include "govern/env.hpp"
 #include "la/kernels.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/parallel_for.hpp"
@@ -23,16 +22,6 @@ double sign_of(double x) { return x >= 0.0 ? 1.0 : -1.0; }
 Complex sign_of(const Complex& x) {
   const double m = std::abs(x);
   return m == 0.0 ? Complex{1.0, 0.0} : x / m;
-}
-
-// Effective panel width: an explicit LuOptions::block wins, otherwise the
-// process-wide IND_LU_BLOCK knob (read once; the block size must stay fixed
-// within a run for the bitwise-determinism contract).
-std::size_t resolve_block(std::size_t requested) {
-  if (requested != 0) return std::min<std::size_t>(requested, 512);
-  static const std::size_t env_block = static_cast<std::size_t>(
-      govern::env_u64("IND_LU_BLOCK", 48, 1, 512, "la").value);
-  return env_block;
 }
 
 }  // namespace
@@ -68,7 +57,7 @@ LuFactor<T>::LuFactor(DenseMatrix<T> a, const LuOptions& opts)
     for (std::size_t j = 0; j < n; ++j) norm1_ = std::max(norm1_, colsum[j]);
   }
 
-  const std::size_t nb = resolve_block(opts.block);
+  const std::size_t nb = std::clamp<std::size_t>(opts.block, 1, 512);
   runtime::CancelToken* const cancel =
       govern::Governor::instance().cancel_token();
 
@@ -115,24 +104,14 @@ LuFactor<T>::LuFactor(DenseMatrix<T> a, const LuOptions& opts)
       // per-element order. No zero-skip: `-0.0 - (-0.0 * x)` and a skipped
       // update differ in the sign of zero, which would break the bitwise
       // blocked == unblocked contract.
-      auto panel_rows = [&](std::size_t i_begin, std::size_t i_end) {
-        for (std::size_t i = i_begin; i < i_end; ++i) {
-          T* ri = d + i * n;
-          const T factor = ri[k] / diag;
-          ri[k] = factor;
-          for (std::size_t j = k + 1; j < k1; ++j) ri[j] -= factor * rk[j];
-        }
-      };
-      const std::size_t rows = n - k - 1;
-      if (rows >= 64)
-        runtime::parallel_for(
-            rows,
-            [&](std::size_t a_, std::size_t b_) {
-              panel_rows(k + 1 + a_, k + 1 + b_);
-            },
-            {.grain = 16});
-      else
-        panel_rows(k + 1, n);
+      // Serial: at most kb - 1 flops per row, far below what a pool
+      // dispatch per column costs.
+      for (std::size_t i = k + 1; i < n; ++i) {
+        T* ri = d + i * n;
+        const T factor = ri[k] / diag;
+        ri[k] = factor;
+        for (std::size_t j = k + 1; j < k1; ++j) ri[j] -= factor * rk[j];
+      }
     }
     if (k1 == n) break;
 

@@ -1,8 +1,9 @@
 // Dense LU factorisation with partial pivoting, for real and complex systems.
 //
-// Used by the transient engine (one factorisation per constant timestep,
-// reused for every step) and by the AC engine (one complex factorisation per
-// frequency point), mirroring how interconnect simulators amortise solves.
+// Used by the AC engine (one complex factorisation per frequency point), the
+// MQS field solver, the K = L^-1 inverse, PRIMA's reduced models and the
+// sparse ladder's dense-fallback rung, mirroring how interconnect simulators
+// amortise solves.
 //
 // The elimination is cache-blocked (la/kernels.hpp): panel factor with
 // partial pivoting, unit-lower TRSM on the panel's trailing row block, then
@@ -30,9 +31,9 @@ class SingularMatrixError : public std::runtime_error {
 /// bits at any thread count, and every block size is bitwise-identical to
 /// the unblocked elimination (block = 1) by the kernel ordering contract.
 struct LuOptions {
-  /// Panel width. 0 resolves to the IND_LU_BLOCK env knob (default 48,
-  /// clamped to [1, 512]); 1 degenerates to the classic unblocked loop.
-  std::size_t block = 0;
+  /// Panel width, clamped to [1, 512]; 1 degenerates to the classic
+  /// unblocked loop.
+  std::size_t block = 48;
 };
 
 /// LU decomposition P*A = L*U with partial pivoting, stored packed in-place.

@@ -1,6 +1,7 @@
 #include "la/sparse.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace ind::la {
@@ -143,6 +144,17 @@ CscMatrix add_scaled(const CscMatrix& a, double beta, const CscMatrix& b) {
   }
   return CscMatrix(a.rows(), a.cols(), std::move(col_ptr), std::move(row_idx),
                    std::move(values));
+}
+
+double norm1(const CscMatrix& a) {
+  double norm = 0.0;
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    double sum = 0.0;
+    for (std::size_t p = a.col_ptr()[j]; p < a.col_ptr()[j + 1]; ++p)
+      sum += std::abs(a.values()[p]);
+    norm = std::max(norm, sum);
+  }
+  return norm;
 }
 
 }  // namespace ind::la

@@ -96,4 +96,8 @@ Matrix operator*(const CscMatrix& a, const Matrix& x);
 /// present in only one operand keep that operand's (scaled) value.
 CscMatrix add_scaled(const CscMatrix& a, double beta, const CscMatrix& b);
 
+/// ||A||_1: the largest absolute column sum (the condition estimates'
+/// matrix factor).
+double norm1(const CscMatrix& a);
+
 }  // namespace ind::la

@@ -95,17 +95,6 @@ la::Matrix solve_block(const ScaledFactor& factor, const la::Matrix& rhs) {
   return x;
 }
 
-double norm1(const la::CscMatrix& a) {
-  double norm = 0.0;
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    double sum = 0.0;
-    for (std::size_t p = a.col_ptr()[j]; p < a.col_ptr()[j + 1]; ++p)
-      sum += std::abs(a.values()[p]);
-    norm = std::max(norm, sum);
-  }
-  return norm;
-}
-
 }  // namespace
 
 ReducedModel prima_reduce(const la::CscMatrix& g, const la::CscMatrix& c,
@@ -134,7 +123,7 @@ ReducedModel prima_reduce(const la::CscMatrix& g, const la::CscMatrix& c,
   }
   report.condition_estimate = std::max(
       report.condition_estimate,
-      norm1(shifted) *
+      la::norm1(shifted) *
           la::inverse_norm1_estimate<double>(
               n, [&](const la::Vector& v) { return factor.solve(v); },
               [&](const la::Vector& v) {

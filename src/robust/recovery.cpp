@@ -10,10 +10,21 @@
 namespace ind::robust {
 namespace {
 
-template <typename T>
-la::LuFactor<T> guarded_dense_factor(const la::DenseMatrix<T>& a,
-                                     SolveReport& report,
-                                     std::string_view where) {
+la::CscMatrix with_diagonal_shift(const la::CscMatrix& a, double gmin) {
+  la::TripletMatrix t(a.rows(), a.cols());
+  const auto& cp = a.col_ptr();
+  const auto& ri = a.row_idx();
+  const auto& av = a.values();
+  for (std::size_t j = 0; j < a.cols(); ++j)
+    for (std::size_t p = cp[j]; p < cp[j + 1]; ++p) t.add(ri[p], j, av[p]);
+  for (std::size_t i = 0; i < a.rows(); ++i) t.add(i, i, gmin);
+  return la::CscMatrix(t);
+}
+
+}  // namespace
+
+la::CLU factor_dense_with_recovery(const la::CMatrix& a, SolveReport& report,
+                                   std::string_view where) {
   const std::size_t n = a.rows();
   const int rungs = 2 + static_cast<int>(kGminLevels.size());
   for (int attempt = 0; attempt < rungs; ++attempt) {
@@ -28,10 +39,10 @@ la::LuFactor<T> guarded_dense_factor(const la::DenseMatrix<T>& a,
       report.detail = std::string(where) + ": injected singular dense pivot";
       continue;
     }
-    la::DenseMatrix<T> work = a;
+    la::CMatrix work = a;
     for (std::size_t i = 0; i < n; ++i) work(i, i) += gmin;
     try {
-      la::LuFactor<T> factor(std::move(work));
+      la::CLU factor(std::move(work));
       report.pivot_growth =
           std::max(report.pivot_growth, factor.pivot_growth());
       report.condition_estimate =
@@ -42,30 +53,7 @@ la::LuFactor<T> guarded_dense_factor(const la::DenseMatrix<T>& a,
     }
   }
   report.raise_status(SolveStatus::Failed);
-  return la::LuFactor<T>{};
-}
-
-la::CscMatrix with_diagonal_shift(const la::CscMatrix& a, double gmin) {
-  la::TripletMatrix t(a.rows(), a.cols());
-  const auto& cp = a.col_ptr();
-  const auto& ri = a.row_idx();
-  const auto& av = a.values();
-  for (std::size_t j = 0; j < a.cols(); ++j)
-    for (std::size_t p = cp[j]; p < cp[j + 1]; ++p) t.add(ri[p], j, av[p]);
-  for (std::size_t i = 0; i < a.rows(); ++i) t.add(i, i, gmin);
-  return la::CscMatrix(t);
-}
-
-}  // namespace
-
-la::LU factor_dense_with_recovery(const la::Matrix& a, SolveReport& report,
-                                  std::string_view where) {
-  return guarded_dense_factor(a, report, where);
-}
-
-la::CLU factor_dense_with_recovery(const la::CMatrix& a, SolveReport& report,
-                                   std::string_view where) {
-  return guarded_dense_factor(a, report, where);
+  return la::CLU{};
 }
 
 GuardedSparseFactor factor_sparse_with_recovery(const la::CscMatrix& a,
@@ -73,51 +61,9 @@ GuardedSparseFactor factor_sparse_with_recovery(const la::CscMatrix& a,
                                                 std::string_view where,
                                                 std::size_t
                                                     dense_fallback_limit) {
-  GuardedSparseFactor out;
-  auto try_sparse = [&](const la::CscMatrix& m) {
-    if (fault::fire(fault::Site::SparseLuPivot)) {
-      report.detail = std::string(where) + ": injected singular sparse pivot";
-      return false;
-    }
-    try {
-      out.sparse = std::make_unique<la::SparseLu>(m);
-      return true;
-    } catch (const la::SingularMatrixError& e) {
-      report.detail = std::string(where) + ": " + e.what();
-      return false;
-    }
-  };
-
-  if (try_sparse(a)) return out;
-
-  report.add_action(RecoveryKind::Retry, 0, 0.0, std::string(where));
-  if (try_sparse(a)) return out;
-
-  if (a.rows() <= dense_fallback_limit) {
-    report.add_action(RecoveryKind::DenseFallback, 1,
-                      static_cast<double>(a.rows()), std::string(where));
-    try {
-      la::LU factor(a.to_dense());
-      report.pivot_growth =
-          std::max(report.pivot_growth, factor.pivot_growth());
-      report.condition_estimate =
-          std::max(report.condition_estimate, factor.condition_estimate());
-      out.dense = std::make_unique<la::LU>(std::move(factor));
-      return out;
-    } catch (const la::SingularMatrixError& e) {
-      report.detail = std::string(where) + ": " + e.what();
-    }
-  }
-
-  for (std::size_t k = 0; k < kGminLevels.size(); ++k) {
-    const double gmin = kGminLevels[k];
-    report.add_action(RecoveryKind::GminRegularization,
-                      static_cast<int>(k) + 2, gmin, std::string(where));
-    if (try_sparse(with_diagonal_shift(a, gmin))) return out;
-  }
-
-  report.raise_status(SolveStatus::Failed);
-  return out;
+  GuardedSparseFactor f;
+  refactor_sparse_with_recovery(f, a, report, where, dense_fallback_limit);
+  return f;
 }
 
 void refactor_sparse_with_recovery(GuardedSparseFactor& f,
@@ -125,17 +71,21 @@ void refactor_sparse_with_recovery(GuardedSparseFactor& f,
                                    std::string_view where,
                                    std::size_t dense_fallback_limit) {
   const char* off = std::getenv("IND_SPARSE_NO_REFACTOR");
-  if (!f.sparse || (off && off[0] == '1')) {
-    f = factor_sparse_with_recovery(a, report, where, dense_fallback_limit);
-    return;
-  }
-  auto try_refactor = [&](const la::CscMatrix& m) {
+  const bool reuse = !(off && off[0] == '1');
+  // Refactors the held sparse factor in place when there is one (bitwise
+  // identical to a fresh SparseLu by SparseLu::refactor's contract), else
+  // factors from scratch. A throw leaves `f` to the next rung.
+  auto try_sparse = [&](const la::CscMatrix& m) {
     if (fault::fire(fault::Site::SparseLuPivot)) {
       report.detail = std::string(where) + ": injected singular sparse pivot";
       return false;
     }
     try {
-      f.sparse->refactor(m);
+      if (f.sparse && reuse)
+        f.sparse->refactor(m);
+      else
+        f.sparse = std::make_unique<la::SparseLu>(m);
+      f.dense.reset();
       return true;
     } catch (const la::SingularMatrixError& e) {
       report.detail = std::string(where) + ": " + e.what();
@@ -143,10 +93,10 @@ void refactor_sparse_with_recovery(GuardedSparseFactor& f,
     }
   };
 
-  if (try_refactor(a)) return;
+  if (try_sparse(a)) return;
 
   report.add_action(RecoveryKind::Retry, 0, 0.0, std::string(where));
-  if (try_refactor(a)) return;
+  if (try_sparse(a)) return;
 
   if (a.rows() <= dense_fallback_limit) {
     report.add_action(RecoveryKind::DenseFallback, 1,
@@ -169,7 +119,7 @@ void refactor_sparse_with_recovery(GuardedSparseFactor& f,
     const double gmin = kGminLevels[k];
     report.add_action(RecoveryKind::GminRegularization,
                       static_cast<int>(k) + 2, gmin, std::string(where));
-    if (try_refactor(with_diagonal_shift(a, gmin))) return;
+    if (try_sparse(with_diagonal_shift(a, gmin))) return;
   }
 
   f.sparse.reset();

@@ -2,7 +2,7 @@
 // recovery from singular / near-singular systems.
 //
 // Ladder rungs (fixed escalation schedule, no RNG):
-//   dense (real or complex):
+//   dense (complex):
 //     0. factor as-is
 //     1. plain retry            — clears injected faults bitwise-identically
 //     2+ diagonal gmin regularisation at kGminLevels[k], refactor
@@ -32,12 +32,11 @@ namespace ind::robust {
 /// Deterministic gmin escalation schedule (siemens added to every diagonal).
 inline constexpr std::array<double, 3> kGminLevels = {1e-9, 1e-6, 1e-3};
 
-/// Factors a dense real / complex system through the fallback ladder.
-/// On failure the returned factor is empty (size() == 0) and
-/// report.failed() is true; diagnostics (condition estimate, pivot growth)
-/// are filled from the successful factorisation otherwise.
-la::LU factor_dense_with_recovery(const la::Matrix& a, SolveReport& report,
-                                  std::string_view where);
+/// Factors a dense complex system (AC, the MQS impedance matrix) through
+/// the fallback ladder. On failure the returned factor is empty
+/// (size() == 0) and report.failed() is true; diagnostics (condition
+/// estimate, pivot growth) are filled from the successful factorisation
+/// otherwise.
 la::CLU factor_dense_with_recovery(const la::CMatrix& a, SolveReport& report,
                                    std::string_view where);
 
@@ -57,24 +56,24 @@ struct GuardedSparseFactor {
   }
 };
 
-GuardedSparseFactor factor_sparse_with_recovery(
-    const la::CscMatrix& a, SolveReport& report, std::string_view where,
-    std::size_t dense_fallback_limit = 2048);
-
-/// Re-factorises `f` in place through the same ladder as
-/// factor_sparse_with_recovery. An existing sparse factor is reused via
-/// SparseLu::refactor — numeric-only when pattern and pivot sequence are
-/// unchanged, so driver-transition refactorisations and gmin-shifted
-/// retries skip the symbolic work — and the result stays bitwise-identical
-/// to a from-scratch ladder run. Without a usable sparse factor (first
-/// call, or after a dense fallback) this degrades to the from-scratch
-/// ladder. On an exhausted ladder `f` is left unusable and the report
-/// Failed. Setting IND_SPARSE_NO_REFACTOR=1 forces the from-scratch ladder
-/// every time (A/B oracle for the reuse path).
+/// Re-factorises `f` in place through the sparse ladder. A held sparse
+/// factor is reused via SparseLu::refactor — numeric-only when pattern and
+/// pivot sequence are unchanged, so driver-transition refactorisations and
+/// gmin-shifted retries skip the symbolic work — and the result stays
+/// bitwise-identical to a from-scratch factorisation. Without one (first
+/// call, or after a dense fallback) each rung factors from scratch. On an
+/// exhausted ladder `f` is left unusable and the report Failed. Setting
+/// IND_SPARSE_NO_REFACTOR=1 makes every rung factor from scratch (A/B
+/// oracle for the reuse path).
 void refactor_sparse_with_recovery(GuardedSparseFactor& f,
                                    const la::CscMatrix& a, SolveReport& report,
                                    std::string_view where,
                                    std::size_t dense_fallback_limit = 2048);
+
+/// The same ladder into an empty factor.
+GuardedSparseFactor factor_sparse_with_recovery(
+    const la::CscMatrix& a, SolveReport& report, std::string_view where,
+    std::size_t dense_fallback_limit = 2048);
 
 /// True when every entry is finite (no NaN / inf).
 bool all_finite(const la::Vector& v);

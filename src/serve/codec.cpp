@@ -109,11 +109,15 @@ void put_options(store::ByteWriter& w, const core::AnalysisOptions& o) {
   const circuit::TransientOptions& t = o.transient;
   w.f64(t.t_stop);
   w.f64(t.dt);
-  w.u8(static_cast<std::uint8_t>(t.solver));
-  w.u64(t.dense_threshold);
-  w.f64(t.auto_density);
-  w.boolean(t.backward_euler);
-  w.i32(t.max_step_retries);
+  // Codec v2's transient solver block (solver kind, dense threshold, auto
+  // density, backward Euler, step retries), kept at the one solver's values
+  // so that request fingerprints and persisted response keys do not move.
+  // Drop it at the next version bump.
+  w.u8(0);
+  w.u64(128);
+  w.f64(0.2);
+  w.boolean(false);
+  w.i32(3);
 
   const core::FlowParams& f = o.params;
   w.f64(f.truncation_ratio);
@@ -201,12 +205,16 @@ void get_options(store::ByteReader& r, core::AnalysisOptions& o) {
   circuit::TransientOptions& t = o.transient;
   t.t_stop = r.f64();
   t.dt = r.f64();
-  t.solver =
-      checked_enum<circuit::TransientOptions::Solver>(r.u8(), 2, "solver");
-  t.dense_threshold = r.u64();
-  t.auto_density = r.f64();
-  t.backward_euler = r.boolean();
-  t.max_step_retries = r.i32();
+  // The transient solver block (see put_options): only the values above.
+  const std::uint8_t solver = r.u8();
+  const std::uint64_t dense_threshold = r.u64();
+  const double auto_density = r.f64();
+  const bool backward_euler = r.boolean();
+  const std::int32_t step_retries = r.i32();
+  if (solver != 0 || dense_threshold != 128 || auto_density != 0.2 ||
+      backward_euler || step_retries != 3)
+    throw std::invalid_argument(
+        "serve: transient solver block differs from the one solver's values");
 
   core::FlowParams& f = o.params;
   f.truncation_ratio = r.f64();

@@ -10,6 +10,8 @@
 #include "circuit/netlist.hpp"
 #include "circuit/transient.hpp"
 #include "circuit/waveform.hpp"
+#include "la/lu.hpp"
+#include "mna_system.hpp"
 
 namespace {
 
@@ -320,45 +322,77 @@ TEST(Transient, DriverChargesLoadThroughRails) {
   EXPECT_LE(res.refactor_count, static_cast<std::size_t>(d.quantize_levels) + 3);
 }
 
-TEST(Transient, SparseAndDenseSolversAgree) {
+// N-stage RC ladder behind a ramped source; `end` is the last stage.
+Netlist rc_ladder(int stages, NodeId& end) {
   Netlist nl;
   const NodeId in = nl.node("in");
   NodeId prev = in;
   nl.add_vsource(in, kGround, Pwl({{0.0, 0.0}, {10e-12, 1.0}}));
-  for (int k = 0; k < 20; ++k) {
+  for (int k = 0; k < stages; ++k) {
     const NodeId next = nl.make_node();
     nl.add_resistor(prev, next, 10.0);
     nl.add_capacitor(next, kGround, 5e-15);
     prev = next;
   }
-  TransientOptions dense_opts, sparse_opts;
-  dense_opts.t_stop = sparse_opts.t_stop = 1e-9;
-  dense_opts.dt = sparse_opts.dt = 1e-12;
-  dense_opts.solver = TransientOptions::Solver::Dense;
-  sparse_opts.solver = TransientOptions::Solver::Sparse;
-  const Probe p{ProbeKind::NodeVoltage, static_cast<std::size_t>(prev), "end"};
-  const auto r_dense = transient(nl, {p}, dense_opts);
-  const auto r_sparse = transient(nl, {p}, sparse_opts);
-  EXPECT_TRUE(r_dense.used_dense);
-  EXPECT_FALSE(r_sparse.used_dense);
-  for (std::size_t k = 0; k < r_dense.samples[0].size(); k += 100)
-    EXPECT_NEAR(r_dense.samples[0][k], r_sparse.samples[0][k], 1e-9);
+  end = prev;
+  return nl;
 }
 
-TEST(Transient, BackwardEulerAlsoConverges) {
-  Netlist nl;
-  const NodeId in = nl.node("in");
-  const NodeId out = nl.node("out");
-  nl.add_vsource(in, kGround, Pwl({{0.0, 0.0}, {1e-12, 1.0}}));
-  nl.add_resistor(in, out, 1000.0);
-  nl.add_capacitor(out, kGround, 1e-12);
-  TransientOptions opts;
-  opts.t_stop = 10e-9;  // 10 time constants: settled to ~5e-5
-  opts.dt = 1e-12;
-  opts.backward_euler = true;
-  const auto res = transient(
-      nl, {{ProbeKind::NodeVoltage, static_cast<std::size_t>(out), "o"}}, opts);
-  EXPECT_NEAR(res.samples[0].back(), 1.0, 1e-3);
+// The engine's trapezoidal recurrence on dense copies of the same stamps,
+// factored with the dense LU: x0 = G^-1 b(0), then
+// (G + (2/h)C) x_{k+1} = (2/h)C x_k - G x_k + b_k + b_{k+1}.
+ind::la::Vector dense_trapezoidal(const Netlist& nl, NodeId probe, double h,
+                                  std::size_t steps) {
+  const ind::test::MnaSystem sys = ind::test::stamp_mna(nl);
+  const Mna mna(nl);
+  const std::size_t n = mna.size();
+  ind::la::Matrix a = sys.g_dense;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) a(i, j) += 2.0 / h * sys.c_dense(i, j);
+  const ind::la::LU companion(a);
+  ind::la::Vector b_prev, b_next;
+  mna.rhs(0.0, b_prev);
+  ind::la::Vector x = ind::la::LU(sys.g_dense).solve(b_prev);
+  ind::la::Vector wave{x[static_cast<std::size_t>(probe)]};
+  for (std::size_t k = 1; k <= steps; ++k) {
+    mna.rhs(static_cast<double>(k) * h, b_next);
+    ind::la::Vector y(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] = b_prev[i] + b_next[i];
+      for (std::size_t j = 0; j < n; ++j)
+        y[i] += (2.0 / h * sys.c_dense(i, j) - sys.g_dense(i, j)) * x[j];
+    }
+    x = companion.solve(y);
+    wave.push_back(x[static_cast<std::size_t>(probe)]);
+    std::swap(b_prev, b_next);
+  }
+  return wave;
+}
+
+TEST(Transient, MatchesDenseTrapezoidalOracle) {
+  // 22 unknowns, and 152 — past the size where the engine once switched
+  // from a dense to a sparse factor.
+  for (const int stages : {20, 150}) {
+    NodeId end = kGround;
+    const Netlist nl = rc_ladder(stages, end);
+    TransientOptions opts;
+    opts.t_stop = 1e-9;
+    opts.dt = 1e-12;
+    const auto res = transient(
+        nl, {{ProbeKind::NodeVoltage, static_cast<std::size_t>(end), "end"}},
+        opts);
+    ASSERT_TRUE(res.report.ok());
+    // Every size reports the Hager condition estimate of its factors.
+    EXPECT_GT(res.report.condition_estimate, 0.0) << stages << " stages";
+    const ind::la::Vector oracle =
+        dense_trapezoidal(nl, end, opts.dt, res.time.size() - 1);
+    ASSERT_EQ(oracle.size(), res.samples[0].size());
+    const double scale = inf_norm(oracle);
+    ASSERT_GT(scale, 0.1);
+    for (std::size_t k = 0; k < oracle.size(); ++k)
+      EXPECT_NEAR(res.samples[0][k], oracle[k], 1e-12 * scale)
+          << stages << " stages, sample " << k;
+  }
 }
 
 TEST(Ac, RcTransferFunction) {
@@ -692,7 +726,7 @@ TEST(Waveform, SkewValidation) {
 
 namespace {
 
-// Driver-switched RC grid, forced onto the sparse solver: the driver's
+// Driver-switched RC grid: the driver's
 // quantised conductance ramp makes the engine refactorise the same sparsity
 // pattern repeatedly — exactly the numeric-only reuse path.
 TransientResult run_driver_grid_sparse() {
@@ -719,7 +753,6 @@ TransientResult run_driver_grid_sparse() {
   TransientOptions opts;
   opts.t_stop = 0.5e-9;
   opts.dt = 1e-12;
-  opts.solver = TransientOptions::Solver::Sparse;
   return transient(
       nl, {{ProbeKind::NodeVoltage, static_cast<std::size_t>(prev), "end"}},
       opts);
@@ -730,7 +763,6 @@ TEST(Transient, SparseRefactorReuseIsBitwiseIdenticalToFromScratch) {
   const auto reused_before =
       metrics.counter("factor.sparse_lu.refactors").value.load();
   const TransientResult with_reuse = run_driver_grid_sparse();
-  EXPECT_FALSE(with_reuse.used_dense);
   EXPECT_GT(with_reuse.refactor_count, 0u);
   // The driver transitions actually exercised the numeric-only path.
   EXPECT_GT(metrics.counter("factor.sparse_lu.refactors").value.load(),

@@ -103,79 +103,76 @@ TEST_F(RobustFault, InactiveIsANoOp) {
 // Dense fallback ladder.
 // ---------------------------------------------------------------------------
 
-la::Matrix spd3() {
-  la::Matrix a(3, 3);
-  a(0, 0) = 4.0; a(0, 1) = 1.0; a(0, 2) = 0.0;
-  a(1, 0) = 1.0; a(1, 1) = 3.0; a(1, 2) = 1.0;
-  a(2, 0) = 0.0; a(2, 1) = 1.0; a(2, 2) = 5.0;
+// A diagonally dominant G + jB system, the shape the AC engine factors.
+la::CMatrix ac3() {
+  la::CMatrix a(3, 3);
+  a(0, 0) = {4.0, 1.0}; a(0, 1) = 1.0;        a(0, 2) = 0.0;
+  a(1, 0) = 1.0;        a(1, 1) = {3.0, 2.0}; a(1, 2) = 1.0;
+  a(2, 0) = 0.0;        a(2, 1) = 1.0;        a(2, 2) = {5.0, -1.0};
   return a;
 }
 
+const la::CVector kRhs3{{1.0, 0.0}, {2.0, -1.0}, {3.0, 0.5}};
+
 TEST_F(RobustDense, CleanSolveReportsOk) {
   SolveReport report;
-  const la::LU lu =
-      robust::factor_dense_with_recovery(spd3(), report, "test");
+  const la::CLU lu = robust::factor_dense_with_recovery(ac3(), report, "test");
   ASSERT_GT(lu.size(), 0u);
   EXPECT_TRUE(report.ok());
   EXPECT_TRUE(report.actions.empty());
   EXPECT_GT(report.condition_estimate, 0.0);
   EXPECT_GT(report.pivot_growth, 0.0);
   // Same pivots as the raw factorisation: bitwise-identical solve.
-  const la::Vector b{1.0, 2.0, 3.0};
-  const la::Vector x = lu.solve(b);
-  const la::Vector x0 = la::LU(spd3()).solve(b);
+  const la::CVector x = lu.solve(kRhs3);
+  const la::CVector x0 = la::CLU(ac3()).solve(kRhs3);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(x[i], x0[i]);
 }
 
 TEST_F(RobustDense, SingleInjectedFaultRecoversBitwise) {
-  const la::Vector b{1.0, 2.0, 3.0};
-  const la::Vector x0 = la::LU(spd3()).solve(b);
+  const la::CVector x0 = la::CLU(ac3()).solve(kRhs3);
 
   fault::configure("dense_lu_pivot@0");
   SolveReport report;
-  const la::LU lu =
-      robust::factor_dense_with_recovery(spd3(), report, "test");
+  const la::CLU lu = robust::factor_dense_with_recovery(ac3(), report, "test");
   ASSERT_GT(lu.size(), 0u);
   EXPECT_EQ(report.status, SolveStatus::Recovered);
   EXPECT_TRUE(has_action(report, RecoveryKind::Retry));
   EXPECT_FALSE(has_action(report, RecoveryKind::GminRegularization));
-  const la::Vector x = lu.solve(b);
+  const la::CVector x = lu.solve(kRhs3);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(x[i], x0[i]);
 }
 
 TEST_F(RobustDense, ConsecutiveFaultsEscalateToGmin) {
   fault::configure("dense_lu_pivot@0,1");
   SolveReport report;
-  const la::LU lu =
-      robust::factor_dense_with_recovery(spd3(), report, "test");
+  const la::CLU lu = robust::factor_dense_with_recovery(ac3(), report, "test");
   ASSERT_GT(lu.size(), 0u);
   EXPECT_TRUE(report.usable());
   EXPECT_TRUE(has_action(report, RecoveryKind::GminRegularization));
   // gmin = 1e-9 on an O(1) diagonal: the answer moves by O(1e-9) at most.
-  const la::Vector b{1.0, 2.0, 3.0};
-  const la::Vector x = lu.solve(b);
-  const la::Vector x0 = la::LU(spd3()).solve(b);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], x0[i], 1e-6);
+  const la::CVector x = lu.solve(kRhs3);
+  const la::CVector x0 = la::CLU(ac3()).solve(kRhs3);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_NEAR(std::abs(x[i] - x0[i]), 0.0, 1e-6);
 }
 
 TEST_F(RobustDense, SingularMatrixRescuedByGmin) {
-  la::Matrix zero(2, 2);  // the most singular matrix there is
+  la::CMatrix zero(2, 2);  // the most singular matrix there is
   SolveReport report;
-  const la::LU lu = robust::factor_dense_with_recovery(zero, report, "test");
+  const la::CLU lu = robust::factor_dense_with_recovery(zero, report, "test");
   ASSERT_GT(lu.size(), 0u);
   EXPECT_EQ(report.status, SolveStatus::Recovered);
   EXPECT_TRUE(has_action(report, RecoveryKind::GminRegularization));
   // zero + gmin I solves to b / gmin.
-  const la::Vector rhs{robust::kGminLevels[0], 0.0};
-  const la::Vector x = lu.solve(rhs);
-  EXPECT_NEAR(x[0], 1.0, 1e-9);
+  const la::CVector rhs{robust::kGminLevels[0], 0.0};
+  const la::CVector x = lu.solve(rhs);
+  EXPECT_NEAR(std::abs(x[0] - 1.0), 0.0, 1e-9);
 }
 
 TEST_F(RobustDense, ExhaustedLadderFailsStructurally) {
   fault::configure("dense_lu_pivot@*");
   SolveReport report;
-  const la::LU lu =
-      robust::factor_dense_with_recovery(spd3(), report, "test");
+  const la::CLU lu = robust::factor_dense_with_recovery(ac3(), report, "test");
   EXPECT_EQ(lu.size(), 0u);
   EXPECT_TRUE(report.failed());
   EXPECT_FALSE(report.detail.empty());

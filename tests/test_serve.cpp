@@ -172,6 +172,36 @@ TEST_F(ServeTest, RequestDecodeAcceptsOnlyTheDiagonalPreconditioner) {
                std::invalid_argument);
 }
 
+TEST_F(ServeTest, RequestDecodeAcceptsOnlyTheOneTransientSolver) {
+  // The reserved transient solver block (solver u8, dense threshold u64,
+  // auto density f64, backward Euler bool, step retries i32) follows
+  // t_stop and dt.
+  const serve::Request req = grid_request();
+  const auto image = encoded(req);
+  store::ByteWriter tail;
+  tail.f64(req.options.transient.t_stop);
+  tail.f64(req.options.transient.dt);
+  tail.u8(0);
+  tail.u64(128);
+  tail.f64(0.2);
+  tail.boolean(false);
+  tail.i32(3);
+  const std::vector<std::uint8_t> block = tail.take();
+  const auto at = std::search(image.begin(), image.end(), block.begin(),
+                              block.end());
+  ASSERT_NE(at, image.end());
+  const auto base = static_cast<std::size_t>(at - image.begin()) + 16;
+  // One byte inside each field: solver, threshold, density, BE, retries.
+  for (const std::size_t off : {0, 1, 9 + 7, 17, 18}) {
+    auto corrupt = image;
+    corrupt[base + off] ^= 0x01;
+    serve::Request back;
+    store::ByteReader r(corrupt);
+    EXPECT_THROW(serve::get_request(r, back), std::invalid_argument)
+        << "offset " << off;
+  }
+}
+
 TEST_F(ServeTest, ResultBlockRoundTripsWithWaveforms) {
   core::AnalysisReport report;
   report.flow = core::Flow::PeecRlcBlockDiag;
