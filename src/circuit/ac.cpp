@@ -4,27 +4,18 @@
 #include <stdexcept>
 
 #include "la/lu.hpp"
+#include "la/sparse.hpp"
 #include "robust/recovery.hpp"
 #include "runtime/metrics.hpp"
 
 namespace ind::circuit {
 namespace {
 
-// One frequency point over pre-assembled stamps, so the sweep shares a
-// single Mna + G/C pattern instead of re-deriving them every point.
-AcResult solve_stamped(const Mna& mna, const la::TripletMatrix& g,
-                       const la::TripletMatrix& c,
-                       const AcExcitation& excitation, double omega) {
-  runtime::ScopedTimer timer("solve.ac");
+// The unit phasor excitation in the doubled form [Re b; Im b]: the phasor
+// is real, so the imaginary half stays zero.
+la::Vector excitation_rhs(const Mna& mna, const AcExcitation& excitation) {
   const Netlist& netlist = mna.netlist();
-  const std::size_t n = mna.size();
-
-  la::CMatrix a(n, n);
-  for (const auto& e : g.entries()) a(e.row, e.col) += e.value;
-  const la::Complex jw{0.0, omega};
-  for (const auto& e : c.entries()) a(e.row, e.col) += jw * e.value;
-
-  la::CVector b(n, la::Complex{});
+  la::Vector b(2 * mna.size(), 0.0);
   switch (excitation.kind) {
     case AcExcitation::Kind::VSource:
       if (excitation.index >= netlist.vsources().size())
@@ -40,34 +31,7 @@ AcResult solve_stamped(const Mna& mna, const la::TripletMatrix& g,
       break;
     }
   }
-
-  robust::SolveReport report;
-  la::CLU lu = robust::factor_dense_with_recovery(a, report, "ac");
-  la::CVector x(n, la::Complex{});
-  if (lu.size() > 0) {
-    x = lu.solve(b);
-    if (!robust::all_finite(x)) {
-      report.raise_status(robust::SolveStatus::Failed);
-      report.detail = "ac: non-finite solution";
-      x.assign(n, la::Complex{});
-    } else {
-      // Relative residual ||Ax - b|| / ||b|| of the (possibly regularised)
-      // solve against the ORIGINAL matrix, so gmin fallbacks show their
-      // true perturbation.
-      double rnorm = 0.0, bnorm = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        la::Complex ri = -b[i];
-        for (std::size_t j = 0; j < n; ++j) ri += a(i, j) * x[j];
-        rnorm += std::norm(ri);
-        bnorm += std::norm(b[i]);
-      }
-      report.residual_norm =
-          bnorm > 0.0 ? std::sqrt(rnorm / bnorm) : std::sqrt(rnorm);
-    }
-  }
-  report.record("ac");
-  AcResult result{std::move(x), mna, std::move(report)};
-  return result;
+  return b;
 }
 
 }  // namespace
@@ -80,10 +44,56 @@ std::vector<AcResult> ac_sweep(const Netlist& netlist,
   la::TripletMatrix g, c;
   mna.stamp_static(g, c);
   mna.stamp_drivers(g, driver_time);
+  const std::size_t n = mna.size();
+  const la::Vector b2 = excitation_rhs(mna, excitation);
+  double bnorm = 0.0;
+  for (const double v : b2) bnorm += v * v;
+
+  robust::ComplexSparseFactor factor(n);
   std::vector<AcResult> sweep;
   sweep.reserve(omegas.size());
-  for (const double omega : omegas)
-    sweep.push_back(solve_stamped(mna, g, c, excitation, omega));
+  for (const double omega : omegas) {
+    runtime::ScopedTimer timer("solve.ac");
+    // G + jwC in the doubled form. Every G and C entry is stamped, zeros
+    // included, so the pattern is the same at every point: the held factor
+    // keeps one symbolic analysis for the whole sweep.
+    la::TripletMatrix t(2 * n, 2 * n);
+    for (const auto& e : g.entries()) factor.add_real(t, e.row, e.col, e.value);
+    for (const auto& e : c.entries())
+      factor.add_imag(t, e.row, e.col, omega * e.value);
+    const la::CscMatrix a(t);
+
+    robust::SolveReport report;
+    factor.refactor(a, report, "ac");
+    la::CVector x(n, la::Complex{});
+    if (factor.usable()) {
+      const robust::GuardedSparseFactor& f = factor.doubled();
+      const la::Vector x2 = f.solve(b2);
+      if (!robust::all_finite(x2)) {
+        report.raise_status(robust::SolveStatus::Failed);
+        report.detail = "ac: non-finite solution";
+      } else {
+        for (std::size_t i = 0; i < n; ++i) x[i] = {x2[i], x2[i + n]};
+        report.condition_estimate =
+            la::norm1(a) * la::inverse_norm1_estimate<double>(
+                               2 * n,
+                               [&](const la::Vector& v) { return f.solve(v); },
+                               [&](const la::Vector& v) {
+                                 return f.solve_transposed(v);
+                               });
+        // Relative residual ||Ax - b|| / ||b|| against the unshifted
+        // matrix, so gmin fallbacks show their true perturbation.
+        const la::Vector ax = a.apply(x2);
+        double rnorm = 0.0;
+        for (std::size_t i = 0; i < 2 * n; ++i)
+          rnorm += (ax[i] - b2[i]) * (ax[i] - b2[i]);
+        report.residual_norm =
+            bnorm > 0.0 ? std::sqrt(rnorm / bnorm) : std::sqrt(rnorm);
+      }
+    }
+    report.record("ac");
+    sweep.push_back({std::move(x), mna, std::move(report)});
+  }
   return sweep;
 }
 

@@ -2,11 +2,11 @@
 // sweep, for a unit phasor excitation at one independent source with all
 // other sources zeroed. A single point is a one-element sweep.
 //
-// Used to validate reduced-order models against the full PEEC model in the
-// frequency domain and to characterise the loop-model ladder fit (Fig. 3).
-// Dense complex factorisation — intended for the moderate-size systems these
-// comparisons run on; the loop extractor (loop/) has its own large-scale
-// complex path.
+// Computes the full PEEC model's port impedance for Fig. 3(b)
+// (core::peec_port_impedance). Each point factors G + jwC in its
+// real-equivalent doubled form through the guarded sparse ladder
+// (robust::ComplexSparseFactor), the same factor path as the transient and
+// PRIMA; one factor is held across the sweep, so AMD runs once per sweep.
 #pragma once
 
 #include <vector>
@@ -26,8 +26,8 @@ struct AcResult {
   la::CVector x;  ///< full MNA solution (nodes then branches)
   Mna mna;        ///< index map for interpreting x
 
-  /// Robustness diagnostics: condition estimate of G + jwC, relative
-  /// residual of the solve, and any gmin-regularisation fallback taken.
+  /// Robustness diagnostics: Hager condition estimate of G + jwC's doubled
+  /// form, relative residual of the solve, and any recovery rung taken.
   /// A Failed status leaves `x` all-zero.
   robust::SolveReport report;
 
@@ -44,9 +44,10 @@ struct AcResult {
 
 /// Solves the AC system at each angular frequency in `omegas` (rad/s).
 /// Switched drivers contribute their conductance at `driver_time` (default:
-/// fully settled). The MNA index maps and the G / C stamps are built once,
-/// so every point costs one complex assembly + factorisation (only jw
-/// changes between points).
+/// fully settled). The MNA index maps and the G / C stamps are built once;
+/// every point stamps the same pattern (only jw changes), so it costs one
+/// numeric refactorisation, bitwise-identical to a one-point sweep at that
+/// frequency.
 std::vector<AcResult> ac_sweep(const Netlist& netlist,
                                const AcExcitation& excitation,
                                const std::vector<double>& omegas,

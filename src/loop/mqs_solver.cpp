@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "extract/partial_inductance.hpp"
-#include "fast/precond.hpp"
 #include "la/lu.hpp"
 #include "robust/diagnostics.hpp"
 #include "robust/recovery.hpp"
@@ -415,31 +414,32 @@ LoopImpedance MqsSolver::port_impedance_fft(std::size_t plus,
   // in exact arithmetic.
   robust::SolveReport report;
   std::vector<la::Complex> y_cell(nc);
-  std::vector<fast::ComplexTriplet> entries;
-  entries.reserve(4 * nc + pin_nodes.size());
-  for (std::size_t c = 0; c < nc; ++c) {
-    y_cell[c] = 1.0 / (la::Complex{grid.resistance[c], 0.0} + jw * self_l_);
-    const std::ptrdiff_t na = compact[cell_a[c]];
-    const std::ptrdiff_t nb = compact[cell_b[c]];
-    if (na >= 0)
-      entries.push_back({static_cast<std::size_t>(na),
-                         static_cast<std::size_t>(na), y_cell[c]});
-    if (nb >= 0)
-      entries.push_back({static_cast<std::size_t>(nb),
-                         static_cast<std::size_t>(nb), y_cell[c]});
-    if (na >= 0 && nb >= 0) {
-      entries.push_back({static_cast<std::size_t>(na),
-                         static_cast<std::size_t>(nb), -y_cell[c]});
-      entries.push_back({static_cast<std::size_t>(nb),
-                         static_cast<std::size_t>(na), -y_cell[c]});
+  robust::ComplexSparseFactor pre(n_active);
+  {
+    runtime::ScopedTimer timer("fast.precond_factor");
+    // Y in the doubled form, each complex entry's zero parts left out.
+    la::TripletMatrix t(2 * n_active, 2 * n_active);
+    const auto stamp = [&](std::ptrdiff_t i, std::ptrdiff_t j, la::Complex v) {
+      const auto ui = static_cast<std::size_t>(i);
+      const auto uj = static_cast<std::size_t>(j);
+      if (v.real() != 0.0) pre.add_real(t, ui, uj, v.real());
+      if (v.imag() != 0.0) pre.add_imag(t, ui, uj, v.imag());
+    };
+    for (std::size_t c = 0; c < nc; ++c) {
+      y_cell[c] = 1.0 / (la::Complex{grid.resistance[c], 0.0} + jw * self_l_);
+      const std::ptrdiff_t na = compact[cell_a[c]];
+      const std::ptrdiff_t nb = compact[cell_b[c]];
+      if (na >= 0) stamp(na, na, y_cell[c]);
+      if (nb >= 0) stamp(nb, nb, y_cell[c]);
+      if (na >= 0 && nb >= 0) {
+        stamp(na, nb, -y_cell[c]);
+        stamp(nb, na, -y_cell[c]);
+      }
     }
+    for (std::size_t node : pin_nodes) stamp(compact[node], compact[node], 1.0);
+    pre.refactor(la::CscMatrix(t), report, "mqs_precond",
+                 opts_.fast.dense_fallback_limit);
   }
-  for (std::size_t node : pin_nodes)
-    entries.push_back({static_cast<std::size_t>(compact[node]),
-                       static_cast<std::size_t>(compact[node]), 1.0});
-  const fast::ComplexSparseFactor pre(n_active, entries, report,
-                                      "mqs_precond",
-                                      opts_.fast.dense_fallback_limit);
   // Incidence A: v_a - v_b across cell c, and s scattered into a and -s
   // into b (the reference node has no row).
   const auto drop = [&](const la::CVector& v, std::size_t c) {

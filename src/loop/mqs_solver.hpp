@@ -18,9 +18,9 @@
 //     lattice, L applied matrix-free through the circulant-embedded FFT
 //     operator, the system solved by restarted GMRES. The preconditioner
 //     keeps only the cell self inductance, eliminates the branch currents
-//     and factors the nodal admittance matrix with the real-equivalent
-//     SparseLu (fast/precond.hpp). O(n log n)
-//     per iteration; accuracy governed by the voxel pitch (exact on
+//     and factors the nodal admittance matrix in its real-equivalent
+//     doubled form (robust::ComplexSparseFactor). O(n log n) per
+//     iteration; accuracy governed by the voxel pitch (exact on
 //     lattice-aligned layouts — see fast/voxelize.hpp).
 //   * Auto — Dense below fast.auto_threshold filaments, FftGmres above.
 #pragma once

@@ -127,15 +127,40 @@ void refactor_sparse_with_recovery(GuardedSparseFactor& f,
   report.raise_status(SolveStatus::Failed);
 }
 
+void ComplexSparseFactor::add_real(la::TripletMatrix& t, std::size_t i,
+                                   std::size_t j, double re) const {
+  t.add(i, j, re);
+  t.add(i + m_, j + m_, re);
+}
+
+void ComplexSparseFactor::add_imag(la::TripletMatrix& t, std::size_t i,
+                                   std::size_t j, double im) const {
+  t.add(i, j + m_, -im);
+  t.add(i + m_, j, im);
+}
+
+void ComplexSparseFactor::refactor(const la::CscMatrix& a,
+                                   SolveReport& report, std::string_view where,
+                                   std::size_t dense_fallback_limit) {
+  refactor_sparse_with_recovery(doubled_, a, report, where,
+                                dense_fallback_limit);
+}
+
+la::CVector ComplexSparseFactor::solve(const la::CVector& b) const {
+  la::Vector rb(2 * m_);
+  for (std::size_t i = 0; i < m_; ++i) {
+    rb[i] = b[i].real();
+    rb[i + m_] = b[i].imag();
+  }
+  const la::Vector rx = doubled_.solve(rb);
+  la::CVector x(m_);
+  for (std::size_t i = 0; i < m_; ++i) x[i] = {rx[i], rx[i + m_]};
+  return x;
+}
+
 bool all_finite(const la::Vector& v) {
   for (double x : v)
     if (!std::isfinite(x)) return false;
-  return true;
-}
-
-bool all_finite(const la::CVector& v) {
-  for (const la::Complex& x : v)
-    if (!std::isfinite(x.real()) || !std::isfinite(x.imag())) return false;
   return true;
 }
 

@@ -331,7 +331,7 @@ TEST_F(RobustAc, InjectedPivotRecoversBitwise) {
   const double w = 2.0 * M_PI * 1e9;
   const auto base = circuit::ac_sweep(nl, {}, {w})[0];
 
-  fault::configure("dense_lu_pivot@0");
+  fault::configure("sparse_lu_pivot@0");
   const auto res = circuit::ac_sweep(nl, {}, {w})[0];
   EXPECT_EQ(res.report.status, SolveStatus::Recovered);
   EXPECT_TRUE(has_action(res.report, RecoveryKind::Retry));

@@ -14,8 +14,9 @@ Two complementary gates:
    name (the report's top-level "bench" field) to learned per-timer
    baselines. Every guarded timer is gated individually, so a regression in
    one stage (say fast.precond_factor) cannot hide behind an improvement in
-   another. Re-learn after an intentional perf change with --learn, which
-   rewrites the manifest entry from the current report and exits.
+   another. A manifest timer the run does not report fails too. Re-learn
+   after an intentional perf change with --learn, which rewrites the
+   manifest entry from the current report and exits.
 
 Guarded timers: factor.*, solve.* (including solve.mqs_port) and fast.*.
 
@@ -200,9 +201,11 @@ def manifest_gate(report, manifest_path, max_ratio, floor_ms):
 
     A timer fails only when its current total exceeds both the noise floor
     and max_ratio times its baseline (the floor keeps sub-millisecond timers
-    from tripping on scheduler jitter). Guarded timers that appear in the
-    run but not in the manifest are reported so the baseline gets re-learned,
-    but do not fail the gate."""
+    from tripping on scheduler jitter). A baseline timer absent from the run
+    fails: the bench no longer exercises what the entry gates, so the entry
+    must be re-learned rather than pass as 0 ms. Guarded timers that appear
+    in the run but not in the manifest are reported so the baseline gets
+    re-learned, but do not fail the gate."""
     bench = report.get("bench", "")
     try:
         with open(manifest_path) as f:
@@ -219,11 +222,17 @@ def manifest_gate(report, manifest_path, max_ratio, floor_ms):
     baseline = entry.get("timers_ms", {})
     current = guarded_timers_ms(report.get("metrics", report))
     failures = []
+    missing = []
     for name in sorted(set(current) | set(baseline)):
-        cur = current.get(name, 0.0)
+        cur = current.get(name)
         base = baseline.get(name)
         if base is None:
             print(f"  {name:40s} {cur:10.1f} ms (new — not in manifest)")
+            continue
+        if cur is None:
+            print(f"  {name:40s} {'absent':>10s}    "
+                  f"(baseline {base:10.1f} ms) FAIL")
+            missing.append(name)
             continue
         limit = max(base, floor_ms) * max_ratio
         status = "ok"
@@ -232,10 +241,15 @@ def manifest_gate(report, manifest_path, max_ratio, floor_ms):
             failures.append(name)
         print(f"  {name:40s} {cur:10.1f} ms "
               f"(baseline {base:10.1f} ms, limit {limit:8.1f} ms) {status}")
+    if missing:
+        print(f"perf_guard: FAIL — manifest timers absent from this run: "
+              f"{', '.join(missing)}; re-learn the '{bench}' entry with "
+              f"--learn", file=sys.stderr)
     if failures:
         print(f"perf_guard: FAIL — per-timer regression past the "
               f"{max_ratio:.2f}x budget in: {', '.join(failures)}",
               file=sys.stderr)
+    if missing or failures:
         return 1
     print(f"perf_guard: per-timer manifest gate OK for '{bench}'")
     return 0
