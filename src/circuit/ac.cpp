@@ -11,11 +11,10 @@
 namespace ind::circuit {
 namespace {
 
-// The unit phasor excitation in the doubled form [Re b; Im b]: the phasor
-// is real, so the imaginary half stays zero.
-la::Vector excitation_rhs(const Mna& mna, const AcExcitation& excitation) {
+// The unit phasor excitation: real, at one source's rows.
+la::CVector excitation_rhs(const Mna& mna, const AcExcitation& excitation) {
   const Netlist& netlist = mna.netlist();
-  la::Vector b(2 * mna.size(), 0.0);
+  la::CVector b(mna.size(), la::Complex{});
   switch (excitation.kind) {
     case AcExcitation::Kind::VSource:
       if (excitation.index >= netlist.vsources().size())
@@ -45,11 +44,16 @@ std::vector<AcResult> ac_sweep(const Netlist& netlist,
   mna.stamp_static(g, c);
   mna.stamp_drivers(g, driver_time);
   const std::size_t n = mna.size();
-  const la::Vector b2 = excitation_rhs(mna, excitation);
+  // An inductor branch row's diagonal is -jwL: swap its real and imaginary
+  // equations so the doubled form carries it on the diagonal.
+  std::vector<std::size_t> branch_rows;
+  for (std::size_t k = 0; k < netlist.inductors().size(); ++k)
+    branch_rows.push_back(mna.inductor_branch(k));
+  robust::ComplexSparseFactor factor(n, branch_rows);
+  const la::Vector b2 = factor.doubled_rhs(excitation_rhs(mna, excitation));
   double bnorm = 0.0;
   for (const double v : b2) bnorm += v * v;
 
-  robust::ComplexSparseFactor factor(n);
   std::vector<AcResult> sweep;
   sweep.reserve(omegas.size());
   for (const double omega : omegas) {

@@ -84,6 +84,19 @@ std::vector<double> driver_state(const Netlist& nl, double t) {
   return s;
 }
 
+// The nodes a driver transition restamps (every driver's out, vdd and gnd),
+// sorted. Every sparse analysis orders them last, so a transition changes
+// only the trailing columns and the refactor recomputes just those.
+std::vector<std::size_t> driver_nodes(const Netlist& nl) {
+  std::vector<std::size_t> nodes;
+  for (const SwitchedDriver& d : nl.drivers())
+    for (const NodeId node : {d.out, d.vdd, d.gnd})
+      if (node >= 0) nodes.push_back(static_cast<std::size_t>(node));
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  return nodes;
+}
+
 }  // namespace
 
 const la::Vector& TransientResult::waveform(const std::string& name) const {
@@ -160,7 +173,17 @@ TransientResult transient(const Netlist& netlist,
     return finish();
   };
 
+  // Every factor orders the driver nodes last: the held one, whose
+  // transitions then restart at the first driver column, and the one-off
+  // DC and dt-halving factors alike.
   robust::GuardedSparseFactor factor;
+  factor.last = driver_nodes(netlist);
+  auto factor_once = [&](const la::CscMatrix& a, robust::SolveReport& rep) {
+    robust::GuardedSparseFactor f;
+    f.last = factor.last;
+    robust::refactor_sparse_with_recovery(f, a, rep, "transient");
+    return f;
+  };
   std::vector<double> factored_state;
   auto refactor = [&](double t) {
     const auto t0 = Clock::now();
@@ -183,8 +206,7 @@ TransientResult transient(const Netlist& netlist,
     la::Vector b0;
     mna.rhs(0.0, b0);
     const la::CscMatrix g0 = companion(0.0, 0.0);
-    const robust::GuardedSparseFactor dc =
-        robust::factor_sparse_with_recovery(g0, result.report, "transient");
+    const robust::GuardedSparseFactor dc = factor_once(g0, result.report);
     if (!dc.usable()) return fail("DC operating point factorisation failed");
     estimate_condition(g0, dc);
     x = dc.solve(b0);
@@ -202,8 +224,8 @@ TransientResult transient(const Netlist& netlist,
                                 int sub) {
     const double hs = h / sub;
     robust::SolveReport subrep;
-    const robust::GuardedSparseFactor f = robust::factor_sparse_with_recovery(
-        companion(1.0 / hs, t_start + h), subrep, "transient");
+    const robust::GuardedSparseFactor f =
+        factor_once(companion(1.0 / hs, t_start + h), subrep);
     la::Vector xs = x_start;
     if (!f.usable()) {
       // Keep the rung's actions/detail, but let the outer ladder decide the

@@ -5,9 +5,14 @@
 // engine refactorises only while a driver is mid-transition. Every matrix
 // factors through the guarded sparse LU (AMD-ordered Gilbert-Peierls behind
 // the robust fallback ladder), which serves the grid-sized RC / sparsified
-// models of Table 1 and the small examples alike. Driver-transition
-// refactorisations reuse the held factor's symbolic state (the pattern never
-// changes), so only the numeric phase reruns per transition.
+// models of Table 1 and the small examples alike.
+//
+// Every sparse analysis takes the driver-stamped nodes (each driver's out,
+// vdd and gnd) as `last`, so AMD orders them at the end. A transition keeps
+// the pattern and changes only those columns, so the held factor's refactor
+// restarts at the first driver column: it recomputes at most three columns
+// per driver, bitwise-identical to factoring the matrix afresh with the
+// same order (IND_SPARSE_NO_REFACTOR=1 runs that oracle).
 #pragma once
 
 #include <string>

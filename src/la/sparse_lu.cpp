@@ -1,8 +1,10 @@
 #include "la/sparse_lu.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "govern/budget.hpp"
 #include "la/amd.hpp"
@@ -20,11 +22,13 @@ constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 constexpr double kDiagPreference = 1e-3;
 }
 
-SparseLuSymbolic::SparseLuSymbolic(const CscMatrix& a) : n_(a.rows()) {
+SparseLuSymbolic::SparseLuSymbolic(const CscMatrix& a,
+                                   std::vector<std::size_t> last)
+    : n_(a.rows()), last_(std::move(last)) {
   if (a.rows() != a.cols())
     throw std::invalid_argument("SparseLuSymbolic: matrix must be square");
   runtime::ScopedTimer timer("factor.sparse_lu.symbolic");
-  order_ = amd_order(a);
+  order_ = amd_order(a, last_);
   col_ptr_ = a.col_ptr();
   row_idx_ = a.row_idx();
 }
@@ -40,40 +44,51 @@ SparseLu::SparseLu(const CscMatrix& a, SparseLuSymbolic symbolic)
     : symbolic_(std::move(symbolic)), n_(a.rows()) {
   if (a.rows() != a.cols())
     throw std::invalid_argument("SparseLu: matrix must be square");
-  if (!symbolic_.matches_pattern(a)) symbolic_ = SparseLuSymbolic(a);
-  if (symbolic_.factored()) {
-    runtime::ScopedTimer timer("factor.sparse_lu.numeric");
-    if (factor_impl<true>(a)) {
-      runtime::MetricsRegistry::instance().add_count(
-          "factor.sparse_lu.refactors", 1);
-      return;
-    }
-    runtime::MetricsRegistry::instance().add_count(
-        "factor.sparse_lu.pivot_drift", 1);
-  }
-  runtime::ScopedTimer timer("factor.sparse_lu");
-  runtime::MetricsRegistry::instance().max_count(
-      "factor.sparse_lu.max_nnz", static_cast<std::int64_t>(a.nnz()));
-  factor_impl<false>(a);
-  runtime::MetricsRegistry::instance().max_count(
-      "factor.sparse_lu.fill_nnz", static_cast<std::int64_t>(fill_nnz()));
+  if (!symbolic_.matches_pattern(a))
+    symbolic_ = SparseLuSymbolic(a, symbolic_.last());
+  if (symbolic_.factored() && replay(a, 0)) return;
+  factor_full(a);
 }
 
 void SparseLu::refactor(const CscMatrix& a) {
   if (a.rows() != a.cols())
     throw std::invalid_argument("SparseLu::refactor: matrix must be square");
-  n_ = a.rows();
   if (symbolic_.factored() && symbolic_.matches_pattern(a)) {
-    runtime::ScopedTimer timer("factor.sparse_lu.numeric");
-    if (factor_impl<true>(a)) {
-      runtime::MetricsRegistry::instance().add_count(
-          "factor.sparse_lu.refactors", 1);
-      return;
+    // Restart at the first elimination step whose column changed since the
+    // last factorisation (all of them when there is none to compare with).
+    std::size_t start = 0;
+    if (values_.size() == a.nnz()) {
+      const auto& cp = a.col_ptr();
+      const double* av = a.values().data();
+      for (; start < n_; ++start) {
+        const std::size_t j = symbolic_.order_[start];
+        if (std::memcmp(av + cp[j], values_.data() + cp[j],
+                        (cp[j + 1] - cp[j]) * sizeof(double)) != 0)
+          break;
+      }
     }
-    runtime::MetricsRegistry::instance().add_count(
-        "factor.sparse_lu.pivot_drift", 1);
+    if (replay(a, start)) return;
   }
-  if (!symbolic_.matches_pattern(a)) symbolic_ = SparseLuSymbolic(a);
+  if (!symbolic_.matches_pattern(a))
+    symbolic_ = SparseLuSymbolic(a, symbolic_.last());
+  n_ = a.rows();
+  factor_full(a);
+}
+
+bool SparseLu::replay(const CscMatrix& a, std::size_t start) {
+  runtime::ScopedTimer timer("factor.sparse_lu.numeric");
+  auto& metrics = runtime::MetricsRegistry::instance();
+  if (factor_impl<true>(a, start)) {
+    metrics.add_count("factor.sparse_lu.refactors", 1);
+    metrics.add_count("factor.sparse_lu.refactor_columns",
+                      static_cast<std::int64_t>(n_ - start));
+    return true;
+  }
+  metrics.add_count("factor.sparse_lu.pivot_drift", 1);
+  return false;
+}
+
+void SparseLu::factor_full(const CscMatrix& a) {
   runtime::ScopedTimer timer("factor.sparse_lu");
   runtime::MetricsRegistry::instance().max_count(
       "factor.sparse_lu.max_nnz", static_cast<std::int64_t>(a.nnz()));
@@ -83,7 +98,7 @@ void SparseLu::refactor(const CscMatrix& a) {
 }
 
 template <bool kReuse>
-bool SparseLu::factor_impl(const CscMatrix& a) {
+bool SparseLu::factor_impl(const CscMatrix& a, std::size_t start) {
   const auto& cp = a.col_ptr();
   const auto& ri = a.row_idx();
   const auto& av = a.values();
@@ -92,11 +107,18 @@ bool SparseLu::factor_impl(const CscMatrix& a) {
   auto& reach_ptr = symbolic_.reach_ptr_;
   auto& reach = symbolic_.reach_;
 
-  lower_.resize(n_);
-  upper_.resize(n_);
-  diag_.assign(n_, 0.0);
-  x_.assign(n_, 0.0);
-  pinv_.assign(n_, kNone);  // original row -> pivot step
+  values_.clear();  // no restart point until this sweep succeeds
+  if (start == 0) {
+    lower_.resize(n_);
+    upper_.resize(n_);
+    diag_.assign(n_, 0.0);
+    x_.assign(n_, 0.0);
+    pinv_.assign(n_, kNone);  // original row -> pivot step
+  } else {
+    // The previous sweep succeeded (a restart point exists), so x_ is zero
+    // and pinv_ complete: keep the pivots of the steps before `start`.
+    for (std::size_t k = start; k < n_; ++k) pinv_[perm[k]] = kNone;
+  }
 
   std::vector<std::size_t> node_stack, child_pos, pattern;
   if constexpr (!kReuse) {
@@ -112,11 +134,12 @@ bool SparseLu::factor_impl(const CscMatrix& a) {
     pattern.reserve(64);
   }
 
-  for (std::size_t k = 0; k < n_; ++k) {
+  for (std::size_t k = start; k < n_; ++k) {
     // Budget poll every 64 columns: the unit total is a pure function of n
-    // (the factorisation is serial), so a work-budget trip here is
-    // deterministic. CancelledError propagates past the recovery ladder
-    // (which catches only SingularMatrixError) to the degradation ladder.
+    // and the restart step (the factorisation is serial), so a work-budget
+    // trip here is deterministic. CancelledError propagates past the
+    // recovery ladder (which catches only SingularMatrixError) to the
+    // degradation ladder.
     if ((k & 63u) == 0 && govern::checkpoint(64))
       govern::throw_if_cancelled("sparse_lu.factor");
     const std::size_t j = order[k];
@@ -248,6 +271,7 @@ bool SparseLu::factor_impl(const CscMatrix& a) {
     bytes += c.rows.size() * sizeof(std::size_t) +
              c.vals.size() * sizeof(double);
   charge_.set(bytes);
+  values_.assign(a.values().begin(), a.values().end());
   return true;
 }
 

@@ -84,7 +84,8 @@ void refactor_sparse_with_recovery(GuardedSparseFactor& f,
       if (f.sparse && reuse)
         f.sparse->refactor(m);
       else
-        f.sparse = std::make_unique<la::SparseLu>(m);
+        f.sparse = std::make_unique<la::SparseLu>(
+            m, la::SparseLuSymbolic(m, f.last));
       f.dense.reset();
       return true;
     } catch (const la::SingularMatrixError& e) {
@@ -127,16 +128,31 @@ void refactor_sparse_with_recovery(GuardedSparseFactor& f,
   report.raise_status(SolveStatus::Failed);
 }
 
+ComplexSparseFactor::ComplexSparseFactor(
+    std::size_t m, const std::vector<std::size_t>& swapped_rows)
+    : m_(m), swapped_(m, 0) {
+  for (const std::size_t i : swapped_rows) swapped_.at(i) = 1;
+}
+
 void ComplexSparseFactor::add_real(la::TripletMatrix& t, std::size_t i,
                                    std::size_t j, double re) const {
-  t.add(i, j, re);
-  t.add(i + m_, j + m_, re);
+  t.add(re_row(i), j, re);
+  t.add(im_row(i), j + m_, re);
 }
 
 void ComplexSparseFactor::add_imag(la::TripletMatrix& t, std::size_t i,
                                    std::size_t j, double im) const {
-  t.add(i, j + m_, -im);
-  t.add(i + m_, j, im);
+  t.add(re_row(i), j + m_, -im);
+  t.add(im_row(i), j, im);
+}
+
+la::Vector ComplexSparseFactor::doubled_rhs(const la::CVector& b) const {
+  la::Vector rb(2 * m_);
+  for (std::size_t i = 0; i < m_; ++i) {
+    rb[re_row(i)] = b[i].real();
+    rb[im_row(i)] = b[i].imag();
+  }
+  return rb;
 }
 
 void ComplexSparseFactor::refactor(const la::CscMatrix& a,
@@ -147,12 +163,7 @@ void ComplexSparseFactor::refactor(const la::CscMatrix& a,
 }
 
 la::CVector ComplexSparseFactor::solve(const la::CVector& b) const {
-  la::Vector rb(2 * m_);
-  for (std::size_t i = 0; i < m_; ++i) {
-    rb[i] = b[i].real();
-    rb[i + m_] = b[i].imag();
-  }
-  const la::Vector rx = doubled_.solve(rb);
+  const la::Vector rx = doubled_.solve(doubled_rhs(b));
   la::CVector x(m_);
   for (std::size_t i = 0; i < m_; ++i) x[i] = {rx[i], rx[i + m_]};
   return x;

@@ -22,6 +22,7 @@
 #include <array>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "la/lu.hpp"
 #include "la/sparse.hpp"
@@ -47,6 +48,11 @@ la::CLU factor_dense_with_recovery(const la::CMatrix& a, SolveReport& report,
 struct GuardedSparseFactor {
   std::unique_ptr<la::SparseLu> sparse;
   std::unique_ptr<la::LU> dense;
+  /// Nodes every sparse analysis orders last (la::SparseLuSymbolic's
+  /// `last`), e.g. the transient's driver-stamped nodes. Set it before the
+  /// first factorisation; every rung, the from-scratch oracle mode and a
+  /// re-analysed pattern (the gmin shift) keep it.
+  std::vector<std::size_t> last;
 
   bool usable() const { return sparse != nullptr || dense != nullptr; }
   la::Vector solve(const la::Vector& b) const {
@@ -58,12 +64,13 @@ struct GuardedSparseFactor {
 };
 
 /// Re-factorises `f` in place through the sparse ladder. A held sparse
-/// factor is reused via SparseLu::refactor — numeric-only when pattern and
-/// pivot sequence are unchanged, so driver-transition refactorisations and
-/// gmin-shifted retries skip the symbolic work — and the result stays
-/// bitwise-identical to a from-scratch factorisation. Without one (first
-/// call, or after a dense fallback) each rung factors from scratch. On an
-/// exhausted ladder `f` is left unusable and the report Failed. Setting
+/// factor is reused via SparseLu::refactor — numeric-only from the first
+/// changed column when pattern and pivot sequence are unchanged, so
+/// driver-transition refactorisations recompute only the trailing columns
+/// of `f.last` — and the result stays bitwise-identical to a from-scratch
+/// SparseLu(a, SparseLuSymbolic(a, f.last)). Without one (first call, or
+/// after a dense fallback) each rung factors from scratch. On an exhausted
+/// ladder `f` is left unusable and the report Failed. Setting
 /// IND_SPARSE_NO_REFACTOR=1 makes every rung factor from scratch (A/B
 /// oracle for the reuse path).
 void refactor_sparse_with_recovery(GuardedSparseFactor& f,
@@ -84,21 +91,35 @@ GuardedSparseFactor factor_sparse_with_recovery(
 /// the summation order of duplicates and the stored pattern — and factors
 /// it with refactor(). Used by the AC sweep (G + jwC) and the FFT-GMRES
 /// preconditioner (the nodal admittance).
+///
+/// A row whose diagonal is purely imaginary (an inductor branch row of
+/// G + jwC: -jwL) leaves both doubled diagonals empty. Listing it in
+/// `swapped_rows` trades its real and imaginary equations (rows i and
+/// i + m), which puts ±Im A(i, i) on the diagonal, where AMD and the
+/// diagonal-preference pivot expect a pivot.
 class ComplexSparseFactor {
  public:
-  explicit ComplexSparseFactor(std::size_t m) : m_(m) {}
+  explicit ComplexSparseFactor(
+      std::size_t m, const std::vector<std::size_t>& swapped_rows = {});
 
-  /// Re A(i, j) += re: stamps re at (i, j) and (i + m, j + m).
+  /// Re A(i, j) += re: stamps re into column j of row i's real equation
+  /// and into column j + m of its imaginary equation.
   void add_real(la::TripletMatrix& t, std::size_t i, std::size_t j,
                 double re) const;
-  /// Im A(i, j) += im: stamps -im at (i, j + m) and im at (i + m, j).
+  /// Im A(i, j) += im: stamps -im into column j + m of row i's real
+  /// equation and im into column j of its imaginary equation.
   void add_imag(la::TripletMatrix& t, std::size_t i, std::size_t j,
                 double im) const;
+  /// The right-hand side b in the doubled form's row layout.
+  la::Vector doubled_rhs(const la::CVector& b) const;
 
   /// (Re)factors the doubled form `a` through refactor_sparse_with_recovery:
   /// a held factor is reused, so a sweep over one pattern runs one symbolic
   /// analysis and stays bitwise-identical to factoring each point afresh.
-  /// A gmin rung adds gmin to the real part of every diagonal entry of A.
+  /// A gmin rung adds gmin to every diagonal entry of the doubled form:
+  /// Re A(i, i) += gmin on an unswapped row; on a swapped row it shifts the
+  /// two equations' ±Im A(i, i) apart, a regularisation of the doubled
+  /// matrix rather than of A.
   void refactor(const la::CscMatrix& a, SolveReport& report,
                 std::string_view where,
                 std::size_t dense_fallback_limit = 2048);
@@ -111,7 +132,12 @@ class ComplexSparseFactor {
   const GuardedSparseFactor& doubled() const { return doubled_; }
 
  private:
+  // Doubled-form rows of row i's real and imaginary equations.
+  std::size_t re_row(std::size_t i) const { return swapped_[i] ? i + m_ : i; }
+  std::size_t im_row(std::size_t i) const { return swapped_[i] ? i : i + m_; }
+
   std::size_t m_;
+  std::vector<char> swapped_;
   GuardedSparseFactor doubled_;
 };
 

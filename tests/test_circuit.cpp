@@ -885,6 +885,7 @@ TEST(Waveform, SkewValidation) {
 
 #include <cstdlib>
 
+#include "robust/fault_injection.hpp"
 #include "runtime/metrics.hpp"
 
 namespace {
@@ -940,6 +941,85 @@ TEST(Transient, SparseRefactorReuseIsBitwiseIdenticalToFromScratch) {
   ASSERT_EQ(with_reuse.samples[0].size(), scratch.samples[0].size());
   for (std::size_t k = 0; k < scratch.samples[0].size(); ++k)
     EXPECT_EQ(with_reuse.samples[0][k], scratch.samples[0][k]) << "sample " << k;
+}
+
+// Two drivers at the ends of an RC chain, switching at different times, so
+// their transitions change different trailing columns.
+Netlist two_driver_chain(int nodes) {
+  Netlist nl;
+  const NodeId vdd = nl.node("vdd");
+  nl.add_vsource(vdd, kGround, Pwl::constant(1.8));
+  std::vector<NodeId> chain;
+  for (int k = 0; k < nodes; ++k) {
+    chain.push_back(nl.make_node());
+    if (k > 0) nl.add_resistor(chain[k - 1], chain[k], 20.0);
+    nl.add_capacitor(chain[k], kGround, 4e-15);
+  }
+  for (int i = 0; i < 2; ++i) {
+    SwitchedDriver d;
+    d.out = i == 0 ? chain.front() : chain.back();
+    d.vdd = vdd;
+    d.gnd = kGround;
+    d.pull_ohms = 50.0;
+    d.slew = 40e-12;
+    d.start = 30e-12 + 60e-12 * i;
+    d.rising = i == 0;
+    nl.add_driver(d);
+  }
+  return nl;
+}
+
+TransientResult run_two_driver_chain(int nodes) {
+  TransientOptions opts;
+  opts.t_stop = 0.25e-9;
+  opts.dt = 1e-12;
+  return transient(
+      two_driver_chain(nodes),
+      {{ProbeKind::NodeVoltage, static_cast<std::size_t>(nodes / 2), "mid"}},
+      opts);
+}
+
+std::int64_t count(const char* name) {
+  return ind::runtime::MetricsRegistry::instance().counter(name).value.load();
+}
+
+TEST(Transient, DriverTransitionsRecomputeAtMostThreeColumnsPerDriver) {
+  const std::int64_t refactors = count("factor.sparse_lu.refactors");
+  const std::int64_t columns = count("factor.sparse_lu.refactor_columns");
+  const TransientResult run = run_two_driver_chain(40);
+  const std::int64_t replays = count("factor.sparse_lu.refactors") - refactors;
+  EXPECT_GT(replays, 0);
+  EXPECT_LE(count("factor.sparse_lu.refactor_columns") - columns,
+            3 * 2 * replays);
+
+  // The from-scratch oracle orders the same nodes last: bitwise equal.
+  ::setenv("IND_SPARSE_NO_REFACTOR", "1", 1);
+  const TransientResult scratch = run_two_driver_chain(40);
+  ::unsetenv("IND_SPARSE_NO_REFACTOR");
+  ASSERT_EQ(run.samples[0].size(), scratch.samples[0].size());
+  for (std::size_t k = 0; k < run.samples[0].size(); ++k)
+    EXPECT_EQ(run.samples[0][k], scratch.samples[0][k]) << "sample " << k;
+}
+
+// Above the ladder's dense-fallback limit (2048 unknowns), two injected
+// sparse faults at one transition escalate to the gmin rung. Its shifted
+// pattern, and the unshifted one after it, are both re-analysed: were
+// `last` lost there, later transitions would restart far earlier than the
+// driver columns.
+TEST(Transient, GminRungKeepsDriverNodesLast) {
+  ind::robust::fault::configure("sparse_lu_pivot@3,4");
+  const std::int64_t refactors = count("factor.sparse_lu.refactors");
+  const std::int64_t columns = count("factor.sparse_lu.refactor_columns");
+  const TransientResult run = run_two_driver_chain(2100);
+  ind::robust::fault::clear();
+  EXPECT_TRUE(std::any_of(
+      run.report.actions.begin(), run.report.actions.end(), [](const auto& a) {
+        return a.kind == ind::robust::RecoveryKind::GminRegularization;
+      }));
+  const std::int64_t replays = count("factor.sparse_lu.refactors") - refactors;
+  EXPECT_GT(replays, 0);
+  EXPECT_LE(count("factor.sparse_lu.refactor_columns") - columns,
+            3 * 2 * replays);
 }
 
 TEST(Waveform, CrossingAtFirstSample) {

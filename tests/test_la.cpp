@@ -1,6 +1,7 @@
 // Unit tests for the linear-algebra substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -16,6 +17,7 @@
 #include "robust/recovery.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
+#include "elimination_oracle.hpp"
 #include "matrix_checks.hpp"
 
 namespace {
@@ -478,6 +480,29 @@ TEST(Amd, ArrowMatrixEliminatesHubLast) {
   EXPECT_EQ(lu.fill_nnz(), a.nnz());
 }
 
+TEST(Amd, LastNodesComeLastInGivenOrder) {
+  const CscMatrix a = grid_laplacian(10);
+  const std::vector<std::size_t> last = {57, 3, 99, 12};
+  const std::vector<std::size_t> p = amd_order(a, last);
+  ASSERT_TRUE(is_permutation(p, a.rows()));
+  EXPECT_TRUE(std::equal(last.begin(), last.end(), p.end() - 4));
+  // A pure function of the pattern and `last`: new values, same order.
+  EXPECT_EQ(amd_order(grid_laplacian(10, 0.5), last), p);
+  EXPECT_THROW(amd_order(a, {3, 3}), std::invalid_argument);
+  EXPECT_THROW(amd_order(a, {100}), std::invalid_argument);
+}
+
+TEST(Amd, GridFillWithinTenPercentOfExactMinimumDegree) {
+  for (const int side : {12, 20}) {
+    const CscMatrix a = grid_laplacian(side);
+    const auto g = ind::test::symmetric_graph(a);
+    const std::size_t exact = ind::test::elimination_fill(g);
+    const std::size_t amd = ind::test::elimination_fill(g, amd_order(a));
+    EXPECT_LE(static_cast<double>(amd), 1.1 * static_cast<double>(exact))
+        << side << "x" << side << " grid";
+  }
+}
+
 TEST(SparseLu, AmdReducesGridFill) {
   const CscMatrix a = grid_laplacian(20);
   SparseLu lu(a);
@@ -579,6 +604,85 @@ TEST(SparseLu, RefactorThrowsOnSingularAndRecovers) {
   const Vector x = lu.solve(b);
   const Vector x_ref = SparseLu(a).solve(b);
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], x_ref[i]);
+}
+
+// Same pattern as `a`, with the values of columns `cols` scaled by `f`.
+CscMatrix with_columns_scaled(const CscMatrix& a,
+                              const std::vector<std::size_t>& cols, double f) {
+  TripletMatrix t(a.rows(), a.cols());
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    const bool scaled = std::find(cols.begin(), cols.end(), j) != cols.end();
+    for (std::size_t k = a.col_ptr()[j]; k < a.col_ptr()[j + 1]; ++k)
+      t.add(a.row_idx()[k], j, scaled ? f * a.values()[k] : a.values()[k]);
+  }
+  return CscMatrix(t);
+}
+
+std::int64_t refactor_columns() {
+  return ind::runtime::MetricsRegistry::instance()
+      .counter("factor.sparse_lu.refactor_columns")
+      .value.load();
+}
+
+void expect_bitwise_equal_solves(const SparseLu& x, const SparseLu& y) {
+  ASSERT_EQ(x.size(), y.size());
+  Vector b(x.size());
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = std::sin(0.7 * static_cast<double>(i) + 0.2);
+  const Vector sx = x.solve(b), sy = y.solve(b);
+  const Vector tx = x.solve_transposed(b), ty = y.solve_transposed(b);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(sx[i], sy[i]) << i;
+    EXPECT_EQ(tx[i], ty[i]) << i;
+  }
+}
+
+TEST(SparseLu, RestartRefactorRecomputesOnlyChangedTrailingColumns) {
+  const CscMatrix a0 = grid_laplacian(12);
+  const std::vector<std::size_t> last = {40, 7, 101};
+  SparseLu lu(a0, SparseLuSymbolic(a0, last));
+  const std::int64_t before = refactor_columns();
+  lu.refactor(a0);  // unchanged values: nothing to recompute
+  EXPECT_EQ(refactor_columns(), before);
+
+  // Only the last two pinned columns change: the sweep restarts there.
+  const CscMatrix a1 = with_columns_scaled(a0, {7, 101}, 1.5);
+  lu.refactor(a1);
+  EXPECT_EQ(refactor_columns(), before + 2);
+  const SparseLu fresh(a1, SparseLuSymbolic(a1, last));
+  EXPECT_EQ(lu.fill_nnz(), fresh.fill_nnz());
+  expect_bitwise_equal_solves(lu, fresh);
+}
+
+TEST(SparseLu, RestartRefactorAtStepZeroRecomputesEveryColumn) {
+  const CscMatrix a0 = grid_laplacian(12);
+  SparseLu lu(a0);
+  const CscMatrix a1 =
+      with_columns_scaled(a0, {lu.symbolic().order().front()}, 1.5);
+  const std::int64_t before = refactor_columns();
+  lu.refactor(a1);
+  EXPECT_EQ(refactor_columns(), before + static_cast<std::int64_t>(a1.rows()));
+  expect_bitwise_equal_solves(lu, SparseLu(a1));
+}
+
+TEST(SparseLu, NewPatternKeepsLast) {
+  const CscMatrix a = grid_laplacian(8);
+  const std::vector<std::size_t> last = {5, 60};
+  SparseLu lu(a, SparseLuSymbolic(a, last));
+  // One extra entry changes the pattern, as the gmin rung's diagonal shift
+  // can: the re-analysis keeps `last`.
+  TripletMatrix t(a.rows(), a.cols());
+  for (std::size_t j = 0; j < a.cols(); ++j)
+    for (std::size_t k = a.col_ptr()[j]; k < a.col_ptr()[j + 1]; ++k)
+      t.add(a.row_idx()[k], j, a.values()[k]);
+  t.add(0, 63, 0.5);
+  const CscMatrix b(t);
+  lu.refactor(b);
+  EXPECT_TRUE(lu.symbolic().matches_pattern(b));
+  EXPECT_EQ(lu.symbolic().last(), last);
+  const auto& order = lu.symbolic().order();
+  EXPECT_TRUE(std::equal(last.begin(), last.end(), order.end() - 2));
+  expect_bitwise_equal_solves(lu, SparseLu(b, SparseLuSymbolic(b, last)));
 }
 
 // Deterministic diagonally-dominant (hence well-conditioned) test matrix.

@@ -399,7 +399,9 @@ TEST(Hierarchical, ReducedSystemKeepsPassivityStructure) {
 #include <algorithm>
 
 #include "core/analyzer.hpp"
+#include "elimination_oracle.hpp"
 #include "geom/topologies.hpp"
+#include "la/amd.hpp"
 #include "peec/model_builder.hpp"
 #include "sparsify/block_diagonal.hpp"
 #include "sparsify/mutual_spec.hpp"
@@ -741,6 +743,19 @@ TEST_P(ClockOracle, AnalyzeMatchesSparseReductionAndDenseOracleDelays) {
         << core::flow_name(flow);
     EXPECT_NEAR(rep.skew, skew.skew, 1e-15) << core::flow_name(flow);
   }
+}
+
+// AMD on the full-RLC Table-1 companion G + C (871 unknowns, inductor
+// branch rows coupled through the mutual window) fills within 10 % of exact
+// minimum degree.
+TEST(Amd, TableOneCompanionFillWithinTenPercentOfExactMinimumDegree) {
+  const PrimaProblem pp = prima_problem(clock_over_grid(false));
+  const la::CscMatrix a = la::add_scaled(pp.sys.g, 1.0, pp.sys.c);
+  ASSERT_GT(a.rows(), 800u);
+  const auto g = test::symmetric_graph(a);
+  const std::size_t exact = test::elimination_fill(g);
+  const std::size_t amd = test::elimination_fill(g, la::amd_order(a));
+  EXPECT_LE(static_cast<double>(amd), 1.1 * static_cast<double>(exact));
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockDiagonalAndFullMutual, ClockOracle,
