@@ -63,7 +63,7 @@ int main() {
     const auto r = core::analyze(layout, opts);
     std::printf("  order/block %2zu -> total order %3zu of %3zu: delay %s "
                 "(%+.1fps), sim %s\n",
-                per_block, r.reduced_order, r.unknowns,
+                per_block, r.reduced_order, full.unknowns,
                 core::format_ps(r.worst_delay).c_str(),
                 (r.worst_delay - full.worst_delay) * 1e12,
                 core::format_runtime(r.solve_seconds).c_str());

@@ -11,25 +11,20 @@
 namespace ind::circuit {
 namespace {
 
-// The unit phasor excitation: real, at one source's rows.
-la::CVector excitation_rhs(const Mna& mna, const AcExcitation& excitation) {
-  const Netlist& netlist = mna.netlist();
+// The unit phasor excitation: the source's column of B (voltage sources
+// first, then current sources), real.
+la::CVector excitation_rhs(const Mna& mna, const DescriptorSystem& sys,
+                           const AcExcitation& excitation) {
+  const std::size_t nv = mna.netlist().vsources().size();
+  const bool vsource = excitation.kind == AcExcitation::Kind::VSource;
+  if (excitation.index >=
+      (vsource ? nv : mna.netlist().isources().size()))
+    throw std::out_of_range(vsource ? "ac_sweep: vsource index"
+                                    : "ac_sweep: isource index");
+  const std::size_t col = vsource ? excitation.index : nv + excitation.index;
   la::CVector b(mna.size(), la::Complex{});
-  switch (excitation.kind) {
-    case AcExcitation::Kind::VSource:
-      if (excitation.index >= netlist.vsources().size())
-        throw std::out_of_range("ac_sweep: vsource index");
-      b[mna.vsource_branch(excitation.index)] = 1.0;
-      break;
-    case AcExcitation::Kind::ISource: {
-      if (excitation.index >= netlist.isources().size())
-        throw std::out_of_range("ac_sweep: isource index");
-      const ISource& src = netlist.isources()[excitation.index];
-      if (src.a >= 0) b[static_cast<std::size_t>(src.a)] -= 1.0;
-      if (src.b >= 0) b[static_cast<std::size_t>(src.b)] += 1.0;
-      break;
-    }
-  }
+  for (const auto& e : sys.b.entries())
+    if (e.col == col) b[e.row] += e.value;
   return b;
 }
 
@@ -40,17 +35,18 @@ std::vector<AcResult> ac_sweep(const Netlist& netlist,
                                const std::vector<double>& omegas,
                                double driver_time) {
   Mna mna(netlist);
-  la::TripletMatrix g, c;
-  mna.stamp_static(g, c);
-  mna.stamp_drivers(g, driver_time);
+  DescriptorSystem sys = mna.system();
+  la::TripletMatrix& g = sys.g;
+  const la::TripletMatrix& c = sys.c;
+  stamp_drivers(sys.drivers, g, driver_time);
   const std::size_t n = mna.size();
-  // An inductor branch row's diagonal is -jwL: swap its real and imaginary
+  // An inductor branch row's diagonal is jwL: swap its real and imaginary
   // equations so the doubled form carries it on the diagonal.
   std::vector<std::size_t> branch_rows;
   for (std::size_t k = 0; k < netlist.inductors().size(); ++k)
     branch_rows.push_back(mna.inductor_branch(k));
   robust::ComplexSparseFactor factor(n, branch_rows);
-  const la::Vector b2 = factor.doubled_rhs(excitation_rhs(mna, excitation));
+  const la::Vector b2 = factor.doubled_rhs(excitation_rhs(mna, sys, excitation));
   double bnorm = 0.0;
   for (const double v : b2) bnorm += v * v;
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
 
 #include "govern/budget.hpp"
 #include "la/lu.hpp"
@@ -27,74 +28,92 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Rejects a probe whose index names no element of its kind, so probe_value
-// never reads another unknown's slot (or past x) at run time.
-void check_probe(const Probe& p, const Mna& mna) {
-  const Netlist& nl = mna.netlist();
-  std::size_t count = 0;
-  switch (p.kind) {
-    case ProbeKind::NodeVoltage: count = mna.num_nodes(); break;
-    case ProbeKind::InductorCurrent: count = nl.inductors().size(); break;
-    case ProbeKind::VSourceCurrent: count = nl.vsources().size(); break;
-    case ProbeKind::DriverPullUpCurrent:
-    case ProbeKind::DriverPullDownCurrent:
-      count = nl.drivers().size();
-      break;
+// Rejects a driver, output or B column that does not fit an n-unknown
+// system, so no stamp or output reads past x at run time.
+void check_system(const DescriptorSystem& sys) {
+  const std::size_t n = sys.size();
+  auto fits = [n](NodeId node) {
+    return node < 0 || static_cast<std::size_t>(node) < n;
+  };
+  for (const SwitchedDriver& d : sys.drivers)
+    if (!fits(d.out) || !fits(d.vdd) || !fits(d.gnd))
+      throw std::invalid_argument("transient: driver '" + d.name +
+                                  "' names an unknown out of range");
+  for (const Output& o : sys.outputs) {
+    for (const auto& term : o.terms)
+      if (term.first >= n)
+        throw std::invalid_argument("transient: output '" + o.name +
+                                    "' reads an unknown out of range");
+    if (o.gain != Output::Gain::One && o.driver >= sys.drivers.size())
+      throw std::invalid_argument("transient: output '" + o.name +
+                                  "' names no driver");
   }
-  if (p.index >= count)
-    throw std::out_of_range("transient: probe '" + p.name + "' index " +
-                            std::to_string(p.index) + " out of range (" +
-                            std::to_string(count) + " of its kind)");
+  if (sys.g.cols() != n || sys.c.rows() != n || sys.c.cols() != n ||
+      sys.b.rows() != n || sys.b.cols() != sys.inputs.size())
+    throw std::invalid_argument(
+        "transient: G and C must be n x n, B n x inputs.size()");
 }
 
-double probe_value(const Probe& p, const Mna& mna, const la::Vector& x,
-                   double t) {
-  const Netlist& nl = mna.netlist();
-  auto node_v = [&](NodeId n) {
-    return n >= 0 ? x[static_cast<std::size_t>(n)] : 0.0;
-  };
-  switch (p.kind) {
-    case ProbeKind::NodeVoltage:
-      return x[p.index];
-    case ProbeKind::InductorCurrent:
-      return x[mna.inductor_branch(p.index)];
-    case ProbeKind::VSourceCurrent:
-      return x[mna.vsource_branch(p.index)];
-    case ProbeKind::DriverPullUpCurrent: {
-      const SwitchedDriver& d = nl.drivers().at(p.index);
-      return d.g_up(t) * (node_v(d.vdd) - node_v(d.out));
-    }
-    case ProbeKind::DriverPullDownCurrent: {
-      const SwitchedDriver& d = nl.drivers().at(p.index);
-      return d.g_dn(t) * (node_v(d.out) - node_v(d.gnd));
-    }
+double output_value(const Output& o, const std::vector<SwitchedDriver>& drivers,
+                    const la::Vector& x, double t) {
+  // Starting from the first term keeps a lone unknown's value bit-exact,
+  // a -0.0 included.
+  double y = 0.0;
+  for (std::size_t k = 0; k < o.terms.size(); ++k) {
+    const double v = o.terms[k].second * x[o.terms[k].first];
+    y = k == 0 ? v : y + v;
   }
-  throw std::logic_error("probe_value: unknown probe kind");
+  switch (o.gain) {
+    case Output::Gain::One: return y;
+    case Output::Gain::PullUp: return drivers[o.driver].g_up(t) * y;
+    case Output::Gain::PullDown: return drivers[o.driver].g_dn(t) * y;
+  }
+  throw std::logic_error("output_value: unknown gain");
 }
 
 // Fingerprint of the driver conductance state; a refactorisation is needed
 // exactly when this changes between steps.
-std::vector<double> driver_state(const Netlist& nl, double t) {
+std::vector<double> driver_state(const std::vector<SwitchedDriver>& drivers,
+                                 double t) {
   std::vector<double> s;
-  s.reserve(2 * nl.drivers().size());
-  for (const SwitchedDriver& d : nl.drivers()) {
+  s.reserve(2 * drivers.size());
+  for (const SwitchedDriver& d : drivers) {
     s.push_back(d.g_up(t));
     s.push_back(d.g_dn(t));
   }
   return s;
 }
 
-// The nodes a driver transition restamps (every driver's out, vdd and gnd),
-// sorted. Every sparse analysis orders them last, so a transition changes
-// only the trailing columns and the refactor recomputes just those.
-std::vector<std::size_t> driver_nodes(const Netlist& nl) {
+// The unknowns a driver transition restamps (every driver's out, vdd and
+// gnd), sorted. Every sparse analysis orders them last, so a transition
+// changes only the trailing columns and the refactor recomputes just those.
+std::vector<std::size_t> driver_nodes(const std::vector<SwitchedDriver>& drivers) {
   std::vector<std::size_t> nodes;
-  for (const SwitchedDriver& d : nl.drivers())
+  for (const SwitchedDriver& d : drivers)
     for (const NodeId node : {d.out, d.vdd, d.gnd})
       if (node >= 0) nodes.push_back(static_cast<std::size_t>(node));
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
   return nodes;
+}
+
+// y = G(t) x: the static G plus the drivers' conductances at t, applied
+// directly (few entries, avoids re-compressing).
+la::Vector apply_g(const la::CscMatrix& g_static,
+                   const std::vector<SwitchedDriver>& drivers, double t,
+                   const la::Vector& x) {
+  la::Vector y = g_static.apply(x);
+  for (const SwitchedDriver& d : drivers) {
+    for (const auto& [node_a, node_b, g] :
+         {std::tuple{d.out, d.vdd, d.g_up(t)}, std::tuple{d.out, d.gnd, d.g_dn(t)}}) {
+      const double va = node_a >= 0 ? x[static_cast<std::size_t>(node_a)] : 0.0;
+      const double vb = node_b >= 0 ? x[static_cast<std::size_t>(node_b)] : 0.0;
+      const double i = g * (va - vb);
+      if (node_a >= 0) y[static_cast<std::size_t>(node_a)] += i;
+      if (node_b >= 0) y[static_cast<std::size_t>(node_b)] -= i;
+    }
+  }
+  return y;
 }
 
 }  // namespace
@@ -108,25 +127,27 @@ const la::Vector& TransientResult::waveform(const std::string& name) const {
 TransientResult transient(const Netlist& netlist,
                           const std::vector<Probe>& probes,
                           const TransientOptions& options) {
+  return transient(Mna(netlist).system(probes), options);
+}
+
+TransientResult transient(const DescriptorSystem& sys,
+                          const TransientOptions& options) {
   if (options.dt <= 0.0 || options.t_stop <= 0.0)
     throw std::invalid_argument("transient: dt and t_stop must be positive");
   runtime::ScopedTimer timer("solve.transient");
 
-  Mna mna(netlist);
-  const std::size_t n = mna.size();
+  const std::size_t n = sys.size();
   if (n == 0) throw std::invalid_argument("transient: empty circuit");
-  for (const Probe& p : probes) check_probe(p, mna);
-
-  la::TripletMatrix g_static_t, c_t;
-  mna.stamp_static(g_static_t, c_t);
-  const la::CscMatrix g_static(g_static_t);
-  const la::CscMatrix c_csc(c_t);
+  check_system(sys);
+  const la::CscMatrix g_static(sys.g);
+  const la::CscMatrix c_csc(sys.c);
+  const la::CscMatrix b_csc(sys.b);
 
   TransientResult result;
   result.unknowns = n;
-  result.names.reserve(probes.size());
-  for (const Probe& p : probes) result.names.push_back(p.name);
-  result.samples.assign(probes.size(), {});
+  result.names.reserve(sys.outputs.size());
+  for (const Output& o : sys.outputs) result.names.push_back(o.name);
+  result.samples.assign(sys.outputs.size(), {});
 
   const double h = options.dt;
   const double c_scale = 2.0 / h;
@@ -134,13 +155,22 @@ TransientResult transient(const Netlist& netlist,
   // Companion matrix G + scale*C (+ drivers at t). Re-stamping produces the
   // same triplet sequence every time, so the compressed pattern is identical
   // across driver transitions and the factor's numeric-only refactor path
-  // applies.
+  // applies. The DC matrix (scale 0) leaves C's pattern out: stamped as
+  // explicit zeros it would share the companion's analysis, but its branch
+  // rows pivot off the empty diagonal and the full-RLC DC factor then fills
+  // 2.9x more than the companion's.
   auto companion = [&](double scale, double t) {
-    la::TripletMatrix a = g_static_t;
-    mna.stamp_drivers(a, t);
+    la::TripletMatrix a = sys.g;
+    stamp_drivers(sys.drivers, a, t);
     if (scale != 0.0)
-      for (const auto& e : c_t.entries()) a.add(e.row, e.col, scale * e.value);
+      for (const auto& e : sys.c.entries()) a.add(e.row, e.col, scale * e.value);
     return la::CscMatrix(a);
+  };
+  // b(t) = B u(t).
+  auto rhs = [&](double t) {
+    la::Vector u(sys.inputs.size());
+    for (std::size_t k = 0; k < u.size(); ++k) u[k] = sys.inputs[k](t);
+    return b_csc.apply(u);
   };
   // Hager's kappa_1 estimate of a freshly factored matrix, from the factor's
   // own solves (a handful of backsolves, no densification).
@@ -177,7 +207,7 @@ TransientResult transient(const Netlist& netlist,
   // transitions then restart at the first driver column, and the one-off
   // DC and dt-halving factors alike.
   robust::GuardedSparseFactor factor;
-  factor.last = driver_nodes(netlist);
+  factor.last = driver_nodes(sys.drivers);
   auto factor_once = [&](const la::CscMatrix& a, robust::SolveReport& rep) {
     robust::GuardedSparseFactor f;
     f.last = factor.last;
@@ -190,7 +220,7 @@ TransientResult transient(const Netlist& netlist,
     const la::CscMatrix a = companion(c_scale, t);
     robust::refactor_sparse_with_recovery(factor, a, result.report,
                                           "transient");
-    factored_state = driver_state(netlist, t);
+    factored_state = driver_state(sys.drivers, t);
     // Driver transitions only move a few conductances: estimate once.
     if (result.refactor_count == 0 && factor.usable())
       estimate_condition(a, factor);
@@ -203,13 +233,11 @@ TransientResult transient(const Netlist& netlist,
   la::Vector x(n, 0.0);
   {
     const auto t0 = Clock::now();
-    la::Vector b0;
-    mna.rhs(0.0, b0);
     const la::CscMatrix g0 = companion(0.0, 0.0);
     const robust::GuardedSparseFactor dc = factor_once(g0, result.report);
     if (!dc.usable()) return fail("DC operating point factorisation failed");
     estimate_condition(g0, dc);
-    x = dc.solve(b0);
+    x = dc.solve(rhs(0.0));
     result.step_seconds += seconds_since(t0);
     if (!robust::all_finite(x))
       return fail("DC operating point is non-finite");
@@ -242,8 +270,7 @@ TransientResult transient(const Netlist& netlist,
     }
     result.report.merge(subrep);
     for (int i = 1; i <= sub; ++i) {
-      la::Vector bs;
-      mna.rhs(t_start + i * hs, bs);
+      const la::Vector bs = rhs(t_start + i * hs);
       la::Vector ys = c_csc.apply(xs);
       for (std::size_t j = 0; j < n; ++j) ys[j] = ys[j] / hs + bs[j];
       xs = f.solve(ys);
@@ -261,16 +288,16 @@ TransientResult transient(const Netlist& netlist,
 
   auto record = [&](double t) {
     result.time.push_back(t);
-    for (std::size_t p = 0; p < probes.size(); ++p)
-      result.samples[p].push_back(probe_value(probes[p], mna, x, t));
+    for (std::size_t p = 0; p < sys.outputs.size(); ++p)
+      result.samples[p].push_back(
+          output_value(sys.outputs[p], sys.drivers, x, t));
   };
   record(0.0);
 
   if (!refactor(h))  // matrix for the first step, at t1
     return fail("companion matrix factorisation failed");
 
-  la::Vector b_prev;
-  mna.rhs(0.0, b_prev);
+  la::Vector b_prev = rhs(0.0);
   // Budget charge per step: the dominant per-step cost is the
   // nnz-proportional backsolve. It is a pure function of the problem shape,
   // so the running total stays deterministic, and a cheaper (sparser) model
@@ -296,7 +323,7 @@ TransientResult transient(const Netlist& netlist,
     const double t_next = k * h;
 
     // Refactor only if driver conductances moved since the factored state.
-    if (driver_state(netlist, t_next) != factored_state) {
+    if (driver_state(sys.drivers, t_next) != factored_state) {
       try {
         if (!refactor(t_next))
           return fail("companion matrix factorisation failed at t = " +
@@ -314,14 +341,12 @@ TransientResult transient(const Netlist& netlist,
     }
 
     const auto t0 = Clock::now();
-    la::Vector b_next;
-    mna.rhs(t_next, b_next);
+    la::Vector b_next = rhs(t_next);
 
     // Trapezoidal: y = (2/h)C x_n - G(t_n) x_n + b_n + b_{n+1}.
     la::Vector y = c_csc.apply(x);
     for (double& v : y) v *= c_scale;
-    la::Vector gx(n, 0.0);
-    mna.apply_g(g_static, t_prev, x, gx);
+    const la::Vector gx = apply_g(g_static, sys.drivers, t_prev, x);
     for (std::size_t i = 0; i < n; ++i) y[i] += b_next[i] + b_prev[i] - gx[i];
 
     const la::Vector x_prev = x;

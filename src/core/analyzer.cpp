@@ -81,6 +81,24 @@ void measure_sinks(AnalysisReport& report, double vdd) {
         std::max(report.overshoot, circuit::overshoot_fraction(w, 0.0, vdd));
 }
 
+/// Fills the report from a flow's transient, started at t_solve: its size,
+/// waveforms, truncation and solve report (after the model build's own,
+/// e.g. PRIMA's Krylov deflations), then measures the sinks.
+void take_transient(AnalysisReport& report, Clock::time_point t_solve,
+                    robust::SolveReport build_report,
+                    circuit::TransientResult res,
+                    std::vector<std::string> sink_names, double vdd) {
+  report.solve_seconds = seconds_since(t_solve);
+  report.unknowns = res.unknowns;
+  report.time = std::move(res.time);
+  report.sink_waveforms = std::move(res.samples);
+  report.sink_names = std::move(sink_names);
+  report.waveform_truncated = res.truncated;
+  build_report.merge(res.report);
+  report.solve_report = std::move(build_report);
+  measure_sinks(report, vdd);
+}
+
 sparsify::SparsifiedL run_sparsifier(const AnalysisOptions& opts,
                                      const peec::PeecModel& model) {
   const auto& segs = model.layout.segments();
@@ -127,60 +145,15 @@ AnalysisReport analyze_prima(const geom::Layout& layout,
   }
   report.counts = model.counts();
 
-  // Input matrix B: independent sources first, then driver ports. The
-  // drivers stay outside the macromodel (active-port co-simulation of [4]).
+  // The drivers stay outside the macromodel (active-port co-simulation of
+  // [4]): B gains a port column per driver-attached node, the sink probes
+  // (passive sinks of [4]) are the outputs, and G, C exclude the drivers.
   const circuit::Mna mna(model.netlist);
   const std::size_t n = mna.size();
-  const auto& nl = model.netlist;
-
-  std::vector<circuit::Pwl> src_waveforms;
-  std::vector<std::pair<circuit::NodeId, circuit::NodeId>> isource_nodes;
-  std::size_t n_src = nl.vsources().size() + nl.isources().size();
-
-  // Driver port nodes, deduplicated.
-  std::vector<circuit::NodeId> port_nodes;
-  auto port_index = [&](circuit::NodeId node) -> std::size_t {
-    if (node < 0) return mor::kGroundPort;
-    for (std::size_t k = 0; k < port_nodes.size(); ++k)
-      if (port_nodes[k] == node) return k;
-    port_nodes.push_back(node);
-    return port_nodes.size() - 1;
-  };
-  std::vector<mor::CosimDriver> cosim_drivers;
-  for (const circuit::SwitchedDriver& d : nl.drivers()) {
-    mor::CosimDriver cd;
-    cd.out_port = port_index(d.out);
-    cd.vdd_port = port_index(d.vdd);
-    cd.gnd_port = port_index(d.gnd);
-    cd.dynamics = d;
-    cosim_drivers.push_back(cd);
-  }
-
-  la::Matrix b(n, n_src + port_nodes.size());
-  std::size_t col = 0;
-  for (std::size_t k = 0; k < nl.vsources().size(); ++k, ++col) {
-    b(mna.vsource_branch(k), col) = 1.0;
-    src_waveforms.push_back(nl.vsources()[k].waveform);
-  }
-  for (const circuit::ISource& src : nl.isources()) {
-    if (src.a >= 0) b(static_cast<std::size_t>(src.a), col) = -1.0;
-    if (src.b >= 0) b(static_cast<std::size_t>(src.b), col) = 1.0;
-    src_waveforms.push_back(src.waveform);
-    ++col;
-  }
-  for (circuit::NodeId node : port_nodes)
-    b(static_cast<std::size_t>(node), col++) = 1.0;
-
-  // Outputs: the sink observation nodes (passive sinks of [4]).
-  la::Matrix l_out(n, model.receiver_probes.size());
-  for (std::size_t m = 0; m < model.receiver_probes.size(); ++m)
-    l_out(model.receiver_probes[m].index, m) = 1.0;
-
-  // G, C without driver conductances: the drivers stay outside the
-  // macromodel and are co-simulated through their ports.
-  la::TripletMatrix g_stamps, c_stamps;
-  mna.stamp_static(g_stamps, c_stamps);
-  const la::CscMatrix g(g_stamps), c(c_stamps);
+  const circuit::DescriptorSystem full = mna.system(model.receiver_probes);
+  const la::Matrix b = mor::port_inputs(full);
+  const la::Matrix l_out = mor::output_selectors(full);
+  const la::CscMatrix g(full.g), c(full.c);
 
   mor::ReducedModel reduced;
   if (opts.flow == Flow::PeecRlcHier) {
@@ -211,23 +184,13 @@ AnalysisReport analyze_prima(const geom::Layout& layout,
     reduced = store::cached_prima_reduce(g, c, b, l_out, prima_opts);
   }
   report.build_seconds = seconds_since(t_build);
-  report.unknowns = n;
   report.reduced_order = reduced.order();
 
   const auto t_solve = Clock::now();
-  mor::CosimInputs inputs;
-  inputs.source_waveforms = std::move(src_waveforms);
-  inputs.drivers = std::move(cosim_drivers);
-  mor::CosimOptions copts;
-  copts.t_stop = opts.transient.t_stop;
-  copts.dt = opts.transient.dt;
-  const mor::CosimResult res = mor::simulate_reduced(reduced, inputs, copts);
-  report.solve_seconds = seconds_since(t_solve);
-
-  report.time = res.time;
-  report.sink_waveforms = res.outputs;
-  report.sink_names = model.receiver_names;
-  measure_sinks(report, model.vdd_volts);
+  take_transient(report, t_solve, reduced.report,
+                 circuit::transient(mor::reduced_system(reduced, full),
+                                    opts.transient),
+                 model.receiver_names, model.vdd_volts);
   return report;
 }
 
@@ -245,17 +208,10 @@ AnalysisReport analyze_loop(const geom::Layout& layout,
   report.counts = model.netlist.counts();
 
   const auto t_solve = Clock::now();
-  const circuit::TransientResult res =
-      circuit::transient(model.netlist, model.receiver_probes, opts.transient);
-  report.solve_seconds = seconds_since(t_solve);
-
-  report.unknowns = res.unknowns;
-  report.time = res.time;
-  report.sink_waveforms = res.samples;
-  report.sink_names = model.receiver_names;
-  report.waveform_truncated = res.truncated;
-  report.solve_report = res.report;
-  measure_sinks(report, model.vdd_volts);
+  take_transient(report, t_solve, {},
+                 circuit::transient(model.netlist, model.receiver_probes,
+                                    opts.transient),
+                 model.receiver_names, model.vdd_volts);
   return report;
 }
 
@@ -285,17 +241,10 @@ AnalysisReport run_flow(const geom::Layout& layout,
   report.counts = model.counts();
 
   const auto t_solve = Clock::now();
-  const circuit::TransientResult res =
-      circuit::transient(model.netlist, model.receiver_probes, opts.transient);
-  report.solve_seconds = seconds_since(t_solve);
-
-  report.unknowns = res.unknowns;
-  report.time = res.time;
-  report.sink_waveforms = res.samples;
-  report.sink_names = model.receiver_names;
-  report.waveform_truncated = res.truncated;
-  report.solve_report = res.report;
-  measure_sinks(report, model.vdd_volts);
+  take_transient(report, t_solve, {},
+                 circuit::transient(model.netlist, model.receiver_probes,
+                                    opts.transient),
+                 model.receiver_names, model.vdd_volts);
   return report;
 }
 

@@ -8,8 +8,9 @@
 //   Flow::PeecRlcHalo       — Section 4 halo / return-limited
 //   Flow::PeecRlcKMatrix    — Section 4 K = L^-1 element
 //   Flow::PeecRlcPrima      — Section 4 combined flow [4]: PRIMA + driver
-//                             co-simulation (optionally on a block-diagonal
-//                             sparsified model)
+//                             co-simulation through circuit::transient
+//                             (optionally on a block-diagonal sparsified
+//                             model)
 //   Flow::LoopRlc           — Section 5 loop-inductance model
 //
 // Every flow returns an AnalysisReport with the Table-1 columns: element
@@ -76,8 +77,11 @@ struct AnalysisReport {
   /// `sink_waveforms` hold the prefix computed before the budget tripped.
   bool waveform_truncated = false;
   circuit::Netlist::Counts counts;
-  std::size_t unknowns = 0;        ///< MNA size (or reduced order for PRIMA)
-  std::size_t reduced_order = 0;   ///< PRIMA only
+  /// Unknowns of the integrated system: the MNA size, or for PRIMA and
+  /// hierarchical flows the reduced order plus a voltage and a current per
+  /// driver port.
+  std::size_t unknowns = 0;
+  std::size_t reduced_order = 0;   ///< PRIMA / hierarchical only
 
   double worst_delay = 0.0;        ///< seconds
   double best_delay = 0.0;
@@ -94,8 +98,8 @@ struct AnalysisReport {
   std::vector<std::string> sink_names;
 
   /// Robustness diagnostics from the transient engine (condition estimates,
-  /// recovery actions, BudgetExceeded markers). Default-constructed for the
-  /// PRIMA/hierarchical co-simulation path, which has its own stepper.
+  /// recovery actions, BudgetExceeded markers), after the model build's own
+  /// for PRIMA and hierarchical flows (Krylov deflation, gmin on G + s0 C).
   robust::SolveReport solve_report;
 };
 

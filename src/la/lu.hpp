@@ -1,10 +1,10 @@
 // Dense LU factorisation with partial pivoting, for real and complex systems.
 //
 // Used by the MQS loop solver's mesh-impedance solve (complex; Dense
-// extraction and the GMRES dense fallback), the K = L^-1 inverse, the
-// reduced-model co-simulation of PRIMA and hierarchical models, and the
+// extraction and the GMRES dense fallback), the K = L^-1 inverse, and the
 // sparse ladder's dense-fallback rung. Every MNA system (transient, AC,
-// PRIMA's G + s0·C) factors with the sparse LU instead (la/sparse_lu.hpp).
+// PRIMA's G + s0·C) and the reduced models' co-simulation factor with the
+// sparse LU instead (la/sparse_lu.hpp).
 //
 // The elimination is cache-blocked (la/kernels.hpp): panel factor with
 // partial pivoting, unit-lower TRSM on the panel's trailing row block, then

@@ -8,7 +8,6 @@
 
 #include "extract/capacitance.hpp"
 #include "extract/resistance.hpp"
-#include "la/lu.hpp"
 #include "la/sparse.hpp"
 #include "la/sparse_lu.hpp"
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "la/lu.hpp"
 #include "la/qr.hpp"
 
 namespace ind::mor {

@@ -25,7 +25,7 @@ std::vector<double> diagonal(const la::CscMatrix& m) {
 }
 
 // Row scales for factoring G + s0 C. An inductor-branch row (its diagonal
-// comes from C alone: v_a - v_b - s0 L i = 0) is an equation in volts, a
+// comes from C alone: s0 L i - (v_a - v_b) = 0) is an equation in volts, a
 // node row one in amperes. At s0 a node's diagonal s0 C_node is far below
 // the unit incidence entries the branch rows put into its column, so the
 // pivots leave the diagonal and the LU fills ~2.6x more than the same

@@ -1,169 +1,103 @@
 #include "mor/reduced_model.hpp"
 
-#include <chrono>
-#include <cmath>
+#include <algorithm>
 #include <stdexcept>
-
-#include "la/lu.hpp"
 
 namespace ind::mor {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-// Port-space conductance matrix of the drivers at time t.
-la::Matrix driver_conductance(const std::vector<CosimDriver>& drivers,
-                              std::size_t n_ports, double t) {
-  la::Matrix d(n_ports, n_ports);
-  auto stamp = [&](std::size_t a, std::size_t b, double g) {
-    if (a != kGroundPort) d(a, a) += g;
-    if (b != kGroundPort) d(b, b) += g;
-    if (a != kGroundPort && b != kGroundPort) {
-      d(a, b) -= g;
-      d(b, a) -= g;
+// Distinct driver-attached unknowns in order of first appearance.
+std::vector<std::size_t> driver_ports(
+    const std::vector<circuit::SwitchedDriver>& drivers) {
+  std::vector<std::size_t> ports;
+  for (const circuit::SwitchedDriver& d : drivers)
+    for (const circuit::NodeId node : {d.out, d.vdd, d.gnd}) {
+      const auto u = static_cast<std::size_t>(node);
+      if (node >= 0 && std::find(ports.begin(), ports.end(), u) == ports.end())
+        ports.push_back(u);
     }
-  };
-  for (const CosimDriver& drv : drivers) {
-    stamp(drv.out_port, drv.vdd_port, drv.dynamics.g_up(t));
-    stamp(drv.out_port, drv.gnd_port, drv.dynamics.g_dn(t));
-  }
-  return d;
-}
-
-std::vector<double> driver_state(const std::vector<CosimDriver>& drivers,
-                                 double t) {
-  std::vector<double> s;
-  s.reserve(2 * drivers.size());
-  for (const CosimDriver& d : drivers) {
-    s.push_back(d.dynamics.g_up(t));
-    s.push_back(d.dynamics.g_dn(t));
-  }
-  return s;
+  return ports;
 }
 
 }  // namespace
 
-CosimResult simulate_reduced(const ReducedModel& model,
-                             const CosimInputs& inputs,
-                             const CosimOptions& options) {
-  const std::size_t q = model.order();
-  const std::size_t p_src = inputs.source_waveforms.size();
-  if (model.b.cols() < p_src)
-    throw std::invalid_argument("simulate_reduced: more waveforms than inputs");
-  const std::size_t p_port = model.b.cols() - p_src;
-  for (const CosimDriver& d : inputs.drivers)
-    for (std::size_t port : {d.out_port, d.vdd_port, d.gnd_port})
-      if (port != kGroundPort && port >= p_port)
-        throw std::invalid_argument("simulate_reduced: driver port out of range");
+la::Matrix port_inputs(const circuit::DescriptorSystem& full) {
+  const std::vector<std::size_t> ports = driver_ports(full.drivers);
+  const std::size_t p_src = full.b.cols();
+  la::Matrix b(full.size(), p_src + ports.size());
+  for (const auto& e : full.b.entries()) b(e.row, e.col) += e.value;
+  for (std::size_t k = 0; k < ports.size(); ++k) b(ports[k], p_src + k) = 1.0;
+  return b;
+}
 
-  // Split B into source and port blocks.
-  la::Matrix b_src(q, p_src), p_mat(q, p_port);
-  for (std::size_t i = 0; i < q; ++i) {
-    for (std::size_t j = 0; j < p_src; ++j) b_src(i, j) = model.b(i, j);
-    for (std::size_t j = 0; j < p_port; ++j) p_mat(i, j) = model.b(i, p_src + j);
+la::Matrix output_selectors(const circuit::DescriptorSystem& full) {
+  la::Matrix l(full.size(), full.outputs.size());
+  for (std::size_t m = 0; m < full.outputs.size(); ++m) {
+    const circuit::Output& o = full.outputs[m];
+    if (o.gain != circuit::Output::Gain::One)
+      throw std::invalid_argument("output_selectors: output '" + o.name +
+                                  "' is a driver current");
+    for (const auto& [i, w] : o.terms) l(i, m) += w;
   }
-  const la::Matrix p_t = p_mat.transposed();
+  return l;
+}
 
-  const double h = options.dt;
-  CosimResult result;
-  result.outputs.assign(model.l.cols(), {});
+circuit::DescriptorSystem reduced_system(
+    const ReducedModel& model, const circuit::DescriptorSystem& full) {
+  const std::vector<std::size_t> ports = driver_ports(full.drivers);
+  const std::size_t q = model.order(), p = ports.size();
+  const std::size_t p_src = full.inputs.size();
+  if (model.b.cols() != p_src + p || model.l.cols() != full.outputs.size())
+    throw std::invalid_argument(
+        "reduced_system: model inputs/outputs do not match the system's "
+        "port_inputs/output_selectors");
 
-  auto src_vec = [&](double t) {
-    la::Vector u(p_src);
-    for (std::size_t k = 0; k < p_src; ++k) u[k] = inputs.source_waveforms[k](t);
-    return u;
+  circuit::DescriptorSystem sys;
+  const std::size_t n = q + 2 * p;
+  sys.g.resize(n, n);
+  sys.c.resize(n, n);
+  sys.b.resize(n, p_src);
+  for (std::size_t i = 0; i < q; ++i)
+    for (std::size_t j = 0; j < q; ++j) {
+      if (model.g(i, j) != 0.0) sys.g.add(i, j, model.g(i, j));
+      if (model.c(i, j) != 0.0) sys.c.add(i, j, model.c(i, j));
+    }
+  for (std::size_t i = 0; i < q; ++i)
+    for (std::size_t s = 0; s < p_src; ++s)
+      if (model.b(i, s) != 0.0) sys.b.add(i, s, model.b(i, s));
+  for (std::size_t k = 0; k < p; ++k) {
+    const std::size_t v = q + k, cur = q + p + k;
+    sys.g.add(v, cur, 1.0);    // KCL: i leaves the port into the model
+    sys.g.add(cur, v, -1.0);   // branch row: Prᵀz - v = 0
+    for (std::size_t i = 0; i < q; ++i) {
+      const double w = model.b(i, p_src + k);
+      if (w == 0.0) continue;
+      sys.g.add(i, cur, -w);
+      sys.g.add(cur, i, w);
+    }
+  }
+  sys.inputs = full.inputs;
+
+  auto port_unknown = [&](circuit::NodeId node) -> circuit::NodeId {
+    if (node < 0) return circuit::kGround;
+    const auto it = std::find(ports.begin(), ports.end(),
+                              static_cast<std::size_t>(node));
+    return static_cast<circuit::NodeId>(q + (it - ports.begin()));
   };
-
-  auto system_matrix = [&](double c_scale, double t) {
-    la::Matrix a = model.g;
+  sys.drivers = full.drivers;
+  for (circuit::SwitchedDriver& d : sys.drivers) {
+    d.out = port_unknown(d.out);
+    d.vdd = port_unknown(d.vdd);
+    d.gnd = port_unknown(d.gnd);
+  }
+  for (std::size_t m = 0; m < full.outputs.size(); ++m) {
+    circuit::Output o;
+    o.name = full.outputs[m].name;
     for (std::size_t i = 0; i < q; ++i)
-      for (std::size_t j = 0; j < q; ++j) a(i, j) += c_scale * model.c(i, j);
-    if (p_port > 0) {
-      const la::Matrix pd = p_mat * driver_conductance(inputs.drivers, p_port, t);
-      const la::Matrix pdp = pd * p_t;
-      for (std::size_t i = 0; i < q; ++i)
-        for (std::size_t j = 0; j < q; ++j) a(i, j) += pdp(i, j);
-    }
-    return a;
-  };
-
-  // DC operating point. A heavily truncated projection basis can leave the
-  // reduced conductance matrix singular at DC (some basis directions have no
-  // conductive component); regularise with a vanishing diagonal shift —
-  // the transient matrices (which add (2/h)C) are unaffected.
-  la::Vector x;
-  {
-    const la::Vector u0 = src_vec(0.0);
-    la::Matrix g0 = system_matrix(0.0, 0.0);
-    try {
-      x = la::LU(g0).solve(b_src.apply(u0));
-    } catch (const la::SingularMatrixError&) {
-      double scale = 0.0;
-      for (std::size_t i = 0; i < q; ++i)
-        scale = std::max(scale, std::abs(g0(i, i)));
-      for (std::size_t i = 0; i < q; ++i) g0(i, i) += 1e-9 * (scale + 1e-12);
-      x = la::LU(std::move(g0)).solve(b_src.apply(u0));
-    }
+      if (model.l(i, m) != 0.0) o.terms.emplace_back(i, model.l(i, m));
+    sys.outputs.push_back(std::move(o));
   }
-
-  const std::size_t steps =
-      static_cast<std::size_t>(std::ceil(options.t_stop / h));
-  result.time.reserve(steps + 1);
-  for (auto& o : result.outputs) o.reserve(steps + 1);
-  auto record = [&](double t) {
-    result.time.push_back(t);
-    const la::Vector y = model.l.apply_transposed(x);
-    for (std::size_t m = 0; m < y.size(); ++m) result.outputs[m].push_back(y[m]);
-  };
-  record(0.0);
-
-  la::LU factor;
-  std::vector<double> factored_state;
-  auto refactor = [&](double t) {
-    const auto t0 = Clock::now();
-    factor = la::LU(system_matrix(2.0 / h, t));
-    factored_state = driver_state(inputs.drivers, t);
-    ++result.refactor_count;
-    result.factor_seconds += seconds_since(t0);
-  };
-  refactor(h);
-
-  la::Vector u_prev = src_vec(0.0);
-  for (std::size_t k = 1; k <= steps; ++k) {
-    const double t_prev = (k - 1) * h;
-    const double t_next = k * h;
-    if (driver_state(inputs.drivers, t_next) != factored_state)
-      refactor(t_next);
-
-    const auto t0 = Clock::now();
-    const la::Vector u_next = src_vec(t_next);
-    // rhs = (2/h)C x0 - G x0 + P i0 + B_src (u0 + u1),  i0 = -D0 P^T x0.
-    la::Vector rhs = model.c.apply(x);
-    for (double& v : rhs) v *= 2.0 / h;
-    const la::Vector gx = model.g.apply(x);
-    for (std::size_t i = 0; i < q; ++i) rhs[i] -= gx[i];
-    if (p_port > 0) {
-      const la::Vector v0 = p_t.apply(x);
-      const la::Vector i0 =
-          driver_conductance(inputs.drivers, p_port, t_prev).apply(v0);
-      const la::Vector pi0 = p_mat.apply(i0);
-      for (std::size_t i = 0; i < q; ++i) rhs[i] -= pi0[i];
-    }
-    la::Vector u_sum(p_src);
-    for (std::size_t s = 0; s < p_src; ++s) u_sum[s] = u_prev[s] + u_next[s];
-    const la::Vector bu = b_src.apply(u_sum);
-    for (std::size_t i = 0; i < q; ++i) rhs[i] += bu[i];
-
-    x = factor.solve(rhs);
-    u_prev = u_next;
-    result.step_seconds += seconds_since(t0);
-    record(t_next);
-  }
-  return result;
+  return sys;
 }
 
 }  // namespace ind::mor

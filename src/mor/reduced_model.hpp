@@ -1,60 +1,49 @@
-// Reduced-model simulation, including driver co-simulation.
+// Reduced-model co-simulation with switched drivers (the combined flow of
+// [4]), as a descriptor system for circuit::transient.
 //
-// The combined flow of [4] keeps the nonlinear/time-varying switching
-// devices *outside* the reduced linear macromodel: the macromodel exposes
-// current-injection ports at the driver attachment nodes (and the constant
-// supply / background sources as extra input columns), and each transient
-// step couples the small dense reduced system with the driver conductances.
-// This is why the reduced simulation runs in seconds where the flat PEEC
-// model takes minutes (Table 1).
+// The drivers stay *outside* the reduced linear macromodel: the full
+// system's B gains one unit current-injection port per driver-attached
+// unknown (port_inputs), the reduction keeps those columns, and
+// reduced_system re-attaches the drivers through explicit port unknowns:
+//
+//   [ Gr    0   -Pr ] [z]   [ Cr 0 0 ] [z]'   [Br]
+//   [ 0     Gd   I  ] [v] + [ 0  0 0 ] [v]  = [0 ] u(t)
+//   [ Prᵀ  -I    0  ] [i]   [ 0  0 0 ] [i]    [0 ]
+//
+// z holds the q reduced states, v the port voltages and i the currents
+// flowing from each port into the macromodel; Br and Pr are the source and
+// port columns of the reduced B. Row v is KCL at the port, where the
+// drivers stamp their conductances Gd(t) exactly as on an MNA node; row i
+// is the port's branch equation v = Prᵀz in the passive (negated) form of
+// circuit/mna.hpp, so G + Gᵀ = diag(Gr + Grᵀ, 0, 0) ⪰ 0 whenever the
+// reduction kept Gr passive. Eliminating v and i gives back
+// (Gr + Pr Gd Prᵀ) z + Cr z' = Br u. The v unknowns are the system's driver
+// nodes, which the transient orders last, so a driver transition refactors
+// only the port columns instead of the dense q x q block.
 #pragma once
 
-#include <limits>
-#include <vector>
-
-#include "circuit/netlist.hpp"
+#include "circuit/mna.hpp"
 #include "mor/prima.hpp"
 
 namespace ind::mor {
 
-inline constexpr std::size_t kGroundPort =
-    std::numeric_limits<std::size_t>::max();
+/// The inputs a reduction of `full` takes: full's B (its source columns),
+/// then one unit port column per distinct driver-attached unknown (each
+/// driver's out, vdd and gnd in order of first appearance, the reference
+/// skipped).
+la::Matrix port_inputs(const circuit::DescriptorSystem& full);
 
-/// A switched driver attached to reduced-model ports. Port indices refer to
-/// the *port block* of the B matrix (see CosimInputs); kGroundPort means the
-/// rail is the global reference.
-struct CosimDriver {
-  std::size_t out_port = 0;
-  std::size_t vdd_port = kGroundPort;
-  std::size_t gnd_port = kGroundPort;
-  circuit::SwitchedDriver dynamics;  ///< node fields unused here
-};
+/// Full's outputs as the columns of a dense selector matrix L. Throws
+/// std::invalid_argument on a driver-current output (not a fixed linear
+/// function of the state).
+la::Matrix output_selectors(const circuit::DescriptorSystem& full);
 
-/// Column layout of the reduced B: first `source_waveforms.size()` columns
-/// are independent sources with known waveforms; the remaining columns are
-/// driver ports whose injected current is resolved by co-simulation.
-struct CosimInputs {
-  std::vector<circuit::Pwl> source_waveforms;
-  std::vector<CosimDriver> drivers;
-};
-
-struct CosimOptions {
-  double t_stop = 1e-9;
-  double dt = 1e-12;
-};
-
-struct CosimResult {
-  la::Vector time;
-  std::vector<la::Vector> outputs;  ///< one per column of the reduced L
-
-  double factor_seconds = 0.0;
-  double step_seconds = 0.0;
-  std::size_t refactor_count = 0;
-};
-
-/// Trapezoidal co-simulation of the reduced model with switched drivers.
-CosimResult simulate_reduced(const ReducedModel& model,
-                             const CosimInputs& inputs,
-                             const CosimOptions& options);
+/// The co-simulation system of `model`, reduced from `full` with inputs
+/// port_inputs(full) and outputs output_selectors(full): full's source
+/// waveforms, full's drivers on the port-voltage unknowns, and full's
+/// output names. Throws std::invalid_argument when the model's B or L
+/// columns do not match that layout.
+circuit::DescriptorSystem reduced_system(const ReducedModel& model,
+                                         const circuit::DescriptorSystem& full);
 
 }  // namespace ind::mor

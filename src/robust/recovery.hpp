@@ -93,7 +93,7 @@ GuardedSparseFactor factor_sparse_with_recovery(
 /// preconditioner (the nodal admittance).
 ///
 /// A row whose diagonal is purely imaginary (an inductor branch row of
-/// G + jwC: -jwL) leaves both doubled diagonals empty. Listing it in
+/// G + jwC: jwL) leaves both doubled diagonals empty. Listing it in
 /// `swapped_rows` trades its real and imaginary equations (rows i and
 /// i + m), which puts ±Im A(i, i) on the diagonal, where AMD and the
 /// diagonal-preference pivot expect a pivot.

@@ -14,10 +14,9 @@ struct MnaSystem {
 };
 
 inline MnaSystem stamp_mna(const circuit::Netlist& nl) {
-  const circuit::Mna mna(nl);
-  la::TripletMatrix g, c;
-  mna.stamp_static(g, c);
-  return {la::CscMatrix(g), la::CscMatrix(c), g.to_dense(), c.to_dense()};
+  const circuit::DescriptorSystem sys = circuit::Mna(nl).system();
+  return {la::CscMatrix(sys.g), la::CscMatrix(sys.c), sys.g.to_dense(),
+          sys.c.to_dense()};
 }
 
 }  // namespace ind::test

@@ -343,6 +343,20 @@ Netlist rc_ladder(int stages, NodeId& end) {
   return nl;
 }
 
+// The MNA source vector b(t), straight from the netlist's sources: a
+// voltage source's branch row carries -e(t) (branch rows are stamped
+// negated), a current source leaves its a node and enters its b node.
+ind::la::Vector source_vector(const Netlist& nl, const Mna& mna, double t) {
+  ind::la::Vector b(mna.size(), 0.0);
+  for (std::size_t k = 0; k < nl.vsources().size(); ++k)
+    b[mna.vsource_branch(k)] = -nl.vsources()[k].waveform(t);
+  for (const ISource& src : nl.isources()) {
+    if (src.a >= 0) b[static_cast<std::size_t>(src.a)] -= src.waveform(t);
+    if (src.b >= 0) b[static_cast<std::size_t>(src.b)] += src.waveform(t);
+  }
+  return b;
+}
+
 // The engine's trapezoidal recurrence on dense copies of the same stamps,
 // factored with the dense LU: x0 = G^-1 b(0), then
 // (G + (2/h)C) x_{k+1} = (2/h)C x_k - G x_k + b_k + b_{k+1}.
@@ -355,12 +369,11 @@ ind::la::Vector dense_trapezoidal(const Netlist& nl, NodeId probe, double h,
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) a(i, j) += 2.0 / h * sys.c_dense(i, j);
   const ind::la::LU companion(a);
-  ind::la::Vector b_prev, b_next;
-  mna.rhs(0.0, b_prev);
+  ind::la::Vector b_prev = source_vector(nl, mna, 0.0), b_next;
   ind::la::Vector x = ind::la::LU(sys.g_dense).solve(b_prev);
   ind::la::Vector wave{x[static_cast<std::size_t>(probe)]};
   for (std::size_t k = 1; k <= steps; ++k) {
-    mna.rhs(static_cast<double>(k) * h, b_next);
+    b_next = source_vector(nl, mna, static_cast<double>(k) * h);
     ind::la::Vector y(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       y[i] = b_prev[i] + b_next[i];
@@ -471,7 +484,7 @@ ind::la::CVector dense_ac_oracle(const Netlist& nl, const AcExcitation& ex,
       a(i, j) = {sys.g_dense(i, j), omega * sys.c_dense(i, j)};
   ind::la::CVector b(n, Complex{});
   if (ex.kind == AcExcitation::Kind::VSource) {
-    b[mna.vsource_branch(ex.index)] = 1.0;
+    b[mna.vsource_branch(ex.index)] = -1.0;  // negated branch row
   } else {
     const ISource& src = nl.isources()[ex.index];
     if (src.a >= 0) b[static_cast<std::size_t>(src.a)] -= 1.0;
@@ -804,10 +817,9 @@ TEST(Mna, ResistorAndCapacitorStamps) {
   nl.add_capacitor(a, kGround, 3.0); // pF-scale irrelevant here
   Mna mna(nl);
   mna.gmin = 0.0;
-  ind::la::TripletMatrix gt, ct;
-  mna.stamp_static(gt, ct);
-  const auto g = gt.to_dense();
-  const auto c = ct.to_dense();
+  const DescriptorSystem sys = mna.system();
+  const auto g = sys.g.to_dense();
+  const auto c = sys.c.to_dense();
   EXPECT_DOUBLE_EQ(g(a, a), 0.5);
   EXPECT_DOUBLE_EQ(g(b, b), 0.5);
   EXPECT_DOUBLE_EQ(g(a, b), -0.5);
@@ -822,14 +834,13 @@ TEST(Mna, InductorBranchStamps) {
   nl.add_inductor(a, kGround, 2e-9);
   Mna mna(nl);
   mna.gmin = 0.0;
-  ind::la::TripletMatrix gt, ct;
-  mna.stamp_static(gt, ct);
-  const auto g = gt.to_dense();
-  const auto c = ct.to_dense();
+  const DescriptorSystem sys = mna.system();
+  const auto g = sys.g.to_dense();
+  const auto c = sys.c.to_dense();
   const std::size_t br = mna.inductor_branch(0);
   EXPECT_DOUBLE_EQ(g(a, br), 1.0);   // KCL: current leaves a
-  EXPECT_DOUBLE_EQ(g(br, a), 1.0);   // branch: +v_a
-  EXPECT_DOUBLE_EQ(c(br, br), -2e-9);
+  EXPECT_DOUBLE_EQ(g(br, a), -1.0);  // negated branch row: -v_a
+  EXPECT_DOUBLE_EQ(c(br, br), 2e-9); // + L di/dt
 }
 
 TEST(Mna, VsourceStampsAndRhs) {
@@ -837,9 +848,16 @@ TEST(Mna, VsourceStampsAndRhs) {
   const NodeId a = nl.node("a");
   nl.add_vsource(a, kGround, Pwl::constant(1.8));
   Mna mna(nl);
-  ind::la::Vector b;
-  mna.rhs(0.0, b);
-  EXPECT_DOUBLE_EQ(b[mna.vsource_branch(0)], 1.8);
+  const DescriptorSystem sys = mna.system();
+  const std::size_t br = mna.vsource_branch(0);
+  const auto g = sys.g.to_dense();
+  EXPECT_DOUBLE_EQ(g(a, br), 1.0);   // KCL: current leaves a
+  EXPECT_DOUBLE_EQ(g(br, a), -1.0);  // negated branch row: -v_a = -e
+  // b(0) = B u(0): the source's column of B carries -1 on its branch row.
+  ASSERT_EQ(sys.inputs.size(), 1u);
+  const ind::la::Vector b =
+      ind::la::CscMatrix(sys.b).apply({sys.inputs[0](0.0)});
+  EXPECT_DOUBLE_EQ(b[br], -1.8);
 }
 
 TEST(Mna, DriverStampSymmetric) {
@@ -855,7 +873,7 @@ TEST(Mna, DriverStampSymmetric) {
   nl.add_driver(d);
   Mna mna(nl);
   ind::la::TripletMatrix gt(mna.size(), mna.size());
-  mna.stamp_drivers(gt, 0.5);
+  stamp_drivers(nl.drivers(), gt, 0.5);
   const auto g = gt.to_dense();
   EXPECT_DOUBLE_EQ(g(out, vdd), g(vdd, out));
   EXPECT_GE(g(out, out), -1e-18);

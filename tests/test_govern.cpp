@@ -419,6 +419,49 @@ TEST_F(GovernBudgetTest, BudgetCheckFaultSiteForcesOneDegradation) {
   EXPECT_FALSE(r.sink_waveforms.empty());
 }
 
+// The PRIMA flow's driver co-simulation runs through circuit::transient,
+// so it carries the transient_step fault site: one injected non-finite
+// step is re-solved (a Retry action in the flow's report) and the
+// waveforms equal the undisturbed run's bitwise.
+TEST_F(GovernBudgetTest, PrimaCosimulationRecoversInjectedStepFault) {
+  int net = -1;
+  const geom::Layout l = ladder_workload(&net);
+  const auto opts = ladder_options(core::Flow::PeecRlcPrima, net);
+  const auto base = core::analyze(l, opts);
+  ASSERT_TRUE(base.solve_report.actions.empty());
+  robust::fault::configure("transient_step@5");
+  const auto r = core::analyze(l, opts);
+  EXPECT_EQ(robust::fault::fired(robust::fault::Site::TransientStep), 1);
+  EXPECT_EQ(r.flow, core::Flow::PeecRlcPrima);
+  EXPECT_EQ(r.solve_report.status, robust::SolveStatus::Recovered);
+  ASSERT_EQ(r.solve_report.actions.size(), 1u);
+  EXPECT_EQ(r.solve_report.actions[0].kind, robust::RecoveryKind::Retry);
+  EXPECT_EQ(r.solve_report.actions[0].where, "transient step 6");
+  EXPECT_EQ(r.sink_waveforms, base.sink_waveforms);
+}
+
+// A work budget that runs out inside the PRIMA co-simulation (one unit
+// short of the flow's unbudgeted work, so the last step's poll trips)
+// truncates it with a BudgetExceeded action, and the analyzer degrades one
+// rung, as it does for a truncated full-PEEC transient.
+TEST_F(GovernBudgetTest, WorkBudgetTruncatesPrimaCosimulation) {
+  int net = -1;
+  const geom::Layout l = ladder_workload(&net);
+  const std::uint64_t w_prima = work_of(l, core::Flow::PeecRlcPrima, net);
+  auto& truncations =
+      runtime::MetricsRegistry::instance().counter("robust.action.budget_exceeded");
+  const std::int64_t before = truncations.value.load();
+  govern::RunBudget b;
+  b.work_units = w_prima - 1;
+  govern::Governor::instance().configure(b);
+  const auto r =
+      core::analyze(l, ladder_options(core::Flow::PeecRlcPrima, net));
+  EXPECT_EQ(r.requested_flow, core::Flow::PeecRlcPrima);
+  ASSERT_FALSE(r.degradations.empty());
+  EXPECT_EQ(r.degradations[0], "peec_rlc_prima->peec_rlc_blockdiag [work]");
+  EXPECT_GE(truncations.value.load() - before, 1);
+}
+
 TEST_F(GovernBudgetTest, DeadlineNeverRetries) {
   int net = -1;
   const geom::Layout l = ladder_workload(&net);
