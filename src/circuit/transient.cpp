@@ -10,6 +10,7 @@
 #include "govern/budget.hpp"
 #include "la/lu.hpp"
 #include "la/sparse.hpp"
+#include "la/sparse_lu.hpp"
 #include "robust/fault_injection.hpp"
 #include "robust/recovery.hpp"
 #include "runtime/metrics.hpp"
@@ -158,7 +159,8 @@ TransientResult transient(const DescriptorSystem& sys,
   // applies. The DC matrix (scale 0) leaves C's pattern out: stamped as
   // explicit zeros it would share the companion's analysis, but its branch
   // rows pivot off the empty diagonal and the full-RLC DC factor then fills
-  // 2.9x more than the companion's.
+  // 2.9x more than the companion's. Where they coincide (a PRIMA model's
+  // dense Gr covers Cr), the DC factor shares the companion's analysis.
   auto companion = [&](double scale, double t) {
     la::TripletMatrix a = sys.g;
     stamp_drivers(sys.drivers, a, t);
@@ -211,13 +213,13 @@ TransientResult transient(const DescriptorSystem& sys,
   auto factor_once = [&](const la::CscMatrix& a, robust::SolveReport& rep) {
     robust::GuardedSparseFactor f;
     f.last = factor.last;
+    f.analysis = factor.analysis;
     robust::refactor_sparse_with_recovery(f, a, rep, "transient");
     return f;
   };
   std::vector<double> factored_state;
-  auto refactor = [&](double t) {
+  auto refactor = [&](const la::CscMatrix& a, double t) {
     const auto t0 = Clock::now();
-    const la::CscMatrix a = companion(c_scale, t);
     robust::refactor_sparse_with_recovery(factor, a, result.report,
                                           "transient");
     factored_state = driver_state(sys.drivers, t);
@@ -231,9 +233,12 @@ TransientResult transient(const DescriptorSystem& sys,
 
   // --- DC operating point at t = 0: G(0) x = b(0).
   la::Vector x(n, 0.0);
+  const la::CscMatrix a1 = companion(c_scale, h);  // first step's, at t1
   {
     const auto t0 = Clock::now();
     const la::CscMatrix g0 = companion(0.0, 0.0);
+    if (g0.col_ptr() == a1.col_ptr() && g0.row_idx() == a1.row_idx())
+      factor.analysis = la::SparseLuSymbolic(g0, factor.last);
     const robust::GuardedSparseFactor dc = factor_once(g0, result.report);
     if (!dc.usable()) return fail("DC operating point factorisation failed");
     estimate_condition(g0, dc);
@@ -294,7 +299,7 @@ TransientResult transient(const DescriptorSystem& sys,
   };
   record(0.0);
 
-  if (!refactor(h))  // matrix for the first step, at t1
+  if (!refactor(a1, h))
     return fail("companion matrix factorisation failed");
 
   la::Vector b_prev = rhs(0.0);
@@ -305,18 +310,19 @@ TransientResult transient(const DescriptorSystem& sys,
   // degradation ladder find a rung that fits the budget.
   const std::uint64_t step_cost =
       static_cast<std::uint64_t>(g_static.nnz() + c_csc.nnz() + n);
+  auto truncate = [&](std::size_t k, govern::BudgetKind kind) {
+    result.truncated = true;
+    result.report.add_action(robust::RecoveryKind::BudgetExceeded, 0, 0.0,
+                             "transient truncated at step " +
+                                 std::to_string(k) + " [" +
+                                 govern::to_string(kind) + "]");
+  };
   for (std::size_t k = 1; k <= steps; ++k) {
     // Budget poll per step. A tripped budget keeps the waveform prefix
     // computed so far, marked truncated — an explicit partial answer beats
     // none when the deadline is the binding limit.
     if (govern::checkpoint(step_cost)) {
-      result.truncated = true;
-      result.report.add_action(
-          robust::RecoveryKind::BudgetExceeded, 0, 0.0,
-          std::string("transient truncated at step ") + std::to_string(k) +
-              " [" +
-              govern::to_string(govern::Governor::instance().cancel_kind()) +
-              "]");
+      truncate(k, govern::Governor::instance().cancel_kind());
       break;
     }
     const double t_prev = (k - 1) * h;
@@ -325,17 +331,13 @@ TransientResult transient(const DescriptorSystem& sys,
     // Refactor only if driver conductances moved since the factored state.
     if (driver_state(sys.drivers, t_next) != factored_state) {
       try {
-        if (!refactor(t_next))
+        if (!refactor(companion(c_scale, t_next), t_next))
           return fail("companion matrix factorisation failed at t = " +
                       std::to_string(t_next) + " s");
       } catch (const govern::CancelledError& e) {
         // A budget trip inside the factorisation kernel: keep the waveform
         // prefix instead of surfacing the throw.
-        result.truncated = true;
-        result.report.add_action(robust::RecoveryKind::BudgetExceeded, 0, 0.0,
-                                 std::string("transient truncated at step ") +
-                                     std::to_string(k) + " [" +
-                                     govern::to_string(e.kind()) + "]");
+        truncate(k, e.kind());
         break;
       }
     }

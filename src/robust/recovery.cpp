@@ -85,7 +85,8 @@ void refactor_sparse_with_recovery(GuardedSparseFactor& f,
         f.sparse->refactor(m);
       else
         f.sparse = std::make_unique<la::SparseLu>(
-            m, la::SparseLuSymbolic(m, f.last));
+            m, f.analysis.matches_pattern(m) ? f.analysis
+                                             : la::SparseLuSymbolic(m, f.last));
       f.dense.reset();
       return true;
     } catch (const la::SingularMatrixError& e) {

@@ -53,6 +53,9 @@ struct GuardedSparseFactor {
   /// first factorisation; every rung, the from-scratch oracle mode and a
   /// re-analysed pattern (the gmin shift) keep it.
   std::vector<std::size_t> last;
+  /// An unfactored analysis (with this `last`) that from-scratch rungs
+  /// reuse when the pattern matches; it saves AMD runs, not changes factors.
+  la::SparseLuSymbolic analysis;
 
   bool usable() const { return sparse != nullptr || dense != nullptr; }
   la::Vector solve(const la::Vector& b) const {

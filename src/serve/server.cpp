@@ -32,7 +32,9 @@ void count(const char* name, std::int64_t delta = 1) {
   runtime::MetricsRegistry::instance().add_count(name, delta);
 }
 
-constexpr const char* kResponseKind = "serve_response";
+// Keyed by request bytes alone: bump the suffix whenever an analysis
+// returns different results for the same request.
+constexpr const char* kResponseKind = "serve_response_v2";
 constexpr const char* kServerId = "ind_served/1";
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "circuit/mna.hpp"
 #include "circuit/transient.hpp"
@@ -453,6 +454,19 @@ TEST(Cosim, DriverTransitionsRecomputeAtMostThreeColumnsPerDriver) {
             3 * replays);
 }
 
+// A PRIMA model's dense Gr covers Cr's pattern, so the DC matrix and the
+// companion have one pattern and the co-simulation runs one AMD analysis.
+TEST(Cosim, DcAndCompanionShareOneAnalysis) {
+  auto& symbolic =
+      runtime::MetricsRegistry::instance().timer("factor.sparse_lu.symbolic");
+  const DrivenLine dl = reduced_rc_line(16);
+  const auto before = symbolic.count.load();
+  const circuit::TransientResult run = circuit::transient(
+      mor::reduced_system(dl.red, dl.full), {.t_stop = 1e-9, .dt = 1e-12});
+  EXPECT_TRUE(run.report.ok()) << run.report.detail;
+  EXPECT_EQ(symbolic.count.load() - before, 1);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -866,6 +880,14 @@ TEST_P(ClockOracle, ReducedModelMatchesLeadingBlockMoments) {
   }
 }
 
+// Equal to 1 fs, or both the same non-finite value (no sink crosses).
+void expect_same_delay(double got, double want) {
+  if (std::isfinite(want))
+    EXPECT_NEAR(got, want, 1e-15);
+  else
+    EXPECT_EQ(got, want);
+}
+
 // Time domain. core::analyze co-simulates exactly the sparse reduction of
 // the inputs rebuilt here (bitwise, through circuit::transient). With the
 // passive branch-row sign, PRIMA is bounded, and its waveforms match the
@@ -873,10 +895,11 @@ TEST_P(ClockOracle, ReducedModelMatchesLeadingBlockMoments) {
 // model to 1e-12 of their max (measured 3.2e-13 block-diagonal, 3.5e-13
 // full mutual; the reported kappa_1 = 2.2e6 bounds it by ~5e-10), with
 // delays within 1 fs of the oracle's co-simulation of the dense PRIMA
-// oracle's model. The hierarchical model's
-// reduced G is singular at DC (ROADMAP item 7, cause 2): its DC factor
-// goes through the guarded ladder, and the report carries the condition
-// estimate (and any rungs) that flag it.
+// oracle's model. The hierarchical model's reduced G is singular at DC
+// (ROADMAP item 7, cause 2): its DC factor goes through the guarded ladder,
+// the report carries the condition estimate (and any rungs) that flag it,
+// and the dense hierarchical oracle's model, co-simulated the same way,
+// agrees within the kappa_1 * eps that estimate implies.
 TEST_P(ClockOracle, AnalyzeMatchesSparseReductionAndDenseOracleDelays) {
   const ClockCase cc = clock_over_grid(GetParam());
   const PrimaProblem pp = prima_problem(cc);
@@ -922,6 +945,21 @@ TEST_P(ClockOracle, AnalyzeMatchesSparseReductionAndDenseOracleDelays) {
       // Measured kappa_1: 9.1e13 (block-diagonal, factored as is) and
       // 1.1e11 (full mutual, after retry, dense-fallback and gmin rungs).
       EXPECT_GT(rep.solve_report.condition_estimate, 1e10);
+      // The dense oracle's model through the same integrator: its waveforms
+      // stay within kappa_1 * eps of analyze's (measured 3.6e-10 against
+      // 2.0e-2 block-diagonal, 6.6e-7 against 2.5e-5 full mutual), and the
+      // delays and skew are the same — here 0 (sinks start past 50 %) and
+      // no crossing at all, which the model's DC singularity explains.
+      const circuit::TransientResult ref = circuit::transient(
+          mor::reduced_system(oracle, pp.full), cc.opts.transient);
+      const double kappa = std::max(rep.solve_report.condition_estimate,
+                                    ref.report.condition_estimate);
+      EXPECT_LE(max_rel_diff(mine.samples, ref.samples),
+                kappa * std::numeric_limits<double>::epsilon());
+      const circuit::SkewReport skew = circuit::measure_skew(
+          ref.time, ref.samples, rep.sink_names, 0.0, pp.vdd);
+      expect_same_delay(rep.worst_delay, skew.worst_delay);
+      expect_same_delay(rep.skew, skew.skew);
       continue;
     }
     EXPECT_TRUE(rep.solve_report.ok()) << rep.solve_report.detail;
@@ -936,8 +974,8 @@ TEST_P(ClockOracle, AnalyzeMatchesSparseReductionAndDenseOracleDelays) {
                                        cc.opts.transient.dt);
     const circuit::SkewReport skew = circuit::measure_skew(
         ref.time, ref.outputs, rep.sink_names, 0.0, pp.vdd);
-    EXPECT_NEAR(rep.worst_delay, skew.worst_delay, 1e-15);
-    EXPECT_NEAR(rep.skew, skew.skew, 1e-15);
+    expect_same_delay(rep.worst_delay, skew.worst_delay);
+    expect_same_delay(rep.skew, skew.skew);
   }
 }
 

@@ -804,7 +804,7 @@ TEST_F(ServeTest, ComputedResponsesPersistPastEvictionAndRestart) {
   }
   std::size_t artifacts = 0;
   for (const auto& entry : fs::directory_iterator(dir))
-    if (entry.path().filename().string().starts_with("serve_response-"))
+    if (entry.path().filename().string().starts_with("serve_response_v2-"))
       ++artifacts;
   EXPECT_EQ(artifacts, bodies.size());
 
@@ -819,6 +819,50 @@ TEST_F(ServeTest, ComputedResponsesPersistPastEvictionAndRestart) {
     EXPECT_EQ(reply.response.result_bytes, computed[k]);
   }
   restarted.shutdown();
+}
+
+TEST_F(ServeTest, ResponsesOfAnOlderKindAreNotServed) {
+  // A response persisted under the previous kind, "serve_response", holds
+  // results of an older analysis: the server recomputes instead.
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "ind_serve_old_kind";
+  fs::remove_all(dir);
+  auto& disk = store::ArtifactCache::instance();
+  disk.configure(dir);
+  struct Restore {
+    std::string dir;
+    ~Restore() {
+      store::ArtifactCache::instance().configure("");
+      fs::remove_all(dir);
+    }
+  } restore{dir};
+
+  const serve::Request req = grid_request();
+  core::AnalysisReport old;
+  old.worst_delay = 1.0;
+  const std::vector<std::uint8_t> old_result = serve::encode_result(old, false);
+  store::Artifact stale;
+  stale.kind = "serve_response";
+  stale.fingerprint = serve::request_fingerprint(req);
+  store::ByteWriter bytes;
+  bytes.raw(old_result.data(), old_result.size());
+  stale.add("result", std::move(bytes));
+  store::ByteWriter stats;
+  stats.f64(0.0);
+  stats.f64(0.0);
+  stale.add("stats", std::move(stats));
+  disk.save(stale);
+  ASSERT_TRUE(disk.load("serve_response", stale.fingerprint));
+
+  serve::Server server(serve::ServerConfig{});
+  server.start();
+  serve::Client client;
+  client.connect_tcp("127.0.0.1", server.port());
+  const serve::Reply reply = client.analyze(1, req);
+  ASSERT_TRUE(reply.ok) << serve::to_string(reply.error.code);
+  EXPECT_EQ(reply.response.served_by, serve::Response::ServedBy::Computed);
+  EXPECT_NE(reply.response.result_bytes, old_result);
+  server.shutdown();
 }
 
 TEST_F(ServeTest, ResultBytesIdenticalAcrossThreadCounts) {
