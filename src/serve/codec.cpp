@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "store/serde.hpp"
+#include "store/flows.hpp"
 
 namespace ind::serve {
 
@@ -31,6 +31,13 @@ constexpr struct {
     {core::Flow::LoopRlc, "loop_rlc"},
 };
 
+void check_version(std::uint16_t version, const char* block) {
+  if (version != kCodecVersion)
+    throw std::invalid_argument(std::string("serve: ") + block +
+                                " codec version " + std::to_string(version) +
+                                " != " + std::to_string(kCodecVersion));
+}
+
 template <typename Enum>
 Enum checked_enum(std::uint8_t raw, std::uint8_t max, const char* what) {
   if (raw > max)
@@ -43,34 +50,7 @@ void put_options(store::ByteWriter& w, const core::AnalysisOptions& o) {
   w.u8(static_cast<std::uint8_t>(o.flow));
   w.i32(o.signal_net);
 
-  const peec::PeecOptions& p = o.peec;
-  w.boolean(p.rc_only);
-  w.u8(static_cast<std::uint8_t>(p.mutual_policy));
-  w.f64(p.mutual_window);
-  w.f64(p.coupling_window);
-  w.f64(p.max_segment_length);
-  w.f64(p.vdd);
-  w.f64(p.snap);
-  w.boolean(p.decap.enable);
-  w.f64(p.decap.total_capacitance);
-  w.f64(p.decap.series_tau);
-  w.i32(p.decap.sites);
-  w.boolean(p.background.enable);
-  w.i32(p.background.sources);
-  w.f64(p.background.peak_current);
-  w.i32(p.background.pulses);
-  w.f64(p.background.window);
-  w.u64(p.background.seed);
-  w.boolean(p.package.include);
-  w.f64(p.package.resistance_scale);
-  w.f64(p.package.inductance_scale);
-  w.boolean(p.substrate.enable);
-  w.f64(p.substrate.pitch);
-  w.f64(p.substrate.sheet_resistance);
-  w.f64(p.substrate.tap_resistance);
-  w.i32(p.substrate.taps_per_side);
-  w.f64(p.substrate.nwell_cap_total);
-  w.i32(p.substrate.max_nodes_per_axis);
+  store::serde::put(w, o.peec);
 
   const loop::LoopModelOptions& l = o.loop;
   w.f64(l.extraction_freq);
@@ -136,35 +116,7 @@ void get_options(store::ByteReader& r, core::AnalysisOptions& o) {
       r.u8(), static_cast<std::uint8_t>(core::Flow::LoopRlc), "flow");
   o.signal_net = r.i32();
 
-  peec::PeecOptions& p = o.peec;
-  p.rc_only = r.boolean();
-  p.mutual_policy =
-      checked_enum<peec::PeecOptions::MutualPolicy>(r.u8(), 1, "mutual_policy");
-  p.mutual_window = r.f64();
-  p.coupling_window = r.f64();
-  p.max_segment_length = r.f64();
-  p.vdd = r.f64();
-  p.snap = r.f64();
-  p.decap.enable = r.boolean();
-  p.decap.total_capacitance = r.f64();
-  p.decap.series_tau = r.f64();
-  p.decap.sites = r.i32();
-  p.background.enable = r.boolean();
-  p.background.sources = r.i32();
-  p.background.peak_current = r.f64();
-  p.background.pulses = r.i32();
-  p.background.window = r.f64();
-  p.background.seed = r.u64();
-  p.package.include = r.boolean();
-  p.package.resistance_scale = r.f64();
-  p.package.inductance_scale = r.f64();
-  p.substrate.enable = r.boolean();
-  p.substrate.pitch = r.f64();
-  p.substrate.sheet_resistance = r.f64();
-  p.substrate.tap_resistance = r.f64();
-  p.substrate.taps_per_side = r.i32();
-  p.substrate.nwell_cap_total = r.f64();
-  p.substrate.max_nodes_per_axis = r.i32();
+  store::serde::get(r, o.peec);
 
   loop::LoopModelOptions& l = o.loop;
   l.extraction_freq = r.f64();
@@ -277,11 +229,7 @@ void put_request(store::ByteWriter& w, const Request& req) {
 }
 
 void get_request(store::ByteReader& r, Request& req) {
-  const std::uint16_t version = r.u16();
-  if (version != kCodecVersion)
-    throw std::invalid_argument("serve: request codec version " +
-                                std::to_string(version) + " != " +
-                                std::to_string(kCodecVersion));
+  check_version(r.u16(), "request");
   store::serde::get(r, req.layout);
   get_options(r, req.options);
   req.budget.deadline_ms = r.u64();
@@ -330,11 +278,7 @@ std::vector<std::uint8_t> encode_result(const core::AnalysisReport& report,
 void decode_result(const std::vector<std::uint8_t>& bytes,
                    core::AnalysisReport& report) {
   store::ByteReader r(bytes);
-  const std::uint16_t version = r.u16();
-  if (version != kCodecVersion)
-    throw std::invalid_argument("serve: result codec version " +
-                                std::to_string(version) + " != " +
-                                std::to_string(kCodecVersion));
+  check_version(r.u16(), "result");
   const auto max_flow = static_cast<std::uint8_t>(core::Flow::LoopRlc);
   report.flow = checked_enum<core::Flow>(r.u8(), max_flow, "flow");
   report.requested_flow =
@@ -384,8 +328,8 @@ std::vector<std::uint8_t> encode_response_payload(
   return w.take();
 }
 
-std::uint64_t decode_response_payload(const std::vector<std::uint8_t>& payload,
-                                      Response& out) {
+std::uint64_t decode_response_envelope(
+    const std::vector<std::uint8_t>& payload, Response& out) {
   store::ByteReader r(payload);
   const std::uint64_t request_id = r.u64();
   out.served_by =
@@ -393,19 +337,28 @@ std::uint64_t decode_response_payload(const std::vector<std::uint8_t>& payload,
   out.build_seconds = r.f64();
   out.solve_seconds = r.f64();
   out.queue_seconds = r.f64();
-  const std::uint64_t n = r.count(r.u64(), 1);
+  const std::uint64_t n = r.u64();
+  if (n != r.remaining())
+    throw store::StoreError(store::StoreErrc::Malformed,
+                            "RESULT block declares " + std::to_string(n) +
+                                " bytes, " + std::to_string(r.remaining()) +
+                                " present");
   out.result_bytes.resize(n);
   r.raw(out.result_bytes.data(), n);
+  check_version(store::ByteReader(out.result_bytes).u16(), "result");
+  return request_id;
+}
+
+std::uint64_t decode_response_payload(const std::vector<std::uint8_t>& payload,
+                                      Response& out) {
+  const std::uint64_t request_id = decode_response_envelope(payload, out);
   decode_result(out.result_bytes, out.report);
   return request_id;
 }
 
 store::Digest request_fingerprint(const Request& req) {
-  store::ByteWriter w;
-  put_request(w, req);
-  store::Hasher h = store::fingerprint_base("serve_request");
-  h.bytes(w.bytes().data(), w.bytes().size());
-  return h.digest();
+  return store::artifact_key(
+      "serve_request", [&](store::ByteWriter& w) { put_request(w, req); });
 }
 
 Outcome run_request(const Request& req, std::uint32_t max_frame_bytes) {

@@ -79,9 +79,10 @@ struct Response {
 /// FFT preconditioner choice; they are written as the diagonal kind's
 /// constant values, so fingerprints and persisted response keys do not move.
 void put_request(store::ByteWriter& w, const Request& req);
-/// Throws store::StoreError on truncated/malformed input and
-/// std::invalid_argument on out-of-range enum values, including any
-/// preconditioner kind other than the diagonal one.
+/// Throws store::StoreError on truncated/malformed input (an out-of-range
+/// enum byte in a store type, such as the PEEC mutual policy, included) and
+/// std::invalid_argument on the codec's own out-of-range values, including
+/// any preconditioner kind other than the diagonal one.
 void get_request(store::ByteReader& r, Request& req);
 
 /// Encodes the RESULT block of a finished analysis (see header comment for
@@ -96,7 +97,14 @@ std::vector<std::uint8_t> encode_response_payload(
     std::uint64_t request_id, Response::ServedBy served_by,
     double build_seconds, double solve_seconds, double queue_seconds,
     const std::vector<std::uint8_t>& result_bytes);
-/// Returns the echoed request id; fills `out`.
+/// Checks the framing without decoding the RESULT block: the served_by
+/// range, that the declared RESULT length equals the bytes present, and that
+/// the block starts with this build's codec version (so a stale worker
+/// binary's bytes are never cached). Returns the echoed request id; fills
+/// every field of `out` except `report`.
+std::uint64_t decode_response_envelope(
+    const std::vector<std::uint8_t>& payload, Response& out);
+/// decode_response_envelope plus decode_result: fills all of `out`.
 std::uint64_t decode_response_payload(const std::vector<std::uint8_t>& payload,
                                       Response& out);
 

@@ -320,7 +320,7 @@ Outcome WorkerPool::run(const store::Digest& fp, const Request& req) {
         Response resp;
         try {
           const std::uint64_t echoed =
-              decode_response_payload(reply->payload, resp);
+              decode_response_envelope(reply->payload, resp);
           if (echoed != job_id)
             throw std::runtime_error("worker echoed wrong job id");
         } catch (const std::exception& e) {

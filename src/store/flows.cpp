@@ -167,6 +167,66 @@ void get(ByteReader& r, circuit::Netlist& nl) {
   }
 }
 
+void put(ByteWriter& w, const peec::PeecOptions& p) {
+  w.boolean(p.rc_only);
+  w.u8(static_cast<std::uint8_t>(p.mutual_policy));
+  w.f64(p.mutual_window);
+  w.f64(p.coupling_window);
+  w.f64(p.max_segment_length);
+  w.f64(p.vdd);
+  w.f64(p.snap);
+  w.boolean(p.decap.enable);
+  w.f64(p.decap.total_capacitance);
+  w.f64(p.decap.series_tau);
+  w.i32(p.decap.sites);
+  w.boolean(p.background.enable);
+  w.i32(p.background.sources);
+  w.f64(p.background.peak_current);
+  w.i32(p.background.pulses);
+  w.f64(p.background.window);
+  w.u64(p.background.seed);
+  w.boolean(p.package.include);
+  w.f64(p.package.resistance_scale);
+  w.f64(p.package.inductance_scale);
+  w.boolean(p.substrate.enable);
+  w.f64(p.substrate.pitch);
+  w.f64(p.substrate.sheet_resistance);
+  w.f64(p.substrate.tap_resistance);
+  w.i32(p.substrate.taps_per_side);
+  w.f64(p.substrate.nwell_cap_total);
+  w.i32(p.substrate.max_nodes_per_axis);
+}
+
+void get(ByteReader& r, peec::PeecOptions& p) {
+  p.rc_only = r.boolean();
+  p.mutual_policy = r.enum8(peec::PeecOptions::MutualPolicy::Full);
+  p.mutual_window = r.f64();
+  p.coupling_window = r.f64();
+  p.max_segment_length = r.f64();
+  p.vdd = r.f64();
+  p.snap = r.f64();
+  p.decap.enable = r.boolean();
+  p.decap.total_capacitance = r.f64();
+  p.decap.series_tau = r.f64();
+  p.decap.sites = r.i32();
+  p.background.enable = r.boolean();
+  p.background.sources = r.i32();
+  p.background.peak_current = r.f64();
+  p.background.pulses = r.i32();
+  p.background.window = r.f64();
+  p.background.seed = r.u64();
+  p.package.include = r.boolean();
+  p.package.resistance_scale = r.f64();
+  p.package.inductance_scale = r.f64();
+  p.substrate.enable = r.boolean();
+  p.substrate.pitch = r.f64();
+  p.substrate.sheet_resistance = r.f64();
+  p.substrate.tap_resistance = r.f64();
+  p.substrate.taps_per_side = r.i32();
+  p.substrate.nwell_cap_total = r.f64();
+  p.substrate.max_nodes_per_axis = r.i32();
+}
+
 void put(ByteWriter& w, const peec::PeecModel& m) {
   put(w, m.netlist);
   put(w, m.layout);
@@ -250,79 +310,33 @@ void get(ByteReader& r, mor::ReducedModel& m) {
 
 namespace ind::store {
 
-void hash_peec_options(Hasher& h, const peec::PeecOptions& o) {
-  h.boolean(o.rc_only);
-  h.u8(static_cast<std::uint8_t>(o.mutual_policy));
-  h.f64(o.mutual_window);
-  h.f64(o.coupling_window);
-  h.f64(o.max_segment_length);
-  h.f64(o.vdd);
-  h.boolean(o.decap.enable);
-  h.f64(o.decap.total_capacitance);
-  h.f64(o.decap.series_tau);
-  h.i64(o.decap.sites);
-  h.boolean(o.background.enable);
-  h.i64(o.background.sources);
-  h.f64(o.background.peak_current);
-  h.i64(o.background.pulses);
-  h.f64(o.background.window);
-  h.u64(o.background.seed);
-  h.boolean(o.package.include);
-  h.f64(o.package.resistance_scale);
-  h.f64(o.package.inductance_scale);
-  h.boolean(o.substrate.enable);
-  h.f64(o.substrate.pitch);
-  h.f64(o.substrate.sheet_resistance);
-  h.f64(o.substrate.tap_resistance);
-  h.i64(o.substrate.taps_per_side);
-  h.f64(o.substrate.nwell_cap_total);
-  h.i64(o.substrate.max_nodes_per_axis);
-  h.f64(o.snap);
-}
-
-void hash_matrix(Hasher& h, const la::Matrix& m) {
-  h.u64(m.rows());
-  h.u64(m.cols());
-  h.bytes(m.data(), m.rows() * m.cols() * sizeof(double));
-}
-
-void hash_matrix(Hasher& h, const la::CscMatrix& m) {
-  h.str("csc");
-  h.u64(m.rows());
-  h.u64(m.cols());
-  for (std::size_t p : m.col_ptr()) h.u64(p);
-  h.u64(m.nnz());
-  for (std::size_t i : m.row_idx()) h.u64(i);
-  h.f64s(m.values());
-}
-
 Digest fingerprint(const geom::Layout& layout, const peec::PeecOptions& opts) {
-  Hasher h = fingerprint_base("peec_model");
-  hash_layout(h, layout);
-  hash_peec_options(h, opts);
-  return h.digest();
+  return artifact_key("peec_model", [&](ByteWriter& w) {
+    serde::put(w, layout);
+    serde::put(w, opts);
+  });
 }
 
 Digest fingerprint_prima(const la::CscMatrix& g, const la::CscMatrix& c,
                          const la::Matrix& b, const la::Matrix& l,
                          const mor::PrimaOptions& opts) {
-  Hasher h = fingerprint_base("prima_rom");
-  hash_matrix(h, g);
-  hash_matrix(h, c);
-  hash_matrix(h, b);
-  hash_matrix(h, l);
-  h.u64(opts.max_order);
-  h.f64(opts.s0);
-  h.f64(opts.deflation_tol);
-  return h.digest();
+  return artifact_key("prima_rom", [&](ByteWriter& w) {
+    serde::put(w, g);
+    serde::put(w, c);
+    serde::put(w, b);
+    serde::put(w, l);
+    w.u64(opts.max_order);
+    w.f64(opts.s0);
+    w.f64(opts.deflation_tol);
+  });
 }
 
 Digest fingerprint_kmatrix(const la::Matrix& partial_l,
                            double threshold_ratio) {
-  Hasher h = fingerprint_base("kmatrix");
-  hash_matrix(h, partial_l);
-  h.f64(threshold_ratio);
-  return h.digest();
+  return artifact_key("kmatrix", [&](ByteWriter& w) {
+    serde::put(w, partial_l);
+    w.f64(threshold_ratio);
+  });
 }
 
 peec::PeecModel cached_peec_model(const geom::Layout& input,

@@ -1,5 +1,6 @@
 // Cache-aware wrappers around the expensive pipeline stages, plus serde for
-// the model-level types they persist (Netlist, PeecModel, PRIMA ROM).
+// the model-level types they persist (Netlist, PeecModel, PRIMA ROM) and for
+// PeecOptions, which the peec_model key and the serve codec share.
 //
 // This is the layer the Section-4 flow plugs into: PEEC model assembly,
 // K-matrix construction and PRIMA reduction each check the content-addressed
@@ -26,6 +27,11 @@ namespace ind::store::serde {
 void put(ByteWriter& w, const circuit::Netlist& nl);
 void get(ByteReader& r, circuit::Netlist& nl);
 
+/// The one PeecOptions field list: the peec_model key and the serve
+/// request codec both write it through here.
+void put(ByteWriter& w, const peec::PeecOptions& p);
+void get(ByteReader& r, peec::PeecOptions& p);
+
 void put(ByteWriter& w, const peec::PeecModel& m);
 void get(ByteReader& r, peec::PeecModel& m);
 
@@ -36,11 +42,8 @@ void get(ByteReader& r, mor::ReducedModel& m);
 
 namespace ind::store {
 
-void hash_peec_options(Hasher& h, const peec::PeecOptions& o);
-void hash_matrix(Hasher& h, const la::Matrix& m);
-void hash_matrix(Hasher& h, const la::CscMatrix& m);
-
-/// Cache keys for the three model-level artifact kinds.
+/// Cache keys for the three model-level artifact kinds: artifact_key over
+/// the inputs' serde bytes.
 Digest fingerprint(const geom::Layout& layout, const peec::PeecOptions& opts);
 Digest fingerprint_prima(const la::CscMatrix& g, const la::CscMatrix& c,
                          const la::Matrix& b, const la::Matrix& l,

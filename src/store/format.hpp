@@ -30,6 +30,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "store/hash.hpp"
@@ -66,10 +67,15 @@ class StoreError : public std::runtime_error {
   StoreErrc code_;
 };
 
-/// Append-only little-endian byte buffer used by every serializer.
+/// Append-only little-endian byte buffer used by every serializer. A writer
+/// built over a Hasher streams the same bytes into the digest instead and
+/// keeps its own buffer empty.
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  ByteWriter() = default;
+  explicit ByteWriter(Hasher& sink) : sink_(&sink) {}
+
+  void u8(std::uint8_t v) { raw(&v, sizeof v); }
   void u16(std::uint16_t v) { raw(&v, sizeof v); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
@@ -77,7 +83,7 @@ class ByteWriter {
   void i64(std::int64_t v) { raw(&v, sizeof v); }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void f64(double v) { raw(&v, sizeof v); }
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u64(s.size());
     raw(s.data(), s.size());
   }
@@ -88,8 +94,14 @@ class ByteWriter {
 
   /// Bulk append (used for large contiguous payloads, e.g. matrix data).
   void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    if (sink_ != nullptr) {
+      sink_->bytes(p, n);
+      return;
+    }
+    if (n == 0) return;  // an empty vector's data() may be null: no memcpy
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
@@ -97,7 +109,25 @@ class ByteWriter {
 
  private:
   std::vector<std::uint8_t> buf_;
+  Hasher* sink_ = nullptr;
 };
+
+/// Cache key of an artifact: the digest of the store salt ("ind-artifact",
+/// kFormatVersion, `kind`) followed by the canonical serde bytes that
+/// `put_inputs(ByteWriter&)` writes for the inputs. The bytes stream into
+/// the hasher unbuffered, so keying an n x n matrix holds no extra copy.
+/// Bumping kFormatVersion invalidates every old key; bumping a kind's
+/// suffix, that kind's.
+template <typename PutInputs>
+Digest artifact_key(std::string_view kind, PutInputs&& put_inputs) {
+  Hasher h;
+  ByteWriter w(h);
+  w.str("ind-artifact");
+  w.u32(kFormatVersion);
+  w.str(kind);
+  put_inputs(w);
+  return h.digest();
+}
 
 /// Bounds-checked cursor over a decoded section; every overrun throws
 /// StoreError(Truncated) instead of reading garbage.

@@ -12,10 +12,4 @@ std::string Digest::hex() const {
   return buf;
 }
 
-Digest hash_bytes(const void* data, std::size_t n) {
-  Hasher h;
-  h.bytes(data, n);
-  return h.digest();
-}
-
 }  // namespace ind::store

@@ -1,12 +1,15 @@
 // Deterministic content hashing for the artifact store.
 //
-// Fingerprints key the on-disk cache, so they must be a pure function of the
-// bytes fed in: no pointers, no timestamps, no thread counts. Doubles are
-// hashed by their IEEE-754 bit pattern (so +0.0 and -0.0 differ, and the
-// fingerprint is exactly as strict as the bitwise-identity guarantee the
-// runtime layer makes). The digest is 128 bits built from two independent
-// FNV-1a streams — not cryptographic, but collision-safe at cache scale and
-// dependency-free.
+// Every artifact key (and the serve request key) is the digest of a salt
+// plus the canonical serde encoding of the inputs: store::artifact_key in
+// store/format.hpp streams a ByteWriter's bytes straight into a Hasher, so a
+// type's field list lives only in its serde::put. Keys are therefore a pure
+// function of the bytes fed in: no pointers, no timestamps, no thread
+// counts. Doubles enter by their IEEE-754 bit pattern (so +0.0 and -0.0
+// differ, and a key is exactly as strict as the bitwise-identity guarantee
+// the runtime layer makes). The digest is 128 bits built from two
+// independent FNV-1a streams — not cryptographic, but collision-safe at
+// cache scale and dependency-free.
 #pragma once
 
 #include <cstdint>
@@ -38,11 +41,7 @@ class Hasher {
     }
   }
 
-  void u8(std::uint8_t v) { bytes(&v, 1); }
-  void u32(std::uint32_t v) { bytes(&v, sizeof v); }
   void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
   void f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
@@ -65,8 +64,5 @@ class Hasher {
   std::uint64_t a_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
   std::uint64_t b_ = 0x6c62272e07bb0142ULL;  // FNV-0 basis of the 128-bit form
 };
-
-/// One-shot digest of a byte buffer.
-Digest hash_bytes(const void* data, std::size_t n);
 
 }  // namespace ind::store

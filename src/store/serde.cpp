@@ -345,95 +345,14 @@ void get(ByteReader& r, robust::SolveReport& rep) {
 
 namespace ind::store {
 
-Hasher fingerprint_base(std::string_view kind) {
-  Hasher h;
-  h.str("ind-artifact");
-  h.u32(kFormatVersion);
-  h.str(kind);
-  return h;
-}
-
-void hash_layout(Hasher& h, const geom::Layout& layout) {
-  const geom::Technology& t = layout.tech();
-  h.u64(t.layers.size());
-  for (const geom::Layer& l : t.layers) {
-    h.i64(l.index);
-    h.f64(l.z_bottom);
-    h.f64(l.thickness);
-    h.f64(l.sheet_resistance);
-    h.u8(l.preferred == geom::Axis::X ? 0 : 1);
-    h.f64(l.dielectric_below);
-  }
-  h.f64(t.epsilon_r);
-  h.f64(t.via_resistance);
-  h.f64(t.substrate_z);
-
-  h.u64(layout.num_nets());
-  for (std::size_t n = 0; n < layout.num_nets(); ++n) {
-    const geom::NetInfo& net = layout.net(static_cast<int>(n));
-    h.str(net.name);
-    h.u8(static_cast<std::uint8_t>(net.kind));
-  }
-  h.u64(layout.segments().size());
-  for (const geom::Segment& s : layout.segments()) {
-    h.f64(s.a.x); h.f64(s.a.y);
-    h.f64(s.b.x); h.f64(s.b.y);
-    h.f64(s.width);
-    h.f64(s.thickness);
-    h.f64(s.z);
-    h.i64(s.layer);
-    h.i64(s.net);
-    h.u8(static_cast<std::uint8_t>(s.kind));
-  }
-  h.u64(layout.vias().size());
-  for (const geom::Via& v : layout.vias()) {
-    h.f64(v.at.x); h.f64(v.at.y);
-    h.i64(v.lower_layer);
-    h.i64(v.upper_layer);
-    h.i64(v.cuts);
-    h.i64(v.net);
-  }
-  h.u64(layout.pads().size());
-  for (const geom::Pad& p : layout.pads()) {
-    h.f64(p.at.x); h.f64(p.at.y);
-    h.i64(p.layer);
-    h.u8(static_cast<std::uint8_t>(p.kind));
-    h.f64(p.resistance);
-    h.f64(p.inductance);
-  }
-  h.u64(layout.drivers().size());
-  for (const geom::Driver& d : layout.drivers()) {
-    h.f64(d.at.x); h.f64(d.at.y);
-    h.i64(d.layer);
-    h.i64(d.signal_net);
-    h.f64(d.strength_ohm);
-    h.f64(d.slew);
-    h.f64(d.start_time);
-    h.boolean(d.rising);
-    h.str(d.name);
-  }
-  h.u64(layout.receivers().size());
-  for (const geom::Receiver& rc : layout.receivers()) {
-    h.f64(rc.at.x); h.f64(rc.at.y);
-    h.i64(rc.layer);
-    h.i64(rc.signal_net);
-    h.f64(rc.load_cap);
-    h.str(rc.name);
-  }
-}
-
-void hash_extraction_options(Hasher& h, const extract::ExtractionOptions& o) {
-  h.f64(o.mutual_window);
-  h.f64(o.coupling_window);
-  h.boolean(o.extract_inductance);
-}
-
 Digest fingerprint(const geom::Layout& layout,
                    const extract::ExtractionOptions& opts) {
-  Hasher h = fingerprint_base("extraction");
-  hash_layout(h, layout);
-  hash_extraction_options(h, opts);
-  return h.digest();
+  return artifact_key("extraction", [&](ByteWriter& w) {
+    serde::put(w, layout);
+    w.f64(opts.mutual_window);
+    w.f64(opts.coupling_window);
+    w.boolean(opts.extract_inductance);
+  });
 }
 
 extract::Extraction cached_extraction(const geom::Layout& layout,

@@ -6,6 +6,10 @@
 // computation produced, which is what makes warm-cache results identical to
 // cold ones at any thread count.
 //
+// put() is also each type's key encoding: store::artifact_key hashes the
+// bytes put() writes, so a field added to put() is keyed at once and there
+// is no second field list to keep in step.
+//
 // Layering note: this translation unit covers everything up to extract/
 // (dense + sparse + complex matrices, layouts, extractions, solve reports).
 // Serde for circuit/PEEC/PRIMA types lives in store/flows.hpp, one CMake
@@ -56,18 +60,8 @@ void get(ByteReader& r, robust::SolveReport& rep);
 
 namespace ind::store {
 
-/// Seeds a hasher with the store salt, the artifact format version and the
-/// artifact kind, so any format evolution invalidates every old key at once.
-Hasher fingerprint_base(std::string_view kind);
-
-/// Feeds the complete physical content of a layout into `h` (technology,
-/// nets, segments, vias, pads, drivers, receivers — every numeric field by
-/// bit pattern). Nothing thread-, time- or address-dependent contributes.
-void hash_layout(Hasher& h, const geom::Layout& layout);
-
-void hash_extraction_options(Hasher& h, const extract::ExtractionOptions& o);
-
-/// Cache key for an extraction artifact: layout + options + format version.
+/// Cache key for an extraction artifact: artifact_key over the layout's
+/// serde bytes and the three extraction options.
 Digest fingerprint(const geom::Layout& layout,
                    const extract::ExtractionOptions& opts);
 

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <semaphore>
 #include <string>
@@ -40,6 +41,7 @@
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
+#include "serve/worker_pool.hpp"
 #include "store/artifact_cache.hpp"
 #include "store/format.hpp"
 #include "store/serde.hpp"
@@ -254,6 +256,94 @@ TEST_F(ServeTest, ResponsePayloadRoundTrips) {
   EXPECT_DOUBLE_EQ(out.queue_seconds, 0.25);
   EXPECT_EQ(out.result_bytes, result);
   EXPECT_DOUBLE_EQ(out.report.worst_delay, 3.5e-10);
+}
+
+TEST_F(ServeTest, ResponseEnvelopeChecksFramingNotResult) {
+  const auto result = serve::encode_result(core::AnalysisReport{}, false);
+  const auto payload = serve::encode_response_payload(
+      5, serve::Response::ServedBy::Computed, 0.5, 0.25, 0.0, result);
+  serve::Response out;
+  EXPECT_EQ(serve::decode_response_envelope(payload, out), 5u);
+  EXPECT_EQ(out.result_bytes, result);
+
+  // The declared RESULT length (the u64 after id, served_by and three
+  // timings) must equal the bytes present, in either direction.
+  constexpr std::size_t kLengthAt = 8 + 1 + 3 * 8;
+  for (const int delta : {-1, +1}) {
+    auto bad = payload;
+    bad[kLengthAt] = static_cast<std::uint8_t>(bad[kLengthAt] + delta);
+    EXPECT_THROW(serve::decode_response_envelope(bad, out), store::StoreError)
+        << "delta " << delta;
+  }
+  auto stale = result;
+  stale[0] ^= 0x01;  // the RESULT block's leading codec version
+  EXPECT_THROW(serve::decode_response_envelope(
+                   serve::encode_response_payload(
+                       5, serve::Response::ServedBy::Computed, 0, 0, 0, stale),
+                   out),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Decoder mutation: every truncation and every single-byte flip of a golden
+// encoding either decodes or throws one of the two documented error types.
+// Anything else escaping (or a crash, which the sanitizer job turns into a
+// report) is a decoder bug.
+// ---------------------------------------------------------------------------
+
+/// Runs `decode(reader)` on every prefix of `golden` and on `golden` with
+/// each byte in turn XORed with 0xff; returns how many attempts let an
+/// exception other than store::StoreError / std::invalid_argument escape,
+/// naming the first in `first`.
+template <typename Decode>
+std::size_t escaped_mutations(std::vector<std::uint8_t> golden, Decode decode,
+                              std::string& first) {
+  std::size_t escaped = 0;
+  const auto attempt = [&](std::size_t n, const char* how, std::size_t at) {
+    try {
+      store::ByteReader r(golden.data(), n);
+      decode(r);
+    } catch (const store::StoreError&) {
+    } catch (const std::invalid_argument&) {
+    } catch (const std::exception& e) {
+      if (escaped++ == 0)
+        first = std::string(how) + " " + std::to_string(at) + ": " + e.what();
+    }
+  };
+  for (std::size_t n = 0; n < golden.size(); ++n) attempt(n, "truncated to", n);
+  for (std::size_t at = 0; at < golden.size(); ++at) {
+    golden[at] ^= 0xff;
+    attempt(golden.size(), "flipped byte", at);
+    golden[at] ^= 0xff;
+  }
+  return escaped;
+}
+
+TEST(DecoderMutation, RequestDecodesOrThrowsDocumentedErrors) {
+  const std::vector<std::uint8_t> golden = encoded(grid_request());
+  std::string first;
+  EXPECT_EQ(escaped_mutations(golden,
+                              [](store::ByteReader& r) {
+                                serve::Request back;
+                                serve::get_request(r, back);
+                              },
+                              first),
+            0u)
+      << first;
+}
+
+TEST(DecoderMutation, LayoutDecodesOrThrowsDocumentedErrors) {
+  store::ByteWriter w;
+  store::serde::put(w, grid_request().layout);
+  std::string first;
+  EXPECT_EQ(escaped_mutations(w.take(),
+                              [](store::ByteReader& r) {
+                                geom::Layout back;
+                                store::serde::get(r, back);
+                              },
+                              first),
+            0u)
+      << first;
 }
 
 // ---------------------------------------------------------------------------
@@ -1109,6 +1199,64 @@ TEST_F(ServeTest, OversizedWorkerReplyIsStructuredErrorNotLaneWedge) {
     server.shutdown();
   }
   EXPECT_EQ(details[0], details[1]);
+}
+
+TEST_F(ServeTest, WorkerPoolRefusesMisframedRepliesAsInternal) {
+  // A stand-in worker answers the first job (id 1) with a canned, well
+  // framed AnalyzeResponse whose envelope is wrong: a RESULT block from
+  // another codec version (a stale worker binary), or a declared RESULT
+  // length that disagrees with the bytes present. The pool must refuse both
+  // rather than cache and persist the bytes.
+  const auto result = serve::encode_result(core::AnalysisReport{}, false);
+  auto stale = result;
+  stale[0] ^= 0x01;  // the RESULT block's leading codec version
+  auto short_declared = serve::encode_response_payload(
+      1, serve::Response::ServedBy::Computed, 0, 0, 0, result);
+  short_declared[8 + 1 + 3 * 8] -= 1;  // length u64 after id, kind, timings
+  const std::vector<std::pair<const char*, std::vector<std::uint8_t>>>
+      replies = {
+          {"stale_version",
+           serve::encode_response_payload(
+               1, serve::Response::ServedBy::Computed, 0, 0, 0, stale)},
+          {"short_length", short_declared},
+      };
+
+  const serve::Request req = grid_request();
+  for (const auto& [name, payload] : replies) {
+    SCOPED_TRACE(name);
+    const std::string dir = ::testing::TempDir();
+    const std::string frame_path = dir + "ind_canned_" + name + ".bin";
+    const std::string worker_path = dir + "ind_canned_" + name + ".sh";
+    {
+      // The wire frame: u32 payload length, u8 frame type, payload.
+      store::ByteWriter frame;
+      frame.u32(static_cast<std::uint32_t>(payload.size()));
+      frame.u8(static_cast<std::uint8_t>(serve::FrameType::AnalyzeResponse));
+      frame.raw(payload.data(), payload.size());
+      std::ofstream(frame_path, std::ios::binary)
+          .write(reinterpret_cast<const char*>(frame.bytes().data()),
+                 static_cast<std::streamsize>(frame.bytes().size()));
+      // Reply on the job pipe (fd 3), then idle until the pool closes it;
+      // stdout and stderr stay off the test runner's pipes.
+      std::ofstream(worker_path) << "#!/bin/sh\nexec >/dev/null 2>&1\ncat '"
+                                 << frame_path << "' >&3\nexec cat <&3\n";
+      std::filesystem::permissions(worker_path,
+                                   std::filesystem::perms::owner_all);
+    }
+    serve::WorkerPool::Config config;
+    config.workers = 1;
+    config.worker_bin = worker_path;
+    serve::WorkerPool pool(config);
+    pool.start();
+    const serve::Outcome out = pool.run(serve::request_fingerprint(req), req);
+    pool.stop();
+    EXPECT_EQ(out.code, serve::ErrorCode::Internal) << out.detail;
+    EXPECT_NE(out.detail.find("worker reply undecodable"), std::string::npos)
+        << out.detail;
+    EXPECT_TRUE(out.result_bytes.empty());
+    std::filesystem::remove(frame_path);
+    std::filesystem::remove(worker_path);
+  }
 }
 
 TEST_F(ServeTest, RunRequestIsAnalyzePlusEncode) {

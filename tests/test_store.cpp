@@ -4,11 +4,14 @@
 // invalidation, corruption recovery, fault injection, LRU eviction).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "circuit/netlist.hpp"
@@ -182,6 +185,148 @@ TEST(StoreHash, FingerprintSensitivity) {
   peec::PeecOptions popts;
   EXPECT_NE(base, store::fingerprint(layout, popts));
 }
+
+// Field sensitivity: starting from defaults, a one-ulp (or one-step) change
+// to any single input field must move its artifact key. A field a key
+// forgets would serve a stale artifact with no error.
+void bump(bool& v) { v = !v; }
+void bump(int& v) { ++v; }
+void bump(std::uint64_t& v) { ++v; }
+void bump(double& v) { v = std::nextafter(v, 1e300); }
+void bump(std::string& v) { v += "x"; }
+template <typename E>
+  requires std::is_enum_v<E>
+void bump(E& v) {
+  v = static_cast<E>(static_cast<int>(v) == 0 ? 1 : 0);
+}
+
+#define BUMP(field) {#field, [](auto& x) { bump(x.field); }}
+
+TEST(StoreHash, EveryPeecOptionMovesThePeecModelKey) {
+  const geom::Layout layout = small_layout();
+  const store::Digest base = store::fingerprint(layout, peec::PeecOptions{});
+  const std::vector<std::pair<const char*,
+                              std::function<void(peec::PeecOptions&)>>>
+      edits = {
+          BUMP(rc_only), BUMP(mutual_policy), BUMP(mutual_window),
+          BUMP(coupling_window), BUMP(max_segment_length), BUMP(vdd),
+          BUMP(snap), BUMP(decap.enable), BUMP(decap.total_capacitance),
+          BUMP(decap.series_tau), BUMP(decap.sites), BUMP(background.enable),
+          BUMP(background.sources), BUMP(background.peak_current),
+          BUMP(background.pulses), BUMP(background.window),
+          BUMP(background.seed), BUMP(package.include),
+          BUMP(package.resistance_scale), BUMP(package.inductance_scale),
+          BUMP(substrate.enable), BUMP(substrate.pitch),
+          BUMP(substrate.sheet_resistance), BUMP(substrate.tap_resistance),
+          BUMP(substrate.taps_per_side), BUMP(substrate.nwell_cap_total),
+          BUMP(substrate.max_nodes_per_axis),
+      };
+  EXPECT_EQ(edits.size(), 27u);
+  for (const auto& [name, edit] : edits) {
+    peec::PeecOptions opts;
+    edit(opts);
+    EXPECT_NE(store::fingerprint(layout, opts), base) << name;
+  }
+}
+
+TEST(StoreHash, EveryExtractionOptionMovesTheExtractionKey) {
+  const geom::Layout layout = small_layout();
+  const store::Digest base =
+      store::fingerprint(layout, extract::ExtractionOptions{});
+  const std::vector<std::pair<
+      const char*, std::function<void(extract::ExtractionOptions&)>>>
+      edits = {BUMP(mutual_window), BUMP(coupling_window),
+               BUMP(extract_inductance)};
+  for (const auto& [name, edit] : edits) {
+    extract::ExtractionOptions opts;
+    edit(opts);
+    EXPECT_NE(store::fingerprint(layout, opts), base) << name;
+  }
+}
+
+/// A layout taken apart into its component lists, so a test can change one
+/// field of one component and put the layout back together.
+struct LayoutParts {
+  geom::Technology tech;
+  std::vector<geom::NetInfo> nets;
+  std::vector<geom::Segment> segments;
+  std::vector<geom::Via> vias;
+  std::vector<geom::Pad> pads;
+  std::vector<geom::Driver> drivers;
+  std::vector<geom::Receiver> receivers;
+
+  explicit LayoutParts(const geom::Layout& l)
+      : tech(l.tech()), segments(l.segments()), vias(l.vias()),
+        pads(l.pads()), drivers(l.drivers()), receivers(l.receivers()) {
+    for (std::size_t n = 0; n < l.num_nets(); ++n)
+      nets.push_back(l.net(static_cast<int>(n)));
+  }
+
+  geom::Layout build() const {
+    geom::Layout l(tech);
+    for (const geom::NetInfo& n : nets) l.add_net(n.name, n.kind);
+    for (const geom::Segment& s : segments) l.add_segment(s);
+    for (const geom::Via& v : vias)
+      l.add_via(v.net, v.at, v.lower_layer, v.upper_layer, v.cuts);
+    for (const geom::Pad& p : pads) l.add_pad(p);
+    for (const geom::Driver& d : drivers) l.add_driver(d);
+    for (const geom::Receiver& r : receivers) l.add_receiver(r);
+    return l;
+  }
+};
+
+TEST(StoreHash, EveryLayoutFieldMovesBothLayoutKeys) {
+  const LayoutParts parts(small_layout());
+  const geom::Layout rebuilt = parts.build();
+  const store::Digest extraction =
+      store::fingerprint(rebuilt, extract::ExtractionOptions{});
+  const store::Digest peec_model =
+      store::fingerprint(rebuilt, peec::PeecOptions{});
+  ASSERT_EQ(extraction,
+            store::fingerprint(small_layout(), extract::ExtractionOptions{}));
+
+  const std::vector<std::pair<const char*, std::function<void(LayoutParts&)>>>
+      edits = {
+          BUMP(tech.layers[0].index), BUMP(tech.layers[0].z_bottom),
+          BUMP(tech.layers[0].thickness),
+          BUMP(tech.layers[0].sheet_resistance),
+          BUMP(tech.layers[0].preferred),
+          BUMP(tech.layers[0].dielectric_below), BUMP(tech.epsilon_r),
+          BUMP(tech.via_resistance), BUMP(tech.substrate_z),
+          BUMP(nets[0].name), BUMP(nets[0].kind),
+          BUMP(segments[0].a.x), BUMP(segments[0].a.y),
+          BUMP(segments[0].b.x), BUMP(segments[0].b.y),
+          BUMP(segments[0].width), BUMP(segments[0].thickness),
+          BUMP(segments[0].z), BUMP(segments[0].layer),
+          BUMP(segments[0].net), BUMP(segments[0].kind),
+          BUMP(vias[0].at.x), BUMP(vias[0].at.y),
+          {"vias[0].lower_layer", [](LayoutParts& p) {
+             --p.vias[0].lower_layer;  // stays below the upper layer
+           }},
+          BUMP(vias[0].upper_layer), BUMP(vias[0].cuts), BUMP(vias[0].net),
+          BUMP(pads[0].at.x), BUMP(pads[0].at.y), BUMP(pads[0].layer),
+          BUMP(pads[0].kind), BUMP(pads[0].resistance),
+          BUMP(pads[0].inductance),
+          BUMP(drivers[0].at.x), BUMP(drivers[0].at.y),
+          BUMP(drivers[0].layer), BUMP(drivers[0].signal_net),
+          BUMP(drivers[0].strength_ohm), BUMP(drivers[0].slew),
+          BUMP(drivers[0].start_time), BUMP(drivers[0].rising),
+          BUMP(drivers[0].name),
+          BUMP(receivers[0].at.x), BUMP(receivers[0].at.y),
+          BUMP(receivers[0].layer), BUMP(receivers[0].signal_net),
+          BUMP(receivers[0].load_cap), BUMP(receivers[0].name),
+      };
+  for (const auto& [name, edit] : edits) {
+    LayoutParts changed = parts;
+    edit(changed);
+    const geom::Layout l = changed.build();
+    EXPECT_NE(store::fingerprint(l, extract::ExtractionOptions{}), extraction)
+        << name;
+    EXPECT_NE(store::fingerprint(l, peec::PeecOptions{}), peec_model) << name;
+  }
+}
+
+#undef BUMP
 
 // --- serde round trips (bitwise) -------------------------------------------
 

@@ -140,8 +140,9 @@ struct Oracle {
   explicit Oracle(std::size_t bodies) : have(bodies), expected(bodies) {}
 
   bool check(std::size_t body, const std::vector<std::uint8_t>& result) {
-    const ind::store::Digest d =
-        ind::store::hash_bytes(result.data(), result.size());
+    ind::store::Hasher h;
+    h.bytes(result.data(), result.size());
+    const ind::store::Digest d = h.digest();
     std::lock_guard lock(mu);
     if (!have[body]) {
       have[body] = true;
