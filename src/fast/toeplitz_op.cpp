@@ -1,5 +1,6 @@
 #include "fast/toeplitz_op.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -111,10 +112,19 @@ void ToeplitzLOperator::build_block(Block& block) {
   block.slot.resize(block.cells.size());
   for (std::size_t k = 0; k < block.cells.size(); ++k) {
     const VoxelCell& c = grid_.cells[block.cells[k]];
-    block.slot[k] = ((static_cast<std::size_t>(c.ix - block.mn[0])) * e1 +
-                     static_cast<std::size_t>(c.iy - block.mn[1])) *
-                        e2 +
-                    static_cast<std::size_t>(c.iz - block.mn[2]);
+    const std::array<std::int64_t, 3> pos = {c.ix, c.iy, c.iz};
+    std::array<std::size_t, 3> idx{};
+    for (int a = 0; a < 3; ++a) {
+      idx[a] = static_cast<std::size_t>(pos[a] - block.mn[a]);
+      block.support[a].push_back(idx[a]);
+    }
+    block.slot[k] = (idx[0] * e1 + idx[1]) * e2 + idx[2];
+  }
+  for (int a = 0; a < 3; ++a) {
+    std::vector<std::size_t>& s = block.support[a];
+    std::sort(s.begin(), s.end());
+    s.erase(std::unique(s.begin(), s.end()), s.end());
+    block.plans[a] = FftPlan(block.embed[a]);
   }
 
   // Kernel tensor over the circulant: slot (t0,t1,t2) holds the mutual at
@@ -200,7 +210,7 @@ void ToeplitzLOperator::apply(const la::CVector& x, la::CVector& y) const {
     // would couple them.
     for (std::size_t k = 0; k < block.cells.size(); ++k)
       buf[block.slot[k]] += x[block.cells[k]];
-    fft_3d(block.embed, buf, false);
+    fft_3d(block.plans, block.support, buf, false);
     runtime::parallel_for(
         total,
         [&](std::size_t begin, std::size_t end) {
@@ -210,7 +220,7 @@ void ToeplitzLOperator::apply(const la::CVector& x, la::CVector& y) const {
         },
         {.cancel = govern::Governor::instance().cancel_token()});
     govern::throw_if_cancelled("fast.apply");
-    fft_3d(block.embed, buf, true);
+    fft_3d(block.plans, block.support, buf, true);
     for (std::size_t k = 0; k < block.cells.size(); ++k)
       y[block.cells[k]] = buf[block.slot[k]];
   }

@@ -9,7 +9,9 @@
 // (extract/partial_inductance.hpp), embeds it in a circulant of 5-smooth
 // dimensions, and caches its forward 3-D FFT. Applying L·x is then
 // scatter → FFT → pointwise multiply → inverse FFT → gather per
-// orientation: O(n log n) instead of the dense O(n²).
+// orientation: O(n log n) instead of the dense O(n²). Both transforms are
+// pruned to the block's support (fft.hpp): the forward skips the lines the
+// scatter left zero, the inverse the lines no cell gathers from.
 //
 // Cross-check contract: to_dense() materialises L from the *identical*
 // kernel evaluations the FFT path multiplies with (one table, two consumers)
@@ -23,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "fast/fft.hpp"
 #include "fast/voxelize.hpp"
 #include "la/dense_matrix.hpp"
 
@@ -63,6 +66,8 @@ class ToeplitzLOperator {
     std::array<std::size_t, 3> dims{};     ///< lattice extent per axis
     std::array<std::size_t, 3> embed{};    ///< circulant (FFT) dims
     std::vector<std::size_t> slot;         ///< per block cell: embed index
+    FftSupport support;                    ///< per axis: embed indices in use
+    std::array<FftPlan, 3> plans;          ///< one per embed axis
     std::vector<la::Complex> kernel_fft;   ///< DFT of the embedded kernel
   };
 

@@ -4,6 +4,7 @@
 // FftGmres-vs-Dense solver agreement on lattice-aligned layouts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdint>
@@ -141,6 +142,110 @@ TEST_F(FastTest, FftParseval) {
               1e-12 * time_energy);
 }
 
+// The recursive Cooley-Tukey transform FftPlan replays without recursing:
+// the same ascending prime factorisation and length-n twiddle table, the
+// radix-2 butterfly, and a direct-DFT combine for every other radix. The
+// oracle of FlatFftBitwiseEqualsRecursiveOracle.
+class RecursiveFft {
+ public:
+  explicit RecursiveFft(std::size_t n) : n_(n) {
+    std::size_t r = n;
+    for (std::size_t p = 2; p * p <= r;) {
+      if (r % p == 0) {
+        radices_.push_back(p);
+        r /= p;
+      } else {
+        ++p;
+      }
+    }
+    if (r > 1) radices_.push_back(r);
+    twiddles_.resize(n);
+    const double step = -2.0 * M_PI / static_cast<double>(n);
+    for (std::size_t t = 0; t < n; ++t)
+      twiddles_[t] = std::polar(1.0, step * static_cast<double>(t));
+  }
+
+  void transform(const Complex* in, Complex* out, bool inverse) const {
+    std::vector<Complex> radix_buf(n_);
+    recurse(in, 1, out, n_, 0, 1, inverse, radix_buf.data());
+  }
+
+ private:
+  void recurse(const Complex* in, std::size_t in_stride, Complex* out,
+               std::size_t n, std::size_t depth, std::size_t root_stride,
+               bool inverse, Complex* radix_buf) const {
+    if (n == 1) {
+      out[0] = in[0];
+      return;
+    }
+    const std::size_t r = radices_[depth];
+    const std::size_t m = n / r;
+    for (std::size_t q = 0; q < r; ++q)
+      recurse(in + q * in_stride, in_stride * r, out + q * m, m, depth + 1,
+              root_stride * r, inverse, radix_buf);
+    // X[k] = sum_q w_n^{qk} Y_q[k mod m]; w_n = w_N^{N/n} sits at stride
+    // root_stride in the global table, conjugated for the inverse.
+    if (r == 2) {
+      for (std::size_t k2 = 0; k2 < m; ++k2) {
+        Complex w = twiddles_[k2 * root_stride];
+        if (inverse) w = std::conj(w);
+        const Complex a = out[k2];
+        const Complex wb = w * out[m + k2];
+        out[k2] = a + wb;
+        out[m + k2] = a - wb;
+      }
+      return;
+    }
+    for (std::size_t k2 = 0; k2 < m; ++k2) {
+      for (std::size_t q = 0; q < r; ++q) radix_buf[q] = out[q * m + k2];
+      for (std::size_t k1 = 0; k1 < r; ++k1) {
+        const std::size_t k = k1 * m + k2;
+        Complex acc = radix_buf[0];
+        for (std::size_t q = 1; q < r; ++q) {
+          Complex w = twiddles_[((q * k) % n) * root_stride];
+          if (inverse) w = std::conj(w);
+          acc += w * radix_buf[q];
+        }
+        out[k] = acc;
+      }
+    }
+  }
+
+  std::size_t n_;
+  std::vector<std::size_t> radices_;
+  std::vector<Complex> twiddles_;
+};
+
+TEST_F(FastTest, FlatFftBitwiseEqualsRecursiveOracle) {
+  // Every size to 64, the 720-point line of the loop_extract embedding, and
+  // primes and a repeated prime that only the generic radix handles.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 64; ++n) sizes.push_back(n);
+  for (const std::size_t n : {720u, 7u, 11u, 13u, 49u, 101u})
+    sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    const fast::FftPlan plan(n);
+    const RecursiveFft oracle(n);
+    const auto in = random_signal(n, 1000 + n);
+    for (const bool inverse : {false, true}) {
+      std::vector<Complex> flat(n), expect(n);
+      plan.transform(in.data(), flat.data(), inverse);
+      oracle.transform(in.data(), expect.data(), inverse);
+      EXPECT_EQ(std::memcmp(flat.data(), expect.data(), n * sizeof(Complex)),
+                0)
+          << "n=" << n << " inverse=" << inverse;
+    }
+    // A strided input reads the same elements.
+    std::vector<Complex> spread(3 * n), strided(n), flat(n);
+    for (std::size_t j = 0; j < n; ++j) spread[3 * j] = in[j];
+    plan.transform(spread.data(), strided.data(), false, 3);
+    plan.transform(in.data(), flat.data(), false);
+    EXPECT_EQ(std::memcmp(strided.data(), flat.data(), n * sizeof(Complex)),
+              0)
+        << "n=" << n;
+  }
+}
+
 TEST_F(FastTest, Fft3dMatchesNaivePerAxis) {
   const std::array<std::size_t, 3> shape = {4, 3, 5};
   const std::size_t total = shape[0] * shape[1] * shape[2];
@@ -212,6 +317,71 @@ TEST_F(FastTest, BatchFftBitwiseDeterministicAcrossThreadCounts) {
     fast::fft_3d(shape, data, true);
     EXPECT_EQ(bits_digest(data), kInverseGolden) << "threads=" << threads;
     EXPECT_LT(max_abs_diff(data, original), 1e-13);
+  }
+}
+
+// Random ascending support of an axis of extent n: one index, every index,
+// or a random subset (never empty).
+std::vector<std::size_t> random_support(std::size_t n, Lcg& rng) {
+  const double kind = rng.next();
+  std::vector<std::size_t> s;
+  if (kind < -0.4) {
+    s.push_back(std::min(n - 1, static_cast<std::size_t>(
+                                    (rng.next() + 1.0) * 0.5 * n)));
+  } else if (kind < 0.2) {
+    for (std::size_t i = 0; i < n; ++i) s.push_back(i);
+  } else {
+    for (std::size_t i = 0; i < n; ++i)
+      if (rng.next() > 0.0) s.push_back(i);
+    if (s.empty()) s.push_back(n / 2);
+  }
+  return s;
+}
+
+TEST_F(FastTest, PrunedFft3dMatchesFullOnSupport) {
+  // Every axis > 1, so all three passes run, the n2 one included (no
+  // consumer structure is thick enough to run it).
+  Lcg rng(2024);
+  for (int trial = 0; trial < 12; ++trial) {
+    std::array<std::size_t, 3> shape{};
+    for (std::size_t& n : shape)
+      n = 2 + static_cast<std::size_t>((rng.next() + 1.0) * 5.0);
+    const std::array<fast::FftPlan, 3> plans = {
+        fast::FftPlan(shape[0]), fast::FftPlan(shape[1]),
+        fast::FftPlan(shape[2])};
+    fast::FftSupport support;
+    for (std::size_t a = 0; a < 3; ++a)
+      support[a] = random_support(shape[a], rng);
+    const std::size_t total = shape[0] * shape[1] * shape[2];
+    std::vector<std::size_t> on_support;
+    for (const std::size_t i0 : support[0])
+      for (const std::size_t i1 : support[1])
+        for (const std::size_t i2 : support[2])
+          on_support.push_back((i0 * shape[1] + i1) * shape[2] + i2);
+    const auto values = random_signal(total, 300 + trial);
+    std::vector<Complex> input(total, Complex{});
+    for (const std::size_t i : on_support) input[i] = values[i];
+
+    for (const unsigned threads : {1u, 4u}) {
+      runtime::set_global_threads(threads);
+      // Forward: skipped lines are all zero, so only the sign of a zero
+      // may differ from the full transform; == treats +0 and -0 as equal.
+      auto full = input, pruned = input;
+      fast::fft_3d(shape, full, false);
+      fast::fft_3d(plans, support, pruned, false);
+      for (std::size_t i = 0; i < total; ++i)
+        ASSERT_TRUE(pruned[i] == full[i])
+            << "trial " << trial << " threads " << threads << " slot " << i;
+      // Inverse of a dense spectrum: bitwise the full inverse on the
+      // support, whatever it leaves elsewhere.
+      full = values;
+      pruned = values;
+      fast::fft_3d(shape, full, true);
+      fast::fft_3d(plans, support, pruned, true);
+      for (const std::size_t i : on_support)
+        ASSERT_EQ(std::memcmp(&pruned[i], &full[i], sizeof(Complex)), 0)
+            << "trial " << trial << " threads " << threads << " slot " << i;
+    }
   }
 }
 
@@ -304,6 +474,50 @@ TEST_F(FastTest, ToeplitzApplyMatchesDenseOnRandomGrids) {
     const fast::ToeplitzLOperator op(std::move(grid));
 
     const auto xs = random_signal(op.size(), seed * 31);
+    CVector x(xs.begin(), xs.end()), y_fft, y_dense;
+    op.apply(x, y_fft);
+    op.apply_dense(x, y_dense);
+    double scale = 0.0;
+    for (const Complex& v : y_dense) scale = std::max(scale, std::abs(v));
+    for (std::size_t i = 0; i < op.size(); ++i)
+      EXPECT_LT(std::abs(y_fft[i] - y_dense[i]), 1e-12 * scale)
+          << "seed " << seed << " cell " << i;
+  }
+}
+
+TEST_F(FastTest, ToeplitzApplyMatchesDenseWithStackedSameAxisWires) {
+  // X wires on two layers: the X block is more than one cell thick, so
+  // apply runs its n2 passes too (pruned forward and full inverse).
+  for (const std::uint64_t seed : {4u, 5u}) {
+    Lcg rng(seed);
+    geom::Layout l(geom::default_tech());
+    const int net = l.add_net("n", geom::NetKind::Ground);
+    for (int w = 0; w < 6; ++w) {
+      const int row = static_cast<int>((rng.next() + 1.0) * 8.0);
+      const int start = static_cast<int>((rng.next() + 1.0) * 4.0);
+      const int span = 4 + static_cast<int>((rng.next() + 1.0) * 6.0);
+      if (w % 3 == 2) {
+        l.add_wire(net, 5, {um(2.0 * row), um(2.0 * start)},
+                   {um(2.0 * row), um(2.0 * (start + span))}, um(2));
+      } else {
+        l.add_wire(net, w % 3 == 0 ? 6 : 4, {um(2.0 * start), um(2.0 * row)},
+                   {um(2.0 * (start + span)), um(2.0 * row)}, um(2));
+      }
+    }
+    std::vector<std::size_t> parent_of;
+    const auto fil = extract::split_all(l.segments(), parent_of, {});
+    fast::VoxelOptions vo;
+    vo.pitch = um(2);
+    fast::VoxelGrid grid = fast::voxelize(fil, l.tech(), vo);
+    std::vector<std::int32_t> x_layers;
+    for (const fast::VoxelCell& c : grid.cells)
+      if (c.axis == geom::Axis::X) x_layers.push_back(c.iz);
+    std::sort(x_layers.begin(), x_layers.end());
+    ASSERT_GT(std::unique(x_layers.begin(), x_layers.end()) - x_layers.begin(),
+              1);
+    const fast::ToeplitzLOperator op(std::move(grid));
+
+    const auto xs = random_signal(op.size(), seed * 37);
     CVector x(xs.begin(), xs.end()), y_fft, y_dense;
     op.apply(x, y_fft);
     op.apply_dense(x, y_dense);
@@ -531,6 +745,65 @@ loop::MqsOptions strapped_fft_options() {
   opts.method = loop::ExtractionMethod::FftGmres;
   opts.fast.voxel.pitch = um(4);
   return opts;
+}
+
+TEST_F(FastTest, ToeplitzApplyTransformsOnlySupportedLines) {
+  // loop_extract's structure. The expected line count is derived here from
+  // the cells' per-axis occupancy, independently of the operator.
+  constexpr int kCols = 340;
+  const geom::Layout l = strapped_returns_layout(kCols);
+  std::vector<std::size_t> parent_of;
+  const auto fil = extract::split_all(l.segments(), parent_of, {});
+  fast::VoxelOptions vo;
+  vo.pitch = um(4);
+  fast::VoxelGrid grid = fast::voxelize(fil, l.tech(), vo);
+
+  std::int64_t pruned = 0, unpruned = 0;
+  for (const geom::Axis axis : {geom::Axis::X, geom::Axis::Y}) {
+    std::array<std::vector<std::int32_t>, 3> used;
+    for (const fast::VoxelCell& c : grid.cells) {
+      if (c.axis != axis) continue;
+      used[0].push_back(c.ix);
+      used[1].push_back(c.iy);
+      used[2].push_back(c.iz);
+    }
+    if (used[0].empty()) continue;
+    std::array<std::int64_t, 3> e{}, s{};  // embed extent, support size
+    for (std::size_t a = 0; a < 3; ++a) {
+      std::sort(used[a].begin(), used[a].end());
+      const std::size_t dim =
+          static_cast<std::size_t>(used[a].back() - used[a].front()) + 1;
+      e[a] = static_cast<std::int64_t>(
+          dim == 1 ? 1 : fast::good_fft_size(2 * dim - 1));
+      s[a] = std::unique(used[a].begin(), used[a].end()) - used[a].begin();
+    }
+    // Forward: each pass needs the support of the axes not yet
+    // transformed; inverse: of the axes already transformed.
+    if (e[2] > 1) {
+      pruned += s[0] * s[1] + e[0] * e[1];
+      unpruned += 2 * e[0] * e[1];
+    }
+    if (e[1] > 1) {
+      pruned += s[0] * e[2] + e[0] * s[2];
+      unpruned += 2 * e[0] * e[2];
+    }
+    if (e[0] > 1) {
+      pruned += e[1] * e[2] + s[1] * s[2];
+      unpruned += 2 * e[1] * e[2];
+    }
+  }
+  EXPECT_EQ(pruned, 1869);
+  EXPECT_EQ(unpruned, 3016);
+
+  const fast::ToeplitzLOperator op(std::move(grid));
+  const auto xs = random_signal(op.size(), 11);
+  CVector x(xs.begin(), xs.end()), y;
+  auto& metrics = runtime::MetricsRegistry::instance();
+  metrics.reset();
+  op.apply(x, y);
+  const std::int64_t lines = metrics.counter("fast.fft_lines").value.load();
+  EXPECT_EQ(lines, pruned);
+  EXPECT_LE(static_cast<double>(lines), 0.65 * static_cast<double>(unpruned));
 }
 
 TEST_F(FastTest, DiagPrecondFactorsNodalAdmittanceWithLowFill) {
