@@ -21,23 +21,6 @@
 namespace ind::core {
 namespace {
 
-/// Counter-safe identifier for a flow ("result.<key>.*" metric names).
-const char* flow_key(Flow flow) {
-  switch (flow) {
-    case Flow::PeecRc: return "peec_rc";
-    case Flow::PeecRlcFull: return "peec_rlc";
-    case Flow::PeecRlcTruncated: return "peec_rlc_trunc";
-    case Flow::PeecRlcBlockDiag: return "peec_rlc_blockdiag";
-    case Flow::PeecRlcShell: return "peec_rlc_shell";
-    case Flow::PeecRlcHalo: return "peec_rlc_halo";
-    case Flow::PeecRlcKMatrix: return "peec_rlc_kmatrix";
-    case Flow::PeecRlcPrima: return "peec_rlc_prima";
-    case Flow::PeecRlcHier: return "peec_rlc_hier";
-    case Flow::LoopRlc: return "loop_rlc";
-  }
-  return "unknown";
-}
-
 /// Publishes the numerical outcome of a flow as integer counters so two
 /// BENCH_*.json files can be diffed for *result* equality independent of
 /// timing noise: delays/skew in femtoseconds, plus a content hash of every
@@ -248,33 +231,11 @@ AnalysisReport run_flow(const geom::Layout& layout,
   return report;
 }
 
-/// The Section-4 fidelity ladder, cheapest direction only: each rung costs
-/// strictly less (fewer mutuals, then no PEEC mesh at all), so a budget that
-/// tripped rung k can plausibly fit rung k+1. Loop RL needs a signal net to
-/// trace, hence the flag.
+/// The next rung of the degradation ladder (FlowInfo::cheaper). Loop RL
+/// needs a signal net to trace, hence the flag.
 bool next_cheaper(Flow flow, bool has_signal_net, Flow& out) {
-  switch (flow) {
-    case Flow::PeecRlcFull:
-    case Flow::PeecRlcPrima:
-    case Flow::PeecRlcHier:
-    case Flow::PeecRlcKMatrix:
-      out = Flow::PeecRlcBlockDiag;
-      return true;
-    case Flow::PeecRlcBlockDiag:
-    case Flow::PeecRlcHalo:
-      out = Flow::PeecRlcShell;
-      return true;
-    case Flow::PeecRlcShell:
-      out = Flow::PeecRlcTruncated;
-      return true;
-    case Flow::PeecRlcTruncated:
-      out = Flow::LoopRlc;
-      return has_signal_net;
-    case Flow::PeecRc:
-    case Flow::LoopRlc:
-      return false;  // already the cheapest of their families
-  }
-  return false;
+  out = flow_info(flow).cheaper;
+  return out != flow && (out != Flow::LoopRlc || has_signal_net);
 }
 
 /// Degenerate layouts fail fast with a diagnosis instead of surfacing later
@@ -292,22 +253,6 @@ void validate_for_analysis(const geom::Layout& layout) {
 }
 
 }  // namespace
-
-const char* flow_name(Flow flow) {
-  switch (flow) {
-    case Flow::PeecRc: return "PEEC (RC)";
-    case Flow::PeecRlcFull: return "PEEC (RLC)";
-    case Flow::PeecRlcTruncated: return "PEEC (RLC, truncated)";
-    case Flow::PeecRlcBlockDiag: return "PEEC (RLC, block-diag)";
-    case Flow::PeecRlcShell: return "PEEC (RLC, shell)";
-    case Flow::PeecRlcHalo: return "PEEC (RLC, halo)";
-    case Flow::PeecRlcKMatrix: return "PEEC (RLC, K-matrix)";
-    case Flow::PeecRlcPrima: return "PEEC (RLC, PRIMA)";
-    case Flow::PeecRlcHier: return "PEEC (RLC, hierarchical)";
-    case Flow::LoopRlc: return "LOOP (RLC)";
-  }
-  return "?";
-}
 
 AnalysisReport analyze(const geom::Layout& layout,
                        const AnalysisOptions& opts) {

@@ -18,6 +18,7 @@
 // simulation phases.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,55 @@ enum class Flow {
   LoopRlc,
 };
 
-const char* flow_name(Flow flow);
+/// The per-flow facts, one row per Flow in declaration order.
+struct FlowInfo {
+  Flow flow;
+  /// Counter-safe identifier: "result.<key>.*" metric names, degradation
+  /// strings and the option spec's `flow=` values.
+  const char* key;
+  const char* name;  ///< human-readable label (Table 1 rows)
+  /// Next rung of the Section-4 degradation ladder, cheapest direction only:
+  /// each rung costs strictly less (fewer mutuals, then no PEEC mesh at all),
+  /// so a budget that tripped one rung can plausibly fit the next. Equal to
+  /// `flow` for the cheapest flow of each family.
+  Flow cheaper;
+};
+
+inline constexpr FlowInfo kFlowTable[] = {
+    {Flow::PeecRc, "peec_rc", "PEEC (RC)", Flow::PeecRc},
+    {Flow::PeecRlcFull, "peec_rlc", "PEEC (RLC)", Flow::PeecRlcBlockDiag},
+    {Flow::PeecRlcTruncated, "peec_rlc_trunc", "PEEC (RLC, truncated)",
+     Flow::LoopRlc},
+    {Flow::PeecRlcBlockDiag, "peec_rlc_blockdiag", "PEEC (RLC, block-diag)",
+     Flow::PeecRlcShell},
+    {Flow::PeecRlcShell, "peec_rlc_shell", "PEEC (RLC, shell)",
+     Flow::PeecRlcTruncated},
+    {Flow::PeecRlcHalo, "peec_rlc_halo", "PEEC (RLC, halo)",
+     Flow::PeecRlcShell},
+    {Flow::PeecRlcKMatrix, "peec_rlc_kmatrix", "PEEC (RLC, K-matrix)",
+     Flow::PeecRlcBlockDiag},
+    {Flow::PeecRlcPrima, "peec_rlc_prima", "PEEC (RLC, PRIMA)",
+     Flow::PeecRlcBlockDiag},
+    {Flow::PeecRlcHier, "peec_rlc_hier", "PEEC (RLC, hierarchical)",
+     Flow::PeecRlcBlockDiag},
+    {Flow::LoopRlc, "loop_rlc", "LOOP (RLC)", Flow::LoopRlc},
+};
+
+constexpr const FlowInfo& flow_info(Flow flow) {
+  return kFlowTable[static_cast<std::size_t>(flow)];
+}
+
+static_assert(
+    [] {
+      std::size_t k = 0;
+      for (const FlowInfo& row : kFlowTable)
+        if (static_cast<std::size_t>(row.flow) != k++) return false;
+      return k == static_cast<std::size_t>(Flow::LoopRlc) + 1;
+    }(),
+    "kFlowTable must list every Flow once, in declaration order");
+
+inline const char* flow_name(Flow flow) { return flow_info(flow).name; }
+inline const char* flow_key(Flow flow) { return flow_info(flow).key; }
 
 struct FlowParams {
   double truncation_ratio = 0.05;            ///< |M| >= r sqrt(Li Lj) kept

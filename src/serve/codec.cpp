@@ -10,32 +10,18 @@ namespace ind::serve {
 
 namespace {
 
-/// Bumped whenever the request/result encoding changes shape. Feeds both
-/// the decoder check and (via the encoded bytes) the request fingerprint, so
-/// a codec evolution invalidates every stale dedup/cache key at once.
-constexpr std::uint16_t kCodecVersion = 2;  // v2: extraction method + fast/ knobs
+/// Bumped whenever an encoding changes shape. The request's version also
+/// feeds (via the encoded bytes) the request fingerprint, so a codec
+/// evolution invalidates every dedup/cache key at once.
+constexpr std::uint16_t kRequestVersion = 3;  // v3: dead solver bytes dropped
+constexpr std::uint16_t kResultVersion = 2;
 
-constexpr struct {
-  core::Flow flow;
-  const char* key;
-} kFlowKeys[] = {
-    {core::Flow::PeecRc, "peec_rc"},
-    {core::Flow::PeecRlcFull, "peec_rlc"},
-    {core::Flow::PeecRlcTruncated, "peec_rlc_trunc"},
-    {core::Flow::PeecRlcBlockDiag, "peec_rlc_blockdiag"},
-    {core::Flow::PeecRlcShell, "peec_rlc_shell"},
-    {core::Flow::PeecRlcHalo, "peec_rlc_halo"},
-    {core::Flow::PeecRlcKMatrix, "peec_rlc_kmatrix"},
-    {core::Flow::PeecRlcPrima, "peec_rlc_prima"},
-    {core::Flow::PeecRlcHier, "peec_rlc_hier"},
-    {core::Flow::LoopRlc, "loop_rlc"},
-};
-
-void check_version(std::uint16_t version, const char* block) {
-  if (version != kCodecVersion)
+void check_version(std::uint16_t version, std::uint16_t expected,
+                   const char* block) {
+  if (version != expected)
     throw std::invalid_argument(std::string("serve: ") + block +
                                 " codec version " + std::to_string(version) +
-                                " != " + std::to_string(kCodecVersion));
+                                " != " + std::to_string(expected));
 }
 
 template <typename Enum>
@@ -72,13 +58,6 @@ void put_options(store::ByteWriter& w, const core::AnalysisOptions& o) {
   w.f64(fs.voxel.pitch_z);
   w.f64(fs.voxel.width);
   w.f64(fs.voxel.thickness);
-  // Codec v2's preconditioner block (kind, radius, truncation ratio, strip
-  // cells), kept at the one kind's values so that request fingerprints and
-  // persisted response keys do not move. Drop it at the next version bump.
-  w.u8(1);
-  w.f64(0.0);
-  w.f64(0.05);
-  w.u64(16);
   w.u64(fs.gmres.restart);
   w.u64(fs.gmres.max_restarts);
   w.f64(fs.gmres.tol);
@@ -89,15 +68,6 @@ void put_options(store::ByteWriter& w, const core::AnalysisOptions& o) {
   const circuit::TransientOptions& t = o.transient;
   w.f64(t.t_stop);
   w.f64(t.dt);
-  // Codec v2's transient solver block (solver kind, dense threshold, auto
-  // density, backward Euler, step retries), kept at the one solver's values
-  // so that request fingerprints and persisted response keys do not move.
-  // Drop it at the next version bump.
-  w.u8(0);
-  w.u64(128);
-  w.f64(0.2);
-  w.boolean(false);
-  w.i32(3);
 
   const core::FlowParams& f = o.params;
   w.f64(f.truncation_ratio);
@@ -140,13 +110,6 @@ void get_options(store::ByteReader& r, core::AnalysisOptions& o) {
   fs.voxel.pitch_z = r.f64();
   fs.voxel.width = r.f64();
   fs.voxel.thickness = r.f64();
-  // The preconditioner block (see put_options): only the diagonal kind, 1.
-  if (const std::uint8_t kind = r.u8(); kind != 1)
-    throw std::invalid_argument("serve: out-of-range precond_kind value " +
-                                std::to_string(kind));
-  r.f64();
-  r.f64();
-  r.u64();
   fs.gmres.restart = r.u64();
   fs.gmres.max_restarts = r.u64();
   fs.gmres.tol = r.f64();
@@ -157,16 +120,6 @@ void get_options(store::ByteReader& r, core::AnalysisOptions& o) {
   circuit::TransientOptions& t = o.transient;
   t.t_stop = r.f64();
   t.dt = r.f64();
-  // The transient solver block (see put_options): only the values above.
-  const std::uint8_t solver = r.u8();
-  const std::uint64_t dense_threshold = r.u64();
-  const double auto_density = r.f64();
-  const bool backward_euler = r.boolean();
-  const std::int32_t step_retries = r.i32();
-  if (solver != 0 || dense_threshold != 128 || auto_density != 0.2 ||
-      backward_euler || step_retries != 3)
-    throw std::invalid_argument(
-        "serve: transient solver block differs from the one solver's values");
 
   core::FlowParams& f = o.params;
   f.truncation_ratio = r.f64();
@@ -219,7 +172,7 @@ long parse_int(std::string_view key, std::string_view text) {
 }  // namespace
 
 void put_request(store::ByteWriter& w, const Request& req) {
-  w.u16(kCodecVersion);
+  w.u16(kRequestVersion);
   store::serde::put(w, req.layout);
   put_options(w, req.options);
   w.u64(req.budget.deadline_ms);
@@ -229,7 +182,7 @@ void put_request(store::ByteWriter& w, const Request& req) {
 }
 
 void get_request(store::ByteReader& r, Request& req) {
-  check_version(r.u16(), "request");
+  check_version(r.u16(), kRequestVersion, "request");
   store::serde::get(r, req.layout);
   get_options(r, req.options);
   req.budget.deadline_ms = r.u64();
@@ -244,7 +197,7 @@ void get_request(store::ByteReader& r, Request& req) {
 std::vector<std::uint8_t> encode_result(const core::AnalysisReport& report,
                                         bool include_waveforms) {
   store::ByteWriter w;
-  w.u16(kCodecVersion);
+  w.u16(kResultVersion);
   w.u8(static_cast<std::uint8_t>(report.flow));
   w.u8(static_cast<std::uint8_t>(report.requested_flow));
   put_strings(w, report.degradations);
@@ -278,7 +231,7 @@ std::vector<std::uint8_t> encode_result(const core::AnalysisReport& report,
 void decode_result(const std::vector<std::uint8_t>& bytes,
                    core::AnalysisReport& report) {
   store::ByteReader r(bytes);
-  check_version(r.u16(), "result");
+  check_version(r.u16(), kResultVersion, "result");
   const auto max_flow = static_cast<std::uint8_t>(core::Flow::LoopRlc);
   report.flow = checked_enum<core::Flow>(r.u8(), max_flow, "flow");
   report.requested_flow =
@@ -345,7 +298,8 @@ std::uint64_t decode_response_envelope(
                                 " present");
   out.result_bytes.resize(n);
   r.raw(out.result_bytes.data(), n);
-  check_version(store::ByteReader(out.result_bytes).u16(), "result");
+  check_version(store::ByteReader(out.result_bytes).u16(), kResultVersion,
+                "result");
   return request_id;
 }
 
@@ -362,7 +316,14 @@ store::Digest request_fingerprint(const Request& req) {
 }
 
 Outcome run_request(const Request& req, std::uint32_t max_frame_bytes) {
-  govern::Governor::instance().configure(req.budget);
+  // The request's budget governs this run only: the caller's is back in
+  // place on every exit path.
+  struct ScopedBudget {
+    govern::Governor& gov = govern::Governor::instance();
+    const govern::RunBudget previous = gov.budget();
+    ~ScopedBudget() { gov.configure(previous); }
+  } scope;
+  scope.gov.configure(req.budget);
   Outcome out;
   try {
     const core::AnalysisReport report = core::analyze(req.layout, req.options);
@@ -403,8 +364,8 @@ Outcome run_request(const Request& req, std::uint32_t max_frame_bytes) {
 }
 
 core::Flow flow_from_key(std::string_view key) {
-  for (const auto& entry : kFlowKeys)
-    if (key == entry.key) return entry.flow;
+  for (const core::FlowInfo& row : core::kFlowTable)
+    if (key == row.key) return row.flow;
   throw std::invalid_argument("serve: unknown flow '" + std::string(key) +
                               "'");
 }

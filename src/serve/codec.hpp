@@ -75,14 +75,12 @@ struct Response {
 
 // --- binary serde ----------------------------------------------------------
 
-/// Codec v2 layout. The 25 bytes after the voxel options once carried the
-/// FFT preconditioner choice; they are written as the diagonal kind's
-/// constant values, so fingerprints and persisted response keys do not move.
+/// Request encoding v3: a u16 version, then every field of Request.
 void put_request(store::ByteWriter& w, const Request& req);
 /// Throws store::StoreError on truncated/malformed input (an out-of-range
 /// enum byte in a store type, such as the PEEC mutual policy, included) and
 /// std::invalid_argument on the codec's own out-of-range values, including
-/// any preconditioner kind other than the diagonal one.
+/// any request version other than this build's.
 void get_request(store::ByteReader& r, Request& req);
 
 /// Encodes the RESULT block of a finished analysis (see header comment for
@@ -99,7 +97,7 @@ std::vector<std::uint8_t> encode_response_payload(
     const std::vector<std::uint8_t>& result_bytes);
 /// Checks the framing without decoding the RESULT block: the served_by
 /// range, that the declared RESULT length equals the bytes present, and that
-/// the block starts with this build's codec version (so a stale worker
+/// the block starts with this build's RESULT version (so a stale worker
 /// binary's bytes are never cached). Returns the echoed request id; fills
 /// every field of `out` except `report`.
 std::uint64_t decode_response_envelope(
@@ -128,8 +126,9 @@ struct Outcome {
 };
 
 /// The one execution path behind both serving modes (the in-process
-/// executor and each ind_worker process): configures the process Governor
-/// from req.budget, runs core::analyze and encodes the RESULT block.
+/// executor and each ind_worker process): installs req.budget in the process
+/// Governor for the call (the previous budget is restored on return), runs
+/// core::analyze and encodes the RESULT block.
 /// CancelledError maps to DeadlineExceeded (ShuttingDown for an External
 /// cancel), std::invalid_argument to BadRequest, any other exception to
 /// Internal. A RESULT block whose AnalyzeResponse payload would exceed
@@ -167,8 +166,8 @@ void apply_option_spec(core::AnalysisOptions& opts, std::string_view spec);
 /// Fresh defaults + apply_option_spec.
 core::AnalysisOptions options_from_spec(std::string_view spec);
 
-/// "peec_rlc" -> Flow::PeecRlcFull etc. (the flow_key scheme the metrics
-/// counters already use). Throws std::invalid_argument on unknown names.
+/// "peec_rlc" -> Flow::PeecRlcFull etc.: the inverse of core::flow_key.
+/// Throws std::invalid_argument on unknown names.
 core::Flow flow_from_key(std::string_view key);
 
 }  // namespace ind::serve

@@ -19,8 +19,7 @@
 #include "govern/env.hpp"
 #include "robust/fault_injection.hpp"
 #include "runtime/metrics.hpp"
-#include "store/artifact_cache.hpp"
-#include "store/serde.hpp"
+#include "store/format.hpp"
 
 namespace ind::serve {
 
@@ -32,9 +31,6 @@ void count(const char* name, std::int64_t delta = 1) {
   runtime::MetricsRegistry::instance().add_count(name, delta);
 }
 
-// Keyed by request bytes alone: bump the suffix whenever an analysis
-// returns different results for the same request.
-constexpr const char* kResponseKind = "serve_response_v2";
 constexpr const char* kServerId = "ind_served/1";
 
 }  // namespace
@@ -394,9 +390,8 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn,
   }
 
   // From here on the request is the one that will actually run: its budget
-  // clamped by the server caps. Dedup and both response caches key on it, so
-  // a restart with different IND_SERVE_* caps can never replay results
-  // computed under the old ones.
+  // clamped by the server caps. Dedup and the response cache key on it, so
+  // requests that clamp to the same budget share one computation.
   flight->request.budget =
       clamp_budget(flight->request.budget, config_.budget_caps);
   flight->fp = request_fingerprint(flight->request);
@@ -405,7 +400,7 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn,
 
   // Poison quarantine: this fingerprint has already killed its quota of
   // workers — answer instantly instead of queueing another crash-loop lap.
-  // (A quarantined body never completed, so it cannot be in either cache.)
+  // (A quarantined body never completed, so it cannot be in the cache.)
   if (pool_ && pool_->poisoned(flight->fp)) {
     count("serve.worker.poison_rejects");
     conn->send(make_error(request_id, ErrorCode::PoisonedRequest,
@@ -417,80 +412,51 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn,
   // Decide the fate of the request under the lock; send the reply (which may
   // block on a slow socket) after releasing it.
   std::optional<Frame> reply;
-  std::vector<std::uint8_t> cached;
-  double build_s = 0.0, solve_s = 0.0;
-  const auto cache_reply = [&] {
-    count("serve.cache_hits");
-    Frame f;
-    f.type = FrameType::AnalyzeResponse;
-    f.payload = encode_response_payload(request_id, Response::ServedBy::Cache,
-                                        build_s, solve_s, 0.0, cached);
-    return f;
-  };
-  bool disk_probed = false;
-  for (;;) {
-    std::unique_lock lock(state_mutex_);
-
-    // Response-cache short-circuit: an identical request already computed —
-    // replay the stored RESULT block verbatim.
-    if (cache_probe(flight->fp, &cached, &build_s, &solve_s)) {
-      reply = cache_reply();
-      break;
-    }
-    if (auto it = inflight_.find(flight->key); it != inflight_.end()) {
+  {
+    std::lock_guard lock(state_mutex_);
+    if (const CacheEntry* hit = cache_probe(flight->key)) {
+      // Response-cache short-circuit: an identical request already
+      // computed — replay the stored RESULT block verbatim.
+      count("serve.cache_hits");
+      reply.emplace();
+      reply->type = FrameType::AnalyzeResponse;
+      reply->payload = encode_response_payload(
+          request_id, Response::ServedBy::Cache, hit->build_seconds,
+          hit->solve_seconds, 0.0, hit->result);
+    } else if (auto it = inflight_.find(flight->key); it != inflight_.end()) {
       // In-flight dedup: attach to an identical queued/running computation.
       it->second->waiters.push_back({conn, request_id, false, now});
       count("serve.dedup_hits");
-      break;
-    }
-    if (!disk_probed && store::ArtifactCache::instance().enabled()) {
-      // A previous server process may have persisted the response. The disk
-      // read must not happen under state_mutex_ (it would stall every
-      // reader's admission and the executor's waiter bookkeeping), so drop
-      // the lock, probe, and re-decide — an identical request may have been
-      // cached or scheduled meanwhile.
-      lock.unlock();
-      disk_probed = true;
-      if (cache_load_disk(flight->fp, &cached, &build_s, &solve_s)) {
-        count("serve.disk_cache_hits");
-        lock.lock();
-        cache_store(flight->fp, cached, build_s, solve_s);
-        reply = cache_reply();
-        break;
-      }
-      continue;
-    }
-    if (degraded_.load(std::memory_order_relaxed)) {
+    } else if (degraded_.load(std::memory_order_relaxed)) {
       // Watchdog-tripped degradation: the executor is wedged, so queueing
       // more work only grows an unserviceable backlog. Cache hits and dedup
       // attaches (above) still drain; fresh computations are shed.
       count("serve.watchdog_sheds");
       reply = make_busy(request_id, ErrorCode::QueueFull,
                         "executor wedged (watchdog); retry later");
-      break;
-    }
-    flight->waiters.push_back({conn, request_id, true, now});
-    inflight_.emplace(flight->key, flight);
-    const Admit admit = scheduler_.push(conn->id, flight);
-    if (admit == Admit::Ok) {
-      count("serve.admitted");
-      runtime::MetricsRegistry::instance().max_count(
-          "serve.queue_depth_peak",
-          static_cast<std::int64_t>(scheduler_.depth()));
     } else {
-      inflight_.erase(flight->key);
-      if (admit == Admit::Draining) {
-        count("serve.busy_shutdown");
-        reply = make_busy(request_id, ErrorCode::ShuttingDown,
-                          "server is draining");
+      flight->waiters.push_back({conn, request_id, true, now});
+      inflight_.emplace(flight->key, flight);
+      const Admit admit = scheduler_.push(conn->id, flight);
+      if (admit == Admit::Ok) {
+        count("serve.admitted");
+        runtime::MetricsRegistry::instance().max_count(
+            "serve.queue_depth_peak",
+            static_cast<std::int64_t>(scheduler_.depth()));
       } else {
-        count("serve.busy_queue_full");
-        reply = make_busy(request_id, ErrorCode::QueueFull,
-                          admit == Admit::ClientFull ? "client queue full"
-                                                     : "server queue full");
+        inflight_.erase(flight->key);
+        if (admit == Admit::Draining) {
+          count("serve.busy_shutdown");
+          reply = make_busy(request_id, ErrorCode::ShuttingDown,
+                            "server is draining");
+        } else {
+          count("serve.busy_queue_full");
+          reply = make_busy(request_id, ErrorCode::QueueFull,
+                            admit == Admit::ClientFull ? "client queue full"
+                                                       : "server queue full");
+        }
       }
     }
-    break;
   }
   if (reply) conn->send(*reply);
 }
@@ -663,7 +629,7 @@ void Server::execute(const FlightPtr& flight) {
     waiters = std::move(flight->waiters);
     flight->waiters.clear();
     if (out.code == ErrorCode::None)
-      cache_store(flight->fp, out.result_bytes, out.build_seconds,
+      cache_store(flight->key, out.result_bytes, out.build_seconds,
                   out.solve_seconds);
   }
 
@@ -684,71 +650,23 @@ void Server::execute(const FlightPtr& flight) {
         out.result_bytes);
     if (w.conn->send(f)) count("serve.responses");
   }
-  // Write-through, after the waiters are answered and outside
-  // state_mutex_: a response evicted from the in-memory LRU, or lost with
-  // the process, still warms a restarted server.
-  if (out.code == ErrorCode::None)
-    cache_save_disk(flight->fp, out.result_bytes, out.build_seconds,
-                    out.solve_seconds);
 }
 
 // ---------------------------------------------------------------------------
 // response cache
 // ---------------------------------------------------------------------------
 
-bool Server::cache_probe(const store::Digest& fp,
-                         std::vector<std::uint8_t>* result,
-                         double* build_seconds, double* solve_seconds) {
-  const auto it = response_cache_.find(fp.hex());
-  if (it == response_cache_.end()) return false;
+const Server::CacheEntry* Server::cache_probe(const std::string& key) {
+  const auto it = response_cache_.find(key);
+  if (it == response_cache_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second.lru);  // refresh MRU
-  *result = it->second.result;
-  *build_seconds = it->second.build_seconds;
-  *solve_seconds = it->second.solve_seconds;
-  return true;
+  return &it->second;
 }
 
-bool Server::cache_load_disk(const store::Digest& fp,
-                             std::vector<std::uint8_t>* result,
-                             double* build_seconds, double* solve_seconds) {
-  auto& disk = store::ArtifactCache::instance();
-  if (!disk.enabled()) return false;
-  auto artifact = disk.load(kResponseKind, fp);
-  if (!artifact) return false;
-  try {
-    *result = artifact->section("result");
-    store::ByteReader stats(artifact->section("stats"));
-    *build_seconds = stats.f64();
-    *solve_seconds = stats.f64();
-  } catch (const store::StoreError&) {
-    return false;
-  }
-  return true;
-}
-
-void Server::cache_save_disk(const store::Digest& fp,
-                             const std::vector<std::uint8_t>& result,
-                             double build_seconds, double solve_seconds) {
-  auto& disk = store::ArtifactCache::instance();
-  if (!disk.enabled()) return;
-  store::Artifact a;
-  a.kind = kResponseKind;
-  a.fingerprint = fp;
-  store::ByteWriter bytes;
-  bytes.raw(result.data(), result.size());
-  a.add("result", std::move(bytes));
-  store::ByteWriter stats;
-  stats.f64(build_seconds);
-  stats.f64(solve_seconds);
-  a.add("stats", std::move(stats));
-  disk.save(a);
-}
-
-void Server::cache_store(const store::Digest& fp,
+void Server::cache_store(const std::string& key,
                          const std::vector<std::uint8_t>& result,
                          double build_seconds, double solve_seconds) {
   if (config_.result_cache_entries == 0) return;
-  const std::string key = fp.hex();
   if (response_cache_.contains(key)) return;
   lru_.push_front(key);
   CacheEntry entry;

@@ -14,8 +14,7 @@
 //                  executor lane ── serve::run_request in-process, or
 //                        │          WorkerPool::run -> ind_worker -> run_request
 //                        ▼
-//                  respond to every waiter; store result in the cache and
-//                  write it through to the artifact store
+//                  respond to every waiter; store result in the cache
 //
 // In-process mode (IND_SERVE_WORKERS=0) analyses execute one at a time, in
 // the scheduler's fair order: the parallelism of a single core::analyze
@@ -42,13 +41,13 @@
 // field-wise by the server caps (IND_SERVE_DEADLINE_MS / IND_SERVE_MEM_BYTES
 // / IND_SERVE_WORK_BUDGET; a tenant can tighten, never loosen), and that
 // clamped request is the one fingerprinted, dispatched and run. Dedup and
-// both response caches key on it, so a server restarted with different caps
-// never replays results computed under the old ones. Work/memory
-// trips degrade down the Section-4 fidelity ladder inside analyze() and the
-// response carries the degradation trail; a deadline trip answers
-// DeadlineExceeded. A client disconnect removes its waiters, and when the
-// running flight has no waiters left it is cancelled through the
-// govern CancelToken (queued orphans are skipped at pop).
+// the response cache key on it, so the key names the run that actually
+// happens: requests that clamp to the same budget share one computation and
+// one cache entry. Work/memory trips degrade down the Section-4 fidelity
+// ladder inside analyze() and the response carries the degradation trail;
+// a deadline trip answers DeadlineExceeded. A client disconnect removes its
+// waiters, and when the running flight has no waiters left it is cancelled
+// through the govern CancelToken (queued orphans are skipped at pop).
 //
 // Slow/wedged peers: every accepted socket carries SO_SNDTIMEO
 // (IND_SERVE_SEND_TIMEOUT_MS, default 10 s); a send that makes no progress
@@ -70,9 +69,11 @@
 // answered ShuttingDown and the in-flight analysis is cancelled through the
 // CancelToken; the remaining sockets are then shut down *before* the worker
 // threads are joined (a blocked send fails fast instead of wedging the
-// join), and the listener exits 0. Nothing is left to persist at that point:
-// every computed response was already written through to the artifact store
-// (when IND_CACHE_DIR is set) as soon as its waiters were answered.
+// join), and the listener exits 0. Nothing is persisted: the response
+// cache lives in memory only. With IND_CACHE_DIR set, the model artifacts
+// behind each answer (extractions, PEEC models, PRIMA reductions, K-matrix
+// sparsifications) are on disk, so a restarted server recomputes only the
+// cheap tail of each first repeat.
 #pragma once
 
 #include <atomic>
@@ -114,8 +115,7 @@ struct ServerConfig {
   /// executor answers waiters with blocking writes — one client that stops
   /// reading must not starve every other tenant). 0 disables the timeout.
   std::uint64_t send_timeout_ms = 10'000;  ///< IND_SERVE_SEND_TIMEOUT_MS
-  /// In-memory response cache capacity in entries; 0 disables it (the
-  /// on-disk artifact cache, when configured, is still consulted).
+  /// Response cache capacity in entries (in memory, LRU); 0 disables it.
   std::size_t result_cache_entries = 512;  ///< IND_SERVE_RESULT_CACHE
 
   /// Executor watchdog (see serve/health.hpp). Sampling interval in ms;
@@ -185,6 +185,7 @@ class Server {
  private:
   struct Connection;
   struct InFlight;
+  struct CacheEntry;
   using FlightPtr = std::shared_ptr<InFlight>;
 
   void accept_loop();
@@ -202,20 +203,10 @@ class Server {
   void execute(const FlightPtr& flight);
   void watchdog_loop();
 
-  /// In-memory response-cache probe. Caller holds state_mutex_.
-  bool cache_probe(const store::Digest& fp, std::vector<std::uint8_t>* result,
-                   double* build_seconds, double* solve_seconds);
-  /// On-disk artifact-store load. Performs disk I/O — caller must NOT hold
-  /// state_mutex_ (a slow read would stall every reader's admission path).
-  bool cache_load_disk(const store::Digest& fp,
-                       std::vector<std::uint8_t>* result, double* build_seconds,
-                       double* solve_seconds);
-  /// Write-through of one computed response to the artifact store, when
-  /// IND_CACHE_DIR is set. Disk I/O: caller must NOT hold state_mutex_.
-  void cache_save_disk(const store::Digest& fp,
-                       const std::vector<std::uint8_t>& result,
-                       double build_seconds, double solve_seconds);
-  void cache_store(const store::Digest& fp,
+  /// Response-cache probe (refreshes the entry's LRU position; null on a
+  /// miss) and insert. Caller holds state_mutex_.
+  const CacheEntry* cache_probe(const std::string& key);
+  void cache_store(const std::string& key,
                    const std::vector<std::uint8_t>& result,
                    double build_seconds, double solve_seconds);
 

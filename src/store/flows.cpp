@@ -24,18 +24,6 @@ circuit::Pwl get_pwl(ByteReader& r) {
   return pts.empty() ? circuit::Pwl{} : circuit::Pwl(std::move(pts));
 }
 
-void put_sizes(ByteWriter& w, const std::vector<std::size_t>& v) {
-  w.u64(v.size());
-  for (std::size_t x : v) w.u64(x);
-}
-
-std::vector<std::size_t> get_sizes(ByteReader& r) {
-  const std::uint64_t n = r.count(r.u64(), sizeof(std::uint64_t));
-  std::vector<std::size_t> v(n);
-  for (auto& x : v) x = r.u64();
-  return v;
-}
-
 void put_nodes(ByteWriter& w, const std::vector<circuit::NodeId>& v) {
   w.u64(v.size());
   for (circuit::NodeId n : v) w.i32(n);

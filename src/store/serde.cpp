@@ -25,6 +25,8 @@ void get_dense(ByteReader& r, la::DenseMatrix<T>& m) {
   r.raw(m.data(), total * sizeof(T));
 }
 
+}  // namespace
+
 void put_sizes(ByteWriter& w, const std::vector<std::size_t>& v) {
   w.u64(v.size());
   for (std::size_t x : v) w.u64(x);
@@ -36,8 +38,6 @@ std::vector<std::size_t> get_sizes(ByteReader& r) {
   for (auto& x : v) x = r.u64();
   return v;
 }
-
-}  // namespace
 
 void put(ByteWriter& w, const la::Matrix& m) { put_dense(w, m); }
 void get(ByteReader& r, la::Matrix& m) { get_dense(r, m); }

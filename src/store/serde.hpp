@@ -28,6 +28,10 @@
 
 namespace ind::store::serde {
 
+// --- index vectors (u64 count, then each index as u64) ---------------------
+void put_sizes(ByteWriter& w, const std::vector<std::size_t>& v);
+std::vector<std::size_t> get_sizes(ByteReader& r);
+
 // --- linear algebra --------------------------------------------------------
 void put(ByteWriter& w, const la::Matrix& m);
 void get(ByteReader& r, la::Matrix& m);

@@ -25,7 +25,6 @@
 #include <unistd.h>
 
 #include "geom/topologies.hpp"
-#include "govern/budget.hpp"
 #include "robust/fault_injection.hpp"
 #include "runtime/metrics.hpp"
 #include "serve/client.hpp"
@@ -76,10 +75,7 @@ serve::Request grid_request(double extent_um = 220.0) {
 
 class ResilienceTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    govern::Governor::instance().configure({});
-    fault::clear();
-  }
+  void TearDown() override { fault::clear(); }
 };
 
 // ---------------------------------------------------------------------------

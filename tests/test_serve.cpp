@@ -8,7 +8,6 @@
 // modes share (same bytes, codes and details in-process and in workers).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -92,14 +91,9 @@ std::vector<std::uint8_t> encoded(const serve::Request& req) {
   return w.take();
 }
 
-/// Servers mutate the process-wide Governor per request; restore the
-/// unbudgeted state so later tests see a clean slate.
 class ServeTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    govern::Governor::instance().configure({});
-    fault::clear();
-  }
+  void TearDown() override { fault::clear(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -132,76 +126,53 @@ TEST_F(ServeTest, RequestDecodeRejectsTrailingBytes) {
 
 TEST_F(ServeTest, RequestDecodeRejectsOutOfRangeEnum) {
   const serve::Request req = grid_request();
-  auto image = encoded(req);
-  // The flow octet sits right after the codec version + layout block; flip
-  // it to an impossible value by re-encoding with a corrupted options flow.
-  store::ByteWriter w;
-  w.u16(2);  // kCodecVersion
-  store::serde::put(w, req.layout);
-  w.u8(0xEE);  // flow — far beyond Flow::LoopRlc
-  auto corrupt = w.take();
-  // Splice the tail of the valid image (everything after the flow octet).
-  const std::size_t head = corrupt.size();
-  corrupt.insert(corrupt.end(), image.begin() + static_cast<std::ptrdiff_t>(head),
-                 image.end());
+  const auto image = encoded(req);
+  // The flow octet sits right after the version + layout block. Keep the
+  // valid image's version bytes, so that only the flow check can refuse it.
+  store::ByteWriter layout;
+  store::serde::put(layout, req.layout);
+  const std::size_t flow_at = 2 + layout.take().size();
+  ASSERT_LT(flow_at, image.size());
+  auto corrupt = image;
+  corrupt[flow_at] = 0xEE;  // far beyond Flow::LoopRlc
   serve::Request back;
   store::ByteReader r(corrupt);
-  EXPECT_THROW(serve::get_request(r, back), std::invalid_argument);
+  try {
+    serve::get_request(r, back);
+    FAIL() << "an out-of-range flow decoded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("out-of-range flow"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
-TEST_F(ServeTest, RequestDecodeAcceptsOnlyTheDiagonalPreconditioner) {
-  // The reserved preconditioner block (kind u8, radius f64, truncation
-  // ratio f64, strip cells u64) sits right before the GMRES restart.
-  const serve::Request req = grid_request();
-  auto image = encoded(req);
-  store::ByteWriter tail;
-  tail.u8(1);
-  tail.f64(0.0);
-  tail.f64(0.05);
-  tail.u64(16);
-  tail.u64(req.options.loop.extraction.mqs.fast.gmres.restart);
-  const std::vector<std::uint8_t> block = tail.take();
-  const auto at = std::search(image.begin(), image.end(), block.begin(),
-                              block.end());
-  ASSERT_NE(at, image.end());
-  *at = 2;  // a windowed kind the codec no longer knows
+TEST_F(ServeTest, RequestOfAnotherVersionIsMalformed) {
+  auto image = encoded(grid_request());
+  image[0] = 2;  // the u16 request version, little-endian: v2
+  image[1] = 0;
   serve::Request back;
   store::ByteReader r(image);
   EXPECT_THROW(serve::get_request(r, back), std::invalid_argument);
 
-  // Its spec key is gone with it: an unknown key.
-  EXPECT_THROW(serve::options_from_spec("fft_precond=diag"),
-               std::invalid_argument);
-}
-
-TEST_F(ServeTest, RequestDecodeAcceptsOnlyTheOneTransientSolver) {
-  // The reserved transient solver block (solver u8, dense threshold u64,
-  // auto density f64, backward Euler bool, step retries i32) follows
-  // t_stop and dt.
-  const serve::Request req = grid_request();
-  const auto image = encoded(req);
-  store::ByteWriter tail;
-  tail.f64(req.options.transient.t_stop);
-  tail.f64(req.options.transient.dt);
-  tail.u8(0);
-  tail.u64(128);
-  tail.f64(0.2);
-  tail.boolean(false);
-  tail.i32(3);
-  const std::vector<std::uint8_t> block = tail.take();
-  const auto at = std::search(image.begin(), image.end(), block.begin(),
-                              block.end());
-  ASSERT_NE(at, image.end());
-  const auto base = static_cast<std::size_t>(at - image.begin()) + 16;
-  // One byte inside each field: solver, threshold, density, BE, retries.
-  for (const std::size_t off : {0, 1, 9 + 7, 17, 18}) {
-    auto corrupt = image;
-    corrupt[base + off] ^= 0x01;
-    serve::Request back;
-    store::ByteReader r(corrupt);
-    EXPECT_THROW(serve::get_request(r, back), std::invalid_argument)
-        << "offset " << off;
-  }
+  serve::Server server(serve::ServerConfig{});
+  server.start();
+  serve::Client client;
+  client.connect_tcp("127.0.0.1", server.port());
+  store::ByteWriter w;
+  w.u64(7);  // request id
+  w.raw(image.data(), image.size());
+  serve::Frame f;
+  f.type = serve::FrameType::AnalyzeRequest;
+  f.payload = w.take();
+  ASSERT_TRUE(client.send_raw(f));
+  const serve::Reply reply = client.read_reply();
+  ASSERT_FALSE(reply.ok);
+  EXPECT_EQ(reply.error.code, serve::ErrorCode::MalformedFrame);
+  EXPECT_NE(reply.error.detail.find("request codec version 2"),
+            std::string::npos)
+      << reply.error.detail;
+  server.shutdown();
 }
 
 TEST_F(ServeTest, ResultBlockRoundTripsWithWaveforms) {
@@ -380,6 +351,18 @@ TEST_F(ServeTest, OptionSpecRejectsMalformedTokens) {
   EXPECT_THROW(serve::options_from_spec("just_a_word"), std::invalid_argument);
   EXPECT_THROW(serve::options_from_spec("=5"), std::invalid_argument);
   EXPECT_NO_THROW(serve::options_from_spec("  "));  // empty spec is fine
+  // The FFT preconditioner has one kind, so it has no key.
+  EXPECT_THROW(serve::options_from_spec("fft_precond=diag"),
+               std::invalid_argument);
+}
+
+TEST_F(ServeTest, EveryFlowRoundTripsThroughItsKey) {
+  for (const core::FlowInfo& row : core::kFlowTable) {
+    EXPECT_EQ(serve::flow_from_key(core::flow_key(row.flow)), row.flow)
+        << row.key;
+    EXPECT_EQ(serve::options_from_spec(std::string("flow=") + row.key).flow,
+              row.flow);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -407,9 +390,8 @@ TEST_F(ServeTest, FingerprintIsStableAndSensitive) {
 TEST_F(ServeTest, FingerprintKeyedByEffectiveBudget) {
   // Admission clamps the request's budget to the server caps and then
   // hashes the request as it will actually run. Requests whose budgets clamp
-  // to the same values share a key; a cap change yields a different key, so
-  // cached results computed under old caps can never be replayed after a
-  // restart.
+  // to the same values share a key (one computation, one cache entry);
+  // different caps give different keys.
   serve::Request a = grid_request();
   serve::Request b = grid_request();
   a.budget.work_units = 500;
@@ -427,10 +409,6 @@ TEST_F(ServeTest, FingerprintKeyedByEffectiveBudget) {
 
   // With no caps the admitted request is the requested one.
   EXPECT_EQ(admitted(a, 0), serve::request_fingerprint(a));
-
-  // Persisted serve_response artifacts are keyed by this hex: it must not
-  // move when the serving code is refactored.
-  EXPECT_EQ(admitted(a, 100).hex(), "4f634cc8439daa61f19001cca4bd01e5");
 }
 
 // ---------------------------------------------------------------------------
@@ -568,10 +546,10 @@ TEST_F(ServeTest, CacheHitShortCircuitsRepeatRequests) {
   server.shutdown();
 }
 
-TEST_F(ServeTest, PerRequestWorkBudgetSurfacesDegradations) {
-  // Size the budget between the full-fidelity cost and the first rung down,
-  // exactly like the govern ladder tests: the server must run the analysis
-  // under the request's budget and return the degradation trail.
+/// A PEEC (RLC) request whose work budget sits between the full-fidelity
+/// cost and the first rung down, exactly like the govern ladder tests: run
+/// under that budget, the analysis degrades to block-diagonal.
+serve::Request degrading_request() {
   geom::Layout layout(geom::default_tech());
   geom::DriverReceiverGridSpec spec;
   spec.grid.extent_x = um(600);
@@ -592,17 +570,23 @@ TEST_F(ServeTest, PerRequestWorkBudgetSurfacesDegradations) {
   auto& gov = govern::Governor::instance();
   gov.configure({});
   const auto full = core::analyze(layout, req.options);
-  ASSERT_TRUE(full.degradations.empty());
+  EXPECT_TRUE(full.degradations.empty());
   const std::uint64_t w_full = gov.work_units();
   auto bd_options = req.options;
   bd_options.flow = core::Flow::PeecRlcBlockDiag;
   gov.configure({});
   (void)core::analyze(layout, bd_options);
   const std::uint64_t w_bd = gov.work_units();
-  ASSERT_LT(w_bd, w_full);
+  EXPECT_LT(w_bd, w_full);
 
   req.budget.work_units = w_bd + (w_full - w_bd) / 2;
+  return req;
+}
 
+TEST_F(ServeTest, PerRequestWorkBudgetSurfacesDegradations) {
+  // The server must run the analysis under the request's budget and return
+  // the degradation trail.
+  const serve::Request req = degrading_request();
   serve::Server server(serve::ServerConfig{});
   server.start();
   serve::Client client;
@@ -858,14 +842,14 @@ TEST_F(ServeTest, GracefulShutdownDrainsAdmittedWork) {
   server.shutdown();
 }
 
-TEST_F(ServeTest, ComputedResponsesPersistPastEvictionAndRestart) {
-  // Each computed response is written through to the artifact store, so
-  // the ones evicted from a one-entry LRU still warm a restarted server.
+TEST_F(ServeTest, RestartedServerRecomputesFromStoredModels) {
+  // Responses live in memory only. The model artifacts behind them are in
+  // the artifact store, so a restarted server recomputes each body from its
+  // stored extraction and PEEC model, to the same RESULT bytes.
   namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "ind_serve_write_through";
+  const std::string dir = ::testing::TempDir() + "ind_serve_restart";
   fs::remove_all(dir);
-  auto& disk = store::ArtifactCache::instance();
-  disk.configure(dir);
+  store::ArtifactCache::instance().configure(dir);
   struct Restore {
     std::string dir;
     ~Restore() {
@@ -874,85 +858,30 @@ TEST_F(ServeTest, ComputedResponsesPersistPastEvictionAndRestart) {
     }
   } restore{dir};
 
-  serve::ServerConfig config;
-  config.result_cache_entries = 1;
   const std::vector<serve::Request> bodies = {
       grid_request(220.0), grid_request(240.0), grid_request(260.0)};
-  std::vector<std::vector<std::uint8_t>> computed;
-  {
-    serve::Server server(config);
+  const auto serve_all = [&](std::vector<std::vector<std::uint8_t>>& results) {
+    serve::Server server(serve::ServerConfig{});
     server.start();
     serve::Client client;
     client.connect_tcp("127.0.0.1", server.port());
     for (const serve::Request& req : bodies) {
-      const serve::Reply reply = client.analyze(computed.size() + 1, req);
+      const serve::Reply reply = client.analyze(results.size() + 1, req);
       ASSERT_TRUE(reply.ok) << serve::to_string(reply.error.code);
       EXPECT_EQ(reply.response.served_by, serve::Response::ServedBy::Computed);
-      computed.push_back(reply.response.result_bytes);
+      results.push_back(reply.response.result_bytes);
     }
     server.shutdown();
-  }
-  std::size_t artifacts = 0;
+  };
+  std::vector<std::vector<std::uint8_t>> first, restarted;
+  serve_all(first);
+  const std::int64_t hits0 = counter("store.hits");
+  serve_all(restarted);
+  EXPECT_EQ(restarted, first);
+  EXPECT_GT(counter("store.hits"), hits0);
   for (const auto& entry : fs::directory_iterator(dir))
-    if (entry.path().filename().string().starts_with("serve_response_v2-"))
-      ++artifacts;
-  EXPECT_EQ(artifacts, bodies.size());
-
-  serve::Server restarted(config);
-  restarted.start();
-  serve::Client client;
-  client.connect_tcp("127.0.0.1", restarted.port());
-  for (std::size_t k = 0; k < bodies.size(); ++k) {
-    const serve::Reply reply = client.analyze(k + 1, bodies[k]);
-    ASSERT_TRUE(reply.ok) << serve::to_string(reply.error.code);
-    EXPECT_EQ(reply.response.served_by, serve::Response::ServedBy::Cache);
-    EXPECT_EQ(reply.response.result_bytes, computed[k]);
-  }
-  restarted.shutdown();
-}
-
-TEST_F(ServeTest, ResponsesOfAnOlderKindAreNotServed) {
-  // A response persisted under the previous kind, "serve_response", holds
-  // results of an older analysis: the server recomputes instead.
-  namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "ind_serve_old_kind";
-  fs::remove_all(dir);
-  auto& disk = store::ArtifactCache::instance();
-  disk.configure(dir);
-  struct Restore {
-    std::string dir;
-    ~Restore() {
-      store::ArtifactCache::instance().configure("");
-      fs::remove_all(dir);
-    }
-  } restore{dir};
-
-  const serve::Request req = grid_request();
-  core::AnalysisReport old;
-  old.worst_delay = 1.0;
-  const std::vector<std::uint8_t> old_result = serve::encode_result(old, false);
-  store::Artifact stale;
-  stale.kind = "serve_response";
-  stale.fingerprint = serve::request_fingerprint(req);
-  store::ByteWriter bytes;
-  bytes.raw(old_result.data(), old_result.size());
-  stale.add("result", std::move(bytes));
-  store::ByteWriter stats;
-  stats.f64(0.0);
-  stats.f64(0.0);
-  stale.add("stats", std::move(stats));
-  disk.save(stale);
-  ASSERT_TRUE(disk.load("serve_response", stale.fingerprint));
-
-  serve::Server server(serve::ServerConfig{});
-  server.start();
-  serve::Client client;
-  client.connect_tcp("127.0.0.1", server.port());
-  const serve::Reply reply = client.analyze(1, req);
-  ASSERT_TRUE(reply.ok) << serve::to_string(reply.error.code);
-  EXPECT_EQ(reply.response.served_by, serve::Response::ServedBy::Computed);
-  EXPECT_NE(reply.response.result_bytes, old_result);
-  server.shutdown();
+    EXPECT_FALSE(entry.path().filename().string().starts_with("serve_response"))
+        << entry.path();
 }
 
 TEST_F(ServeTest, ResultBytesIdenticalAcrossThreadCounts) {
@@ -1264,7 +1193,6 @@ TEST_F(ServeTest, RunRequestIsAnalyzePlusEncode) {
   const serve::Outcome out =
       serve::run_request(req, serve::kDefaultMaxFrameBytes);
   ASSERT_EQ(out.code, serve::ErrorCode::None) << out.detail;
-  govern::Governor::instance().configure({});
   const core::AnalysisReport report = core::analyze(req.layout, req.options);
   EXPECT_EQ(out.result_bytes, serve::encode_result(report, false));
   EXPECT_GT(out.build_seconds, 0.0);
@@ -1278,6 +1206,25 @@ TEST_F(ServeTest, RunRequestIsAnalyzePlusEncode) {
   EXPECT_NE(rejected.detail.find("signal_net"), std::string::npos)
       << rejected.detail;
   EXPECT_TRUE(rejected.result_bytes.empty());
+}
+
+TEST_F(ServeTest, RunRequestRestoresTheCallersBudget) {
+  const serve::Request req = degrading_request();
+  auto& gov = govern::Governor::instance();
+  const govern::RunBudget before = gov.budget();
+  const serve::Outcome out =
+      serve::run_request(req, serve::kDefaultMaxFrameBytes);
+  ASSERT_EQ(out.code, serve::ErrorCode::None) << out.detail;
+  core::AnalysisReport served;
+  serve::decode_result(out.result_bytes, served);
+  ASSERT_FALSE(served.degradations.empty());
+
+  EXPECT_EQ(gov.budget().deadline_ms, before.deadline_ms);
+  EXPECT_EQ(gov.budget().mem_bytes, before.mem_bytes);
+  EXPECT_EQ(gov.budget().work_units, before.work_units);
+  const core::AnalysisReport plain = core::analyze(req.layout, req.options);
+  EXPECT_TRUE(plain.degradations.empty());
+  EXPECT_EQ(plain.flow, core::Flow::PeecRlcFull);
 }
 
 TEST_F(ServeTest, ErrorRepliesIdenticalAcrossServingModes) {

@@ -6,9 +6,10 @@
 // printed on stdout so harnesses can parse it) or a Unix-domain socket, and
 // serves the serve/ wire protocol until SIGINT/SIGTERM. Shutdown is
 // graceful: admission stops, in-flight work drains (IND_SERVE_DRAIN_MS),
-// metrics land in BENCH_served.json, and the process exits 0. Computed
-// responses are written through to IND_CACHE_DIR as they complete, so a
-// restart (even after kill -9) starts warm.
+// metrics land in BENCH_served.json, and the process exits 0. Responses are
+// cached in memory only; with IND_CACHE_DIR set, the extraction and model
+// artifacts behind them survive a restart (even after kill -9), so a
+// restarted server recomputes only the cheap tail of each repeat.
 //
 // All tuning is via the IND_SERVE_* environment knobs (see ServerConfig) on
 // top of the usual IND_THREADS / IND_CACHE_DIR / IND_DEADLINE_MS family.
