@@ -322,7 +322,7 @@ TransientResult transient(const DescriptorSystem& sys,
     // computed so far, marked truncated — an explicit partial answer beats
     // none when the deadline is the binding limit.
     if (govern::checkpoint(step_cost)) {
-      truncate(k, govern::Governor::instance().cancel_kind());
+      truncate(k, govern::current_run()->cancel_kind());
       break;
     }
     const double t_prev = (k - 1) * h;

@@ -256,11 +256,16 @@ void validate_for_analysis(const geom::Layout& layout) {
 
 AnalysisReport analyze(const geom::Layout& layout,
                        const AnalysisOptions& opts) {
+  govern::Run run(govern::RunBudget::from_env());
+  return analyze(layout, opts, run);
+}
+
+AnalysisReport analyze(const geom::Layout& layout, const AnalysisOptions& opts,
+                       govern::Run& run) {
   validate_for_analysis(layout);
 
-  auto& gov = govern::Governor::instance();
   auto& reg = runtime::MetricsRegistry::instance();
-  gov.begin_run();
+  const govern::RunScope scope(run);
 
   // Degradation ladder: each attempt resets the work counter and cancel
   // token (begin_attempt) so the decision to trip at rung k is a pure
@@ -286,11 +291,14 @@ AnalysisReport analyze(const geom::Layout& layout,
     attempt.flow = cheaper;
   };
   for (;;) {
-    gov.begin_attempt();
+    run.begin_attempt();
     Flow cheaper{};
     try {
       AnalysisReport report = run_flow(layout, attempt);
-      const govern::BudgetKind kind = gov.cancel_kind();
+      const govern::BudgetKind kind = run.cancel_kind();
+      // An abandoned run has nobody to hand a waveform prefix to.
+      if (report.waveform_truncated && kind == govern::BudgetKind::External)
+        throw govern::CancelledError(kind, "transient");
       if (report.waveform_truncated && retryable(kind) &&
           next_cheaper(attempt.flow, opts.signal_net >= 0, cheaper)) {
         reg.add_count(std::string("govern.budget_exceeded.") +
@@ -308,17 +316,14 @@ AnalysisReport analyze(const geom::Layout& layout,
                       1);
       }
       publish_results(report);
-      gov.publish();
       return report;
     } catch (const govern::CancelledError& e) {
       reg.add_count(
           std::string("govern.budget_exceeded.") + govern::to_string(e.kind()),
           1);
       if (!retryable(e.kind()) ||
-          !next_cheaper(attempt.flow, opts.signal_net >= 0, cheaper)) {
-        gov.publish();
+          !next_cheaper(attempt.flow, opts.signal_net >= 0, cheaper))
         throw;
-      }
       note_degradation(e.kind(), cheaper);
     }
   }

@@ -24,6 +24,7 @@
 
 #include "circuit/transient.hpp"
 #include "geom/layout.hpp"
+#include "govern/budget.hpp"
 #include "loop/loop_model.hpp"
 #include "peec/model_builder.hpp"
 
@@ -154,16 +155,20 @@ struct AnalysisReport {
 
 /// Runs one flow on a layout whose drivers/receivers define the experiment.
 ///
-/// The call is resource-governed: when a work or memory budget (see
-/// govern::RunBudget) cancels the run, the analyzer retries at the next
-/// cheaper Section-4 fidelity (dense PEEC -> block-diagonal -> shell ->
-/// truncation -> loop RL) and records every step in
-/// AnalysisReport::degradations. A deadline trip never retries — the time is
-/// already spent — so it surfaces as govern::CancelledError, or as a
-/// truncated waveform if it lands inside the transient stepper. Throws
-/// std::invalid_argument on degenerate layouts (no segments / drivers /
-/// receivers).
+/// The call is resource-governed by its own govern::Run: when a work or
+/// memory budget cancels the run, the analyzer retries at the next cheaper
+/// Section-4 fidelity (dense PEEC -> block-diagonal -> shell -> truncation
+/// -> loop RL) and records every step in AnalysisReport::degradations. A
+/// deadline trip never retries — the time is already spent — so it surfaces
+/// as govern::CancelledError, or as a truncated waveform if it lands inside
+/// the transient stepper. An External cancel always surfaces as
+/// CancelledError. Throws std::invalid_argument on degenerate layouts (no
+/// segments / drivers / receivers). This overload runs under the env budget.
 AnalysisReport analyze(const geom::Layout& layout,
                        const AnalysisOptions& options);
+
+/// The same under the caller's run, which any thread may cancel().
+AnalysisReport analyze(const geom::Layout& layout,
+                       const AnalysisOptions& options, govern::Run& run);
 
 }  // namespace ind::core

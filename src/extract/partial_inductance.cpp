@@ -177,8 +177,7 @@ la::Matrix build_partial_inductance_matrix(
         }
         metrics.add_count("assemble.partial_l.mutual_terms", mutual_terms);
       },
-      {.grain = 4,
-       .cancel = govern::Governor::instance().cancel_token()});
+      {.grain = 4, .cancel = govern::cancel_token()});
   govern::throw_if_cancelled("extract.partial_l");
   return l;
 }

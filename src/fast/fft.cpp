@@ -177,7 +177,7 @@ std::size_t line_pass(const FftPlan& plan, la::Complex* data,
           for (std::size_t j = 0; j < n; ++j) base[j * stride] = out[j] * scale;
         }
       },
-      {.cancel = govern::Governor::instance().cancel_token()});
+      {.cancel = govern::cancel_token()});
   govern::throw_if_cancelled("fast.fft3d");
   return n_lines;
 }

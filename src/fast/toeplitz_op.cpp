@@ -191,7 +191,7 @@ void ToeplitzLOperator::build_block(Block& block) {
           }
         }
       },
-      {.cancel = govern::Governor::instance().cancel_token()});
+      {.cancel = govern::cancel_token()});
   govern::throw_if_cancelled("fast.kernel");
   fft_3d(block.embed, kernel_grid, false);
   block.kernel_fft = std::move(kernel_grid);
@@ -218,7 +218,7 @@ void ToeplitzLOperator::apply(const la::CVector& x, la::CVector& y) const {
           for (std::size_t i = begin; i < end; ++i)
             buf[i] *= block.kernel_fft[i];
         },
-        {.cancel = govern::Governor::instance().cancel_token()});
+        {.cancel = govern::cancel_token()});
     govern::throw_if_cancelled("fast.apply");
     fft_3d(block.plans, block.support, buf, true);
     for (std::size_t k = 0; k < block.cells.size(); ++k)
@@ -263,7 +263,7 @@ la::Matrix ToeplitzLOperator::to_dense() const {
           }
         }
       },
-      {.cancel = govern::Governor::instance().cancel_token()});
+      {.cancel = govern::cancel_token()});
   govern::throw_if_cancelled("fast.to_dense");
   return l;
 }

@@ -1,14 +1,20 @@
-// Resource governance: run budgets, cooperative cancellation and the
-// checkpoint hook the long-running kernels poll.
+// Resource governance: per-analysis runs, their budgets, cooperative
+// cancellation and the checkpoint hook the long-running kernels poll.
 //
 // A RunBudget carries up to three independent limits:
 //   * deadline_ms  — wall-clock budget for the whole analyze() call
-//                    (IND_DEADLINE_MS). Armed by Governor::begin_run().
+//                    (IND_DEADLINE_MS), armed by the run's first attempt.
 //   * mem_bytes    — cap on govern::tracked_bytes(), the live dense/sparse
-//                    matrix footprint (IND_MEM_BYTES).
-//   * work_units   — cap on abstract work units accumulated by
+//                    matrix footprint (IND_MEM_BYTES). Tracked bytes are
+//                    process-wide, so this cap sees every live analysis.
+//   * work_units   — cap on abstract work units the run accumulates through
 //                    govern::checkpoint() (IND_WORK_BUDGET). This is the
 //                    deterministic budget used by tests and CI.
+//
+// Per-call runs. A Run owns one analysis's budget, cancel token and work
+// counter; core::analyze installs it on the calling thread for the call, and
+// runtime::detail::run_chunks carries it to the pool threads running the
+// call's chunks. Concurrent analyses on one pool keep separate budgets.
 //
 // Determinism contract. checkpoint() is called only at deterministic chunk
 // boundaries — per parallel_for chunk with a unit count that is a pure
@@ -20,17 +26,18 @@
 // multiset of unit counts, *whether* a stage trips is identical at any
 // thread count. After a trip the partial result is discarded and the ladder
 // re-runs the analysis at a cheaper fidelity with the work counter reset
-// (Governor::begin_attempt), so the delivered result is bitwise
-// reproducible. Deadline and memory budgets use the same machinery but are
-// inherently timing-dependent; only IND_WORK_BUDGET carries the bitwise
-// guarantee.
+// (Run::begin_attempt), so the delivered result is bitwise reproducible.
+// Deadline and memory budgets use the same machinery but are inherently
+// timing-dependent; only IND_WORK_BUDGET carries the bitwise guarantee.
 //
-// Cost when idle: checkpoint() with no budget armed is two relaxed atomic
-// increments and three relaxed loads — no clock read, no lock. The
-// estimated total overhead is published as govern.overhead_est_ns so the
-// perf guard can enforce the <2% contract.
+// Cost when idle: checkpoint() with no budget armed is three relaxed atomic
+// increments, a thread-local read and three relaxed loads — no clock read,
+// no lock. The process-wide totals (checkpoints, work units) count every
+// call, inside a run or not; the estimated total overhead is published as
+// govern.overhead_est_ns so the perf guard can enforce the <2% contract.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
@@ -59,12 +66,13 @@ struct RunBudget {
 
   bool any() const { return deadline_ms || mem_bytes || work_units; }
 
-  /// Reads IND_DEADLINE_MS / IND_MEM_BYTES / IND_WORK_BUDGET via the shared
-  /// env helpers (invalid values warn and count as unset).
-  static RunBudget from_env();
+  /// IND_DEADLINE_MS / IND_MEM_BYTES / IND_WORK_BUDGET, read once per
+  /// process via the shared env helpers (invalid values warn and count as
+  /// unset): the budget of an analyze() call that brings no run of its own.
+  static const RunBudget& from_env();
 };
 
-/// Thrown by instrumented kernels when the governor cancels mid-stage.
+/// Thrown by instrumented kernels when their run is cancelled mid-stage.
 /// core::analyze catches it at the ladder level and retries at a cheaper
 /// fidelity; it escapes an analyze() call only for deadline/external trips
 /// (retrying cannot recover elapsed wall-clock) or an exhausted ladder.
@@ -80,84 +88,77 @@ class CancelledError : public std::runtime_error {
   BudgetKind kind_;
 };
 
-/// Process-wide budget state. One governed analysis runs at a time (the
-/// repo's analyses are process-level operations; nested analyze() calls
-/// share the enclosing budget).
-class Governor {
+/// One governed analysis (see "Per-call runs" above): its budget, cancel
+/// token with the sticky External latch, work counter and deadline.
+class Run {
  public:
-  static Governor& instance();
+  explicit Run(const RunBudget& budget = {}) : budget_(budget) {}
 
-  /// Installs `budget` for subsequent runs (tests; production uses the env
-  /// knobs via from_env()). Does not arm the deadline — begin_run() does.
-  void configure(const RunBudget& budget);
-  const RunBudget& budget() const { return budget_; }
-
-  /// Starts a governed run: re-reads nothing, arms the deadline (if any),
-  /// zeroes the work counter and clears any stale cancellation.
-  void begin_run();
-
-  /// Starts a new fidelity attempt within a run: zeroes the work counter
-  /// and clears the cancel token but keeps the original deadline — a run
-  /// that is out of wall-clock time stays out of it. An External cancel is
-  /// sticky across attempts (begin_run() clears it): the ladder must not
-  /// resurrect a run its owner abandoned.
+  /// Starts a fidelity attempt: zeroes the work counter and clears the
+  /// cancel token. The first attempt arms the deadline (if any); later ones
+  /// keep it — a run that is out of wall-clock time stays out of it. An
+  /// External cancel is sticky: the ladder must not resurrect a run its
+  /// owner abandoned.
   void begin_attempt();
 
-  /// Records `kind` as the cancel cause (first cause wins).
+  /// Records `kind` as the cancel cause (first cause wins), from any thread.
   void cancel(BudgetKind kind);
 
   BudgetKind cancel_kind() const {
     return static_cast<BudgetKind>(token_.kind());
   }
   bool cancelled() const { return token_.cancelled(); }
-
-  /// The token to pass through ParallelOptions.cancel in instrumented
-  /// kernels.
   runtime::CancelToken* cancel_token() { return &token_; }
 
-  /// Work units accumulated since the last begin_run()/begin_attempt().
-  std::uint64_t work_units() const;
-
-  /// Milliseconds of deadline left (clamped at 0), or -1 when no deadline
-  /// is armed.
-  std::int64_t deadline_margin_ms() const;
-
-  /// Publishes the govern.* gauges (work units, heartbeat, peak tracked
-  /// bytes, peak RSS, deadline margin, overhead estimate) into the metrics
-  /// registry. Registered as a MetricsRegistry snapshot hook, so every
-  /// BENCH_*.json carries them.
-  void publish() const;
+  /// Work units accumulated since the last begin_attempt().
+  std::uint64_t work_units() const {
+    return work_.load(std::memory_order_relaxed);
+  }
 
  private:
   friend bool checkpoint(std::uint64_t units);
 
-  Governor();
-
-  RunBudget budget_;
+  const RunBudget budget_;
   runtime::CancelToken token_;
-  /// Sticky External-cancel latch: set by cancel(External), cleared only by
-  /// begin_run(). Keeps an abandonment alive across begin_attempt()'s token
-  /// reset even when another cause occupied the token's first-cause slot.
+  /// Set by cancel(External), never cleared: keeps an abandonment alive
+  /// across begin_attempt()'s token reset even when another cause occupied
+  /// the token's first-cause slot.
   std::atomic<bool> external_{false};
   std::atomic<std::uint64_t> work_{0};
-  /// Work of every finished run/attempt, process-cumulative. Published as
-  /// govern.work_units_total — this is what the CI degradation sweep sizes
-  /// IND_WORK_BUDGET fractions against.
-  std::atomic<std::uint64_t> total_work_{0};
-  std::atomic<std::uint64_t> checkpoints_{0};
   std::atomic<bool> deadline_armed_{false};
   std::chrono::steady_clock::time_point deadline_at_{};
 };
 
+/// Installs `run` as the calling thread's run for the scope's lifetime and
+/// restores the previous one (normally none) on exit.
+class RunScope {
+ public:
+  explicit RunScope(Run& run);
+  ~RunScope();
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+
+ private:
+  void* previous_;
+};
+
+/// The calling thread's run, or nullptr outside any analysis.
+Run* current_run();
+
+/// The current run's token, for ParallelOptions.cancel in instrumented
+/// kernels; nullptr (run to completion) outside a run.
+runtime::CancelToken* cancel_token();
+
 /// The polling hook. Instrumented kernels call this at every deterministic
 /// chunk boundary with a unit count that is a pure function of the chunk;
-/// returns true when the run has been cancelled (by this call or earlier).
-/// Callers stop cleanly: parallel bodies return and let run_chunks skip the
-/// remaining chunks via the token; serial loops throw CancelledError or
-/// break to a truncated-result path.
+/// returns true when the current run has been cancelled (by this call or
+/// earlier). Outside a run it only counts and never trips. Callers stop
+/// cleanly: parallel bodies return and let run_chunks skip the remaining
+/// chunks via the token; serial loops throw CancelledError or break to a
+/// truncated-result path.
 bool checkpoint(std::uint64_t units = 1);
 
-/// Throws CancelledError when the governor has been cancelled. Use after a
+/// Throws CancelledError when the current run has been cancelled. Use after a
 /// parallel_for that may have drained early, or before starting an
 /// expensive stage.
 void throw_if_cancelled(const char* where);

@@ -8,12 +8,12 @@
 //   * RLIMIT_CPU = cpu-used-so-far + ceil(deadline_ms / 1000) + cpu_slack
 //                                                (0 deadline   = unlimited)
 //
-// The cooperative Governor checkpoints remain the first line of defence —
-// they trip deterministically and degrade gracefully. The rlimits are the
-// second line for the failure modes checkpoints cannot catch: a runaway
-// allocation inside a kernel (malloc returns null -> std::bad_alloc -> the
-// worker exits with kWorkerOomExitCode) and a wedged loop that never polls
-// a checkpoint (the kernel delivers SIGXCPU). Both surface to the
+// The cooperative govern::checkpoint() polls remain the first line of
+// defence — they trip deterministically and degrade gracefully. The rlimits
+// are the second line for the failure modes checkpoints cannot catch: a
+// runaway allocation inside a kernel (malloc returns null -> std::bad_alloc
+// -> the worker exits with kWorkerOomExitCode) and a wedged loop that never
+// polls a checkpoint (the kernel delivers SIGXCPU). Both surface to the
 // supervisor as a classified robust::CrashKind instead of a server death.
 //
 // Only the *soft* limits move (lowering and re-raising a soft limit below

@@ -58,8 +58,7 @@ LuFactor<T>::LuFactor(DenseMatrix<T> a, const LuOptions& opts)
   }
 
   const std::size_t nb = std::clamp<std::size_t>(opts.block, 1, 512);
-  runtime::CancelToken* const cancel =
-      govern::Governor::instance().cancel_token();
+  runtime::CancelToken* const cancel = govern::cancel_token();
 
   // Blocked right-looking elimination. Each element receives its updates in
   // ascending pivot order — panel rank-1s touch only panel columns, the TRSM

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <deque>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -12,17 +14,28 @@
 namespace ind::robust::fault {
 namespace {
 
-struct SiteState {
-  std::atomic<std::int64_t> calls{0};
-  std::atomic<std::int64_t> fired{0};
+/// Which call indices of one site fire.
+struct SiteSpec {
   bool always = false;
   std::vector<std::int64_t> targets;  // sorted call indices
 };
 
+using Spec = std::array<SiteSpec, kSiteCount>;
+
+struct SiteCounters {
+  std::atomic<std::int64_t> calls{0};
+  std::atomic<std::int64_t> fired{0};
+};
+
 struct Config {
-  std::array<SiteState, kSiteCount> sites;
+  std::array<SiteCounters, kSiteCount> sites;
+  /// The active spec, or null. Published specs are immutable and kept until
+  /// exit (a fire() may still read an older one), so fire() reads without a
+  /// lock while configure()/clear() publish a replacement.
+  std::atomic<const Spec*> spec{nullptr};
+  std::deque<Spec> published;  // guarded by mutex
   std::once_flag env_once;
-  std::mutex mutex;  // guards target rewrites in configure()/clear()
+  std::mutex mutex;  // serialises configure()/clear()
 };
 
 Config& config() {
@@ -55,20 +68,28 @@ std::int64_t parse_index(const std::string& text) {
   return v;
 }
 
-/// Parses the full spec into fresh site states. Grammar:
+/// Publishes `spec` (none: inactive) with every counter zeroed.
+void publish(std::optional<Spec> spec) {
+  Config& c = config();
+  std::scoped_lock lock(c.mutex);
+  detail::g_active.store(false, std::memory_order_relaxed);
+  for (SiteCounters& s : c.sites) {
+    s.calls.store(0, std::memory_order_relaxed);
+    s.fired.store(0, std::memory_order_relaxed);
+  }
+  const Spec* active =
+      spec ? &c.published.emplace_back(std::move(*spec)) : nullptr;
+  c.spec.store(active, std::memory_order_release);
+  detail::g_active.store(active != nullptr, std::memory_order_relaxed);
+}
+
+/// Parses the full spec and publishes it. Grammar:
 ///   spec    := entry (';' entry)*
 ///   entry   := site '@' indices
 ///   indices := '*' | index (',' index)*
 ///   index   := N | N '-' M
 void apply_spec(const std::string& spec) {
-  Config& c = config();
-  std::scoped_lock lock(c.mutex);
-  for (SiteState& s : c.sites) {
-    s.calls.store(0, std::memory_order_relaxed);
-    s.fired.store(0, std::memory_order_relaxed);
-    s.always = false;
-    s.targets.clear();
-  }
+  Spec parsed{};
   std::size_t begin = 0;
   bool any = false;
   while (begin <= spec.size()) {
@@ -88,7 +109,7 @@ void apply_spec(const std::string& spec) {
     if (site < 0)
       throw std::invalid_argument("IND_FAULT_INJECT: unknown site '" +
                                   entry.substr(0, at) + "'");
-    SiteState& state = c.sites[static_cast<std::size_t>(site)];
+    SiteSpec& state = parsed[static_cast<std::size_t>(site)];
     std::string indices = entry.substr(at + 1);
     if (indices == "*") {
       state.always = true;
@@ -116,7 +137,7 @@ void apply_spec(const std::string& spec) {
     }
     any = true;
   }
-  detail::g_active.store(any, std::memory_order_relaxed);
+  publish(any ? std::optional<Spec>(std::move(parsed)) : std::nullopt);
 }
 
 void load_env_spec() {
@@ -143,12 +164,14 @@ std::atomic<bool> g_active{[] {
 bool fire_slow(Site site) {
   Config& c = config();
   std::call_once(c.env_once, load_env_spec);
-  if (!g_active.load(std::memory_order_relaxed)) return false;
-  SiteState& s = c.sites[static_cast<std::size_t>(site)];
+  const Spec* spec = c.spec.load(std::memory_order_acquire);
+  if (spec == nullptr) return false;
+  const SiteSpec& target = (*spec)[static_cast<std::size_t>(site)];
+  SiteCounters& s = c.sites[static_cast<std::size_t>(site)];
   const std::int64_t idx = s.calls.fetch_add(1, std::memory_order_relaxed);
-  const bool hit =
-      s.always ||
-      std::binary_search(s.targets.begin(), s.targets.end(), idx);
+  const bool hit = target.always ||
+                   std::binary_search(target.targets.begin(),
+                                      target.targets.end(), idx);
   if (hit) {
     s.fired.fetch_add(1, std::memory_order_relaxed);
     runtime::MetricsRegistry::instance().add_count("robust.fault.injected", 1);
@@ -170,16 +193,8 @@ void configure(const std::string& spec) {
 }
 
 void clear() {
-  Config& c = config();
-  std::call_once(c.env_once, [] {});
-  detail::g_active.store(false, std::memory_order_relaxed);
-  std::scoped_lock lock(c.mutex);
-  for (SiteState& s : c.sites) {
-    s.calls.store(0, std::memory_order_relaxed);
-    s.fired.store(0, std::memory_order_relaxed);
-    s.always = false;
-    s.targets.clear();
-  }
+  std::call_once(config().env_once, [] {});
+  publish(std::nullopt);
 }
 
 std::int64_t fired(Site site) {
@@ -192,10 +207,6 @@ std::int64_t calls(Site site) {
   return config()
       .sites[static_cast<std::size_t>(site)]
       .calls.load(std::memory_order_relaxed);
-}
-
-const char* site_name(Site site) {
-  return kSiteNames[static_cast<std::size_t>(site)];
 }
 
 }  // namespace ind::robust::fault

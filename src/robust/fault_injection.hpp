@@ -82,6 +82,4 @@ std::int64_t fired(Site site);
 /// Call count observed at `site` since the last configure()/clear().
 std::int64_t calls(Site site);
 
-const char* site_name(Site site);
-
 }  // namespace ind::robust::fault

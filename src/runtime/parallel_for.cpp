@@ -23,6 +23,8 @@ struct BatchState {
   std::exception_ptr error;
 };
 
+thread_local void* t_context = nullptr;
+
 }  // namespace
 
 std::size_t chunk_count(std::size_t n, const ParallelOptions& opts) {
@@ -73,9 +75,12 @@ void run_chunks(std::size_t n_chunks,
     }
   };
 
+  void* const context = t_context;
   for (std::size_t i = 0; i < n_helpers; ++i)
-    pool.submit([state, drain] {
+    pool.submit([state, drain, context] {
+      t_context = context;
       drain(*state);
+      t_context = nullptr;
       std::scoped_lock lock(state->mutex);
       if (--state->alive == 0) state->cv.notify_all();
     });
@@ -87,6 +92,9 @@ void run_chunks(std::size_t n_chunks,
 }
 
 }  // namespace detail
+
+void* thread_context() { return detail::t_context; }
+void set_thread_context(void* context) { detail::t_context = context; }
 
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& body,

@@ -46,6 +46,12 @@ struct ParallelOptions {
   CancelToken* cancel = nullptr;
 };
 
+/// Opaque per-thread slot for the layer above (govern keeps the thread's run
+/// here). run_chunks copies the submitter's value onto each pool thread that
+/// helps with the batch and clears it after, so chunks see their submitter's.
+void* thread_context();
+void set_thread_context(void* context);
+
 /// Calls body(begin, end) over disjoint subranges covering [0, n).
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& body,

@@ -315,18 +315,12 @@ store::Digest request_fingerprint(const Request& req) {
       "serve_request", [&](store::ByteWriter& w) { put_request(w, req); });
 }
 
-Outcome run_request(const Request& req, std::uint32_t max_frame_bytes) {
-  // The request's budget governs this run only: the caller's is back in
-  // place on every exit path.
-  struct ScopedBudget {
-    govern::Governor& gov = govern::Governor::instance();
-    const govern::RunBudget previous = gov.budget();
-    ~ScopedBudget() { gov.configure(previous); }
-  } scope;
-  scope.gov.configure(req.budget);
+Outcome run_request(const Request& req, govern::Run& run,
+                    std::uint32_t max_frame_bytes) {
   Outcome out;
   try {
-    const core::AnalysisReport report = core::analyze(req.layout, req.options);
+    const core::AnalysisReport report =
+        core::analyze(req.layout, req.options, run);
     out.result_bytes = encode_result(report, req.include_waveforms);
     out.build_seconds = report.build_seconds;
     out.solve_seconds = report.solve_seconds;

@@ -126,14 +126,15 @@ struct Outcome {
 };
 
 /// The one execution path behind both serving modes (the in-process
-/// executor and each ind_worker process): installs req.budget in the process
-/// Governor for the call (the previous budget is restored on return), runs
-/// core::analyze and encodes the RESULT block.
+/// executor and each ind_worker process): runs core::analyze under `run`,
+/// which the caller makes from req.budget and may cancel from another
+/// thread, and encodes the RESULT block.
 /// CancelledError maps to DeadlineExceeded (ShuttingDown for an External
 /// cancel), std::invalid_argument to BadRequest, any other exception to
 /// Internal. A RESULT block whose AnalyzeResponse payload would exceed
 /// `max_frame_bytes` answers FrameTooLarge instead.
-Outcome run_request(const Request& req, std::uint32_t max_frame_bytes);
+Outcome run_request(const Request& req, govern::Run& run,
+                    std::uint32_t max_frame_bytes);
 
 // --- option-spec grammar ---------------------------------------------------
 

@@ -84,29 +84,19 @@ class FairScheduler {
     ready_.notify_all();
   }
 
-  /// Removes and returns every queued job (shutdown past the drain
-  /// deadline: the server answers each with ShuttingDown instead of running
-  /// it).
-  std::vector<Job> drain_all() {
+  /// Drops every queued job (shutdown past the drain deadline: the server
+  /// answers their waiters with ShuttingDown instead of running them).
+  void drain_all() {
     std::lock_guard lock(mutex_);
-    std::vector<Job> out;
-    for (auto& [client, q] : queues_)
-      for (Job& j : q) out.push_back(std::move(j));
     queues_.clear();
     rotation_.clear();
     cursor_ = 0;
     total_ = 0;
-    return out;
   }
 
   std::size_t depth() const {
     std::lock_guard lock(mutex_);
     return total_;
-  }
-
-  bool draining() const {
-    std::lock_guard lock(mutex_);
-    return draining_;
   }
 
  private:

@@ -41,54 +41,35 @@ constexpr const char* kServerId = "ind_served/1";
 
 ServerConfig ServerConfig::from_env() {
   ServerConfig c;
-  c.per_client_queue = static_cast<std::size_t>(
-      govern::env_u64("IND_SERVE_CLIENT_QUEUE", c.per_client_queue, 1,
-                      1u << 20, "serve")
-          .value);
-  c.max_queue = static_cast<std::size_t>(
-      govern::env_u64("IND_SERVE_MAX_QUEUE", c.max_queue, 1, 1u << 24, "serve")
-          .value);
-  c.max_frame_bytes = static_cast<std::uint32_t>(
-      govern::env_u64("IND_SERVE_MAX_FRAME_BYTES", c.max_frame_bytes, 1u << 10,
-                      1u << 30, "serve")
-          .value);
-  c.budget_caps.deadline_ms =
-      govern::env_ms("IND_SERVE_DEADLINE_MS", 0, 0, UINT64_MAX, "serve").value;
-  c.budget_caps.mem_bytes =
-      govern::env_u64("IND_SERVE_MEM_BYTES", 0, 0, UINT64_MAX, "serve").value;
-  c.budget_caps.work_units =
-      govern::env_u64("IND_SERVE_WORK_BUDGET", 0, 0, UINT64_MAX, "serve")
-          .value;
-  c.drain_ms =
-      govern::env_ms("IND_SERVE_DRAIN_MS", c.drain_ms, 0, 3'600'000, "serve")
-          .value;
-  c.send_timeout_ms = govern::env_ms("IND_SERVE_SEND_TIMEOUT_MS",
-                                     c.send_timeout_ms, 0, 3'600'000, "serve")
-                          .value;
-  c.result_cache_entries = static_cast<std::size_t>(
-      govern::env_u64("IND_SERVE_RESULT_CACHE", c.result_cache_entries, 0,
-                      1u << 20, "serve")
-          .value);
+  const auto knob = [](const char* name, std::uint64_t fallback,
+                       std::uint64_t min, std::uint64_t max) {
+    return govern::env_u64(name, fallback, min, max, "serve").value;
+  };
+  constexpr std::uint64_t kHourMs = 3'600'000;
+  c.per_client_queue =
+      knob("IND_SERVE_CLIENT_QUEUE", c.per_client_queue, 1, 1u << 20);
+  c.max_queue = knob("IND_SERVE_MAX_QUEUE", c.max_queue, 1, 1u << 24);
+  c.max_frame_bytes = static_cast<std::uint32_t>(knob(
+      "IND_SERVE_MAX_FRAME_BYTES", c.max_frame_bytes, 1u << 10, 1u << 30));
+  c.budget_caps.deadline_ms = knob("IND_SERVE_DEADLINE_MS", 0, 0, UINT64_MAX);
+  c.budget_caps.mem_bytes = knob("IND_SERVE_MEM_BYTES", 0, 0, UINT64_MAX);
+  c.budget_caps.work_units = knob("IND_SERVE_WORK_BUDGET", 0, 0, UINT64_MAX);
+  c.drain_ms = knob("IND_SERVE_DRAIN_MS", c.drain_ms, 0, kHourMs);
+  c.send_timeout_ms =
+      knob("IND_SERVE_SEND_TIMEOUT_MS", c.send_timeout_ms, 0, kHourMs);
+  c.result_cache_entries =
+      knob("IND_SERVE_RESULT_CACHE", c.result_cache_entries, 0, 1u << 20);
   c.watchdog_interval_ms =
-      govern::env_ms("IND_SERVE_WATCHDOG_MS", c.watchdog_interval_ms, 0,
-                     3'600'000, "serve")
-          .value;
-  c.watchdog_stall_intervals = static_cast<int>(
-      govern::env_u64("IND_SERVE_WATCHDOG_INTERVALS",
-                      static_cast<std::uint64_t>(c.watchdog_stall_intervals),
-                      1, 1000, "serve")
-          .value);
+      knob("IND_SERVE_WATCHDOG_MS", c.watchdog_interval_ms, 0, kHourMs);
+  c.watchdog_stall_intervals = static_cast<int>(knob(
+      "IND_SERVE_WATCHDOG_INTERVALS",
+      static_cast<std::uint64_t>(c.watchdog_stall_intervals), 1, 1000));
   c.watchdog_abort =
-      govern::env_u64("IND_SERVE_WATCHDOG_ABORT", c.watchdog_abort ? 1 : 0, 0,
-                      1, "serve")
-          .value != 0;
-  c.workers = static_cast<std::size_t>(
-      govern::env_u64("IND_SERVE_WORKERS", 0, 0, 256, "serve").value);
+      knob("IND_SERVE_WATCHDOG_ABORT", c.watchdog_abort, 0, 1) != 0;
+  c.workers = knob("IND_SERVE_WORKERS", 0, 0, 256);
   c.poison_threshold = static_cast<int>(
-      govern::env_u64("IND_SERVE_POISON_THRESHOLD",
-                      static_cast<std::uint64_t>(c.poison_threshold), 1, 1000,
-                      "serve")
-          .value);
+      knob("IND_SERVE_POISON_THRESHOLD",
+           static_cast<std::uint64_t>(c.poison_threshold), 1, 1000));
   if (const char* bin = std::getenv("IND_SERVE_WORKER_BIN");
       bin != nullptr && *bin != '\0')
     c.worker_bin = bin;
@@ -156,9 +137,19 @@ struct Server::Connection {
 };
 
 struct Server::InFlight {
-  Request request;
-  store::Digest fp;
-  std::string key;  ///< fp.hex(), the dedup/cache map key
+  explicit InFlight(Request req)
+      : request(std::move(req)),
+        fp(request_fingerprint(request)),
+        key(fp.hex()),
+        run(request.budget) {}
+
+  const Request request;
+  const store::Digest fp;
+  const std::string key;  ///< fp.hex(), the dedup/cache map key
+  /// Cancelled by disconnect() and shutdown. It does not reach a worker
+  /// process: a worker-mode flight runs to completion.
+  govern::Run run;
+  bool running = false;  ///< popped and executing; guarded by state_mutex_
 
   struct Waiter {
     std::shared_ptr<Connection> conn;
@@ -188,11 +179,12 @@ void Server::start() {
   // process-killing SIGPIPE. The socket sends use MSG_NOSIGNAL, but the
   // worker socketpairs and any future plain write() go through this.
   ::signal(SIGPIPE, SIG_IGN);
-  if (config_.uds_path.empty()) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-      throw std::runtime_error(std::string("serve: socket: ") +
-                               std::strerror(errno));
+  const bool tcp = config_.uds_path.empty();
+  listen_fd_ = ::socket(tcp ? AF_INET : AF_UNIX, SOCK_STREAM, 0);
+  if (listen_fd_ < 0)
+    throw std::runtime_error(std::string("serve: socket: ") +
+                             std::strerror(errno));
+  if (tcp) {
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
     sockaddr_in addr{};
@@ -208,10 +200,6 @@ void Server::start() {
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
     port_ = ntohs(addr.sin_port);
   } else {
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0)
-      throw std::runtime_error(std::string("serve: socket: ") +
-                               std::strerror(errno));
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     if (config_.uds_path.size() >= sizeof addr.sun_path)
@@ -372,7 +360,7 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn,
                             const std::vector<std::uint8_t>& payload) {
   count("serve.requests");
   std::uint64_t request_id = 0;
-  auto flight = std::make_shared<InFlight>();
+  Request request;
   try {
     store::ByteReader r(payload);
     request_id = r.u64();
@@ -382,7 +370,7 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn,
     if (robust::fault::fire(robust::fault::Site::ServeRead))
       throw store::StoreError(store::StoreErrc::Malformed,
                               "serve_read fault injected");
-    get_request(r, flight->request);
+    get_request(r, request);
   } catch (const std::exception& e) {
     count("serve.protocol_errors");
     conn->send(make_error(request_id, ErrorCode::MalformedFrame, e.what()));
@@ -392,10 +380,8 @@ void Server::handle_request(const std::shared_ptr<Connection>& conn,
   // From here on the request is the one that will actually run: its budget
   // clamped by the server caps. Dedup and the response cache key on it, so
   // requests that clamp to the same budget share one computation.
-  flight->request.budget =
-      clamp_budget(flight->request.budget, config_.budget_caps);
-  flight->fp = request_fingerprint(flight->request);
-  flight->key = flight->fp.hex();
+  request.budget = clamp_budget(request.budget, config_.budget_caps);
+  const auto flight = std::make_shared<InFlight>(std::move(request));
   const auto now = Clock::now();
 
   // Poison quarantine: this fingerprint has already killed its quota of
@@ -467,14 +453,12 @@ void Server::disconnect(const std::shared_ptr<Connection>& conn) {
     std::lock_guard lock(state_mutex_);
     for (auto& [key, flight] : inflight_) {
       auto& ws = flight->waiters;
-      std::erase_if(ws, [&](const InFlight::Waiter& w) {
-        return w.conn.get() == conn.get();
-      });
-      // The executor is mid-computation for a flight nobody wants any more:
-      // stop it through the cancellation token. Queued orphans are cheaper —
-      // the executor skips them when it pops them.
-      if (ws.empty() && flight == current_) {
-        govern::Governor::instance().cancel(govern::BudgetKind::External);
+      const std::size_t left = std::erase_if(
+          ws, [&](const InFlight::Waiter& w) { return w.conn == conn; });
+      // This peer was the last one a running flight had: stop it through
+      // its run. Queued orphans are cheaper — the lane skips them at pop.
+      if (left > 0 && ws.empty() && flight->running) {
+        flight->run.cancel(govern::BudgetKind::External);
         count("serve.cancelled_disconnect");
       }
     }
@@ -505,16 +489,12 @@ void Server::executor_loop() {
         continue;
       }
       ++running_flights_;
-      // current_ is the disconnect-cancellation target and only meaningful
-      // for the single in-process lane (one process Governor). Worker-mode
-      // orphans run to completion in their own process and warm the cache.
-      if (!pool_) current_ = flight;
+      flight->running = true;
     }
     execute(flight);
     progress_ticks_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard lock(state_mutex_);
-      if (!pool_) current_.reset();
       --running_flights_;
     }
     flight.reset();
@@ -599,7 +579,8 @@ void Server::execute(const FlightPtr& flight) {
       // back as classified outcomes (retried once on a sibling, quarantined
       // past the poison threshold), never as a server death.
       out = pool_ ? pool_->run(flight->fp, flight->request)
-                  : run_request(flight->request, config_.max_frame_bytes);
+                  : run_request(flight->request, flight->run,
+                                config_.max_frame_bytes);
     } catch (const std::exception& e) {
       // Defensive: an exception here would fly out of executor_loop's
       // std::thread and std::terminate the whole server.
@@ -611,9 +592,8 @@ void Server::execute(const FlightPtr& flight) {
     case ErrorCode::None: count("serve.computed"); break;
     case ErrorCode::DeadlineExceeded: count("serve.deadline_trips"); break;
     case ErrorCode::BadRequest: count("serve.bad_requests"); break;
-    // Disconnect- or shutdown-triggered cancellation. With no waiters there
-    // is nobody to answer; during a drain the remaining waiters get a
-    // structured ShuttingDown.
+    // Disconnect- or shutdown-triggered cancellation: nobody is left to
+    // answer (shutdown answered the flight's waiters itself).
     case ErrorCode::ShuttingDown: count("serve.cancelled_runs"); break;
     case ErrorCode::PoisonedRequest:
       count("serve.worker.poisoned_replies");
@@ -694,13 +674,14 @@ void Server::shutdown() {
     return;
   }
 
-  // 1. Stop accepting connections.
+  // 1. Stop accepting connections. accept_loop reads listen_fd_, so the fd
+  //    is closed (its number freed for reuse) only once that thread joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   if (!config_.uds_path.empty()) ::unlink(config_.uds_path.c_str());
 
   // Stop the watchdog before draining: the drain is progress by definition,
@@ -727,22 +708,21 @@ void Server::shutdown() {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
-  // 4. Past the deadline: shed whatever is left with a structured answer and
-  //    cancel the in-flight analysis through the token. The waiters are
-  //    collected under the lock but answered outside it — sends can block
-  //    (bounded by SO_SNDTIMEO) and must not hold up state.
+  // 4. Past the deadline: shed whatever is left, queued or running, with a
+  //    structured answer and cancel the runs. The waiters are collected
+  //    under the lock but answered outside it — sends can block (bounded by
+  //    SO_SNDTIMEO) and must not hold up state.
   std::vector<InFlight::Waiter> shed;
   {
-    std::vector<FlightPtr> leftovers = scheduler_.drain_all();
+    scheduler_.drain_all();
     std::lock_guard lock(state_mutex_);
-    for (const FlightPtr& flight : leftovers) {
-      inflight_.erase(flight->key);
+    for (const auto& [key, flight] : inflight_) {
+      flight->run.cancel(govern::BudgetKind::External);
       for (InFlight::Waiter& w : flight->waiters)
         shed.push_back(std::move(w));
       flight->waiters.clear();
     }
-    if (current_ != nullptr)
-      govern::Governor::instance().cancel(govern::BudgetKind::External);
+    inflight_.clear();
   }
   // Worker mode: stop the pool now so lanes blocked on a worker reply (or
   // waiting for an idle worker) unblock — their flights answer ShuttingDown
@@ -750,7 +730,7 @@ void Server::shutdown() {
   if (pool_) pool_->stop();
   for (const InFlight::Waiter& w : shed)
     w.conn->send(make_error(w.request_id, ErrorCode::ShuttingDown,
-                            "server shut down before this request ran"));
+                            "server shut down before this request finished"));
   if (!shed.empty())
     count("serve.shed_on_shutdown", static_cast<std::int64_t>(shed.size()));
 

@@ -19,19 +19,20 @@
 // In-process mode (IND_SERVE_WORKERS=0) analyses execute one at a time, in
 // the scheduler's fair order: the parallelism of a single core::analyze
 // already saturates the pool (parallel_for fans each kernel out across every
-// worker), and the process-wide Governor/metrics machinery assumes one
-// governed run at a time. Concurrency at the request level comes from
-// pipelined I/O, from in-flight dedup (N identical requests cost one
-// computation) and from the response cache (repeat requests never reach the
-// executor). Because every kernel is bitwise-deterministic at any
-// IND_THREADS, the RESULT block for a given request body is byte-identical
-// no matter how it was served.
+// worker), and the memory budget is checked against govern::tracked_bytes(),
+// which is process-wide, so a second concurrent analysis would spend the
+// first one's memory cap. Each flight still runs under its own govern::Run.
+// Concurrency at the request level comes from pipelined I/O, from in-flight
+// dedup (N identical requests cost one computation) and from the response
+// cache (repeat requests never reach the executor). Because every kernel is
+// bitwise-deterministic at any IND_THREADS, the RESULT block for a given
+// request body is byte-identical no matter how it was served.
 //
 // Worker mode (IND_SERVE_WORKERS=N > 0): N executor lanes each dispatch
 // flights to their own sandboxed ind_worker process through a WorkerPool
 // (serve/worker_pool.hpp) — a crash, OOM kill or rlimit trip inside any
 // kernel costs one worker process and one classified retry, never the
-// server. Each worker process has its own Governor, so N analyses run
+// server. Each worker process has its own tracked bytes, so N analyses run
 // concurrently without sharing budget state. Both modes execute through the
 // one serve::run_request (codec.hpp), so they answer the same error codes and
 // details, apply the same outbound frame cap, and produce bitwise-identical
@@ -46,8 +47,9 @@
 // one cache entry. Work/memory trips degrade down the Section-4 fidelity
 // ladder inside analyze() and the response carries the degradation trail;
 // a deadline trip answers DeadlineExceeded. A client disconnect removes its
-// waiters, and when the running flight has no waiters left it is cancelled
-// through the govern CancelToken (queued orphans are skipped at pop).
+// waiters, and when a running flight has no waiters left its govern::Run is
+// cancelled (queued orphans are skipped at pop; a worker-mode flight runs on
+// in its worker process and warms the cache).
 //
 // Slow/wedged peers: every accepted socket carries SO_SNDTIMEO
 // (IND_SERVE_SEND_TIMEOUT_MS, default 10 s); a send that makes no progress
@@ -66,10 +68,10 @@
 // Graceful shutdown (SIGINT/SIGTERM in ind_served): admission stops (new
 // requests get Busy/ShuttingDown), queued work drains through the executor
 // for up to IND_SERVE_DRAIN_MS, anything still pending past the deadline is
-// answered ShuttingDown and the in-flight analysis is cancelled through the
-// CancelToken; the remaining sockets are then shut down *before* the worker
-// threads are joined (a blocked send fails fast instead of wedging the
-// join), and the listener exits 0. Nothing is persisted: the response
+// answered ShuttingDown — the waiters of running flights too — and the
+// running flights' runs are cancelled; the remaining sockets are then shut
+// down *before* the worker threads are joined (a blocked send fails fast
+// instead of wedging the join), and the listener exits 0. Nothing is persisted: the response
 // cache lives in memory only. With IND_CACHE_DIR set, the model artifacts
 // behind each answer (extractions, PEEC models, PRIMA reductions, K-matrix
 // sparsifications) are on disk, so a restarted server recomputes only the
@@ -220,11 +222,6 @@ class Server {
 
   std::mutex state_mutex_;
   std::unordered_map<std::string, FlightPtr> inflight_;  ///< key: digest hex
-  /// In-process mode only: the flight the single executor lane is running
-  /// (disconnect cancellation targets it through the process Governor).
-  /// Worker-mode lanes leave it null — each worker has its own Governor, so
-  /// an orphaned flight runs to completion and warms the cache instead.
-  FlightPtr current_;
   /// Flights currently executing across all lanes (shutdown's idle check).
   std::size_t running_flights_ = 0;  ///< guarded by state_mutex_
 

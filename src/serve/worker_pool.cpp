@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
 #include <sys/types.h>
@@ -92,6 +93,7 @@ bool WorkerPool::spawn_locked(Worker& w) {
                         "--max-frame-bytes", max_frame.c_str(),
                         nullptr};
 
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(sv[0]);
@@ -99,7 +101,12 @@ bool WorkerPool::spawn_locked(Worker& w) {
     return false;
   }
   if (pid == 0) {
-    // Child: job pipe on fd 3, everything else closed, then exec. When the
+    // Child: die with the supervisor. PDEATHSIG fires when the forking
+    // *thread* exits (start()'s caller and the monitor thread outlive the
+    // workers); getppid() catches a supervisor that died before prctl.
+    if (::prctl(PR_SET_PDEATHSIG, SIGKILL) != 0 || ::getppid() != parent)
+      ::_exit(126);
+    // Job pipe on fd 3, everything else closed, then exec. When the
     // socketpair already landed on fd 3 (possible if stdio fds were closed
     // before the pool started), dup2 is a no-op that leaves SOCK_CLOEXEC
     // set and exec would close the job pipe — clear the flag instead.
@@ -110,6 +117,12 @@ bool WorkerPool::spawn_locked(Worker& w) {
     } else if (::dup2(sv[1], 3) < 0) {
       ::_exit(126);
     }
+    // Stdio on /dev/null, so no worker holds its supervisor's pipes open.
+    // fd 3 is taken: devnull is a stdio slot or above 3 (closed below).
+    const int devnull = ::open("/dev/null", O_RDWR);
+    if (devnull < 0) ::_exit(126);
+    for (int fd = 0; fd <= 2; ++fd)
+      if (fd != devnull && ::dup2(devnull, fd) < 0) ::_exit(126);
     close_high_fds();
     ::execv(config_.worker_bin.c_str(), const_cast<char* const*>(argv));
     ::_exit(127);  // exec failed (missing binary); classified ExitError

@@ -77,7 +77,9 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   /// Spawns the worker fleet and the respawn monitor. Throws
-  /// std::runtime_error when no worker could be started at all.
+  /// std::runtime_error when no worker could be started at all. A worker
+  /// is SIGKILLed when the thread that spawned it exits, so call this from
+  /// a thread that outlives the pool.
   void start();
 
   /// Stops the monitor, closes every worker pipe (workers exit on EOF) and

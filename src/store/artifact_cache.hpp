@@ -130,7 +130,7 @@ T cached(const char* kind, Fingerprint fingerprint, Compute compute,
   T value = compute();
   // A compute that ran to completion under a fired token may still be
   // partial (a parallel stage skipped chunks): never persist it.
-  if (govern::Governor::instance().cancelled()) {
+  if (const govern::Run* run = govern::current_run(); run && run->cancelled()) {
     runtime::MetricsRegistry::instance().add_count("store.save_skipped", 1);
     return value;
   }

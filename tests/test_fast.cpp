@@ -81,9 +81,6 @@ class FastTest : public ::testing::Test {
  protected:
   void TearDown() override {
     robust::fault::clear();
-    auto& gov = govern::Governor::instance();
-    gov.configure({});
-    gov.begin_run();
     runtime::set_global_threads(0);
   }
 };
@@ -962,18 +959,15 @@ TEST_F(FastTest, WorkBudgetTripsAtAnyThreadCount) {
   const geom::Layout l = geom::refine(aligned_loop_layout(), um(20));
   for (const unsigned threads : {1u, 4u}) {
     runtime::set_global_threads(threads);
-    auto& gov = govern::Governor::instance();
     govern::RunBudget budget;
     budget.work_units = 50;
-    gov.configure(budget);
-    gov.begin_run();
+    govern::Run run(budget);
+    const govern::RunScope scope(run);
     EXPECT_THROW(
         loop::MqsSolver(l.segments(), l.vias(), l.tech(), fft_options()),
         govern::CancelledError)
         << "threads=" << threads;
-    EXPECT_EQ(gov.cancel_kind(), govern::BudgetKind::Work);
-    gov.configure({});
-    gov.begin_run();
+    EXPECT_EQ(run.cancel_kind(), govern::BudgetKind::Work);
   }
 }
 
@@ -988,20 +982,17 @@ TEST_F(FastTest, GmresWorkChargeIsDeterministic) {
   };
   CVector b(n, Complex{1.0, 0.0});
   const auto units_of_run = [&] {
-    auto& gov = govern::Governor::instance();
     govern::RunBudget budget;
     budget.work_units = 2;  // below one iteration's charge: trips at once
-    gov.configure(budget);
-    gov.begin_run();
+    govern::Run run(budget);
+    const govern::RunScope scope(run);
     CVector x(n, Complex{});
     std::uint64_t trip_units = 0;
     try {
       la::gmres(apply, b, x);
     } catch (const govern::CancelledError&) {
-      trip_units = gov.work_units();
+      trip_units = run.work_units();
     }
-    gov.configure({});
-    gov.begin_run();
     return trip_units;
   };
   const std::uint64_t first = units_of_run();

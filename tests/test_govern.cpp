@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -176,74 +178,81 @@ TEST(GovernCancel, MidRunFireStopsEarlyAndPoolStaysUsable) {
 }
 
 // ---------------------------------------------------------------------------
-// Governor checkpoint machinery.
+// Run checkpoint machinery.
 // ---------------------------------------------------------------------------
 
 class GovernBudgetTest : public ::testing::Test {
  protected:
   void TearDown() override {
     robust::fault::clear();
-    auto& gov = govern::Governor::instance();
-    gov.configure({});
-    gov.begin_run();  // clears any cancellation armed by the test
     runtime::set_global_threads(0);
   }
 };
 
 TEST_F(GovernBudgetTest, WorkBudgetTripsDeterministically) {
-  auto& gov = govern::Governor::instance();
   govern::RunBudget b;
   b.work_units = 100;
-  gov.configure(b);
-  gov.begin_run();
+  govern::Run run(b);
+  const govern::RunScope scope(run);
+  run.begin_attempt();
   std::uint64_t calls = 0;
   while (!govern::checkpoint(10)) ++calls;
   EXPECT_EQ(calls, 10u);  // trips when the running total crosses 100
-  EXPECT_EQ(gov.cancel_kind(), govern::BudgetKind::Work);
+  EXPECT_EQ(run.cancel_kind(), govern::BudgetKind::Work);
   EXPECT_THROW(govern::throw_if_cancelled("test"), govern::CancelledError);
 
   // A new attempt clears the trip and re-counts from zero.
-  gov.begin_attempt();
-  EXPECT_FALSE(gov.cancelled());
-  EXPECT_EQ(gov.work_units(), 0u);
+  run.begin_attempt();
+  EXPECT_FALSE(run.cancelled());
+  EXPECT_EQ(run.work_units(), 0u);
   EXPECT_FALSE(govern::checkpoint(50));
 }
 
+TEST_F(GovernBudgetTest, CheckpointOutsideARunCountsButNeverTrips) {
+  ASSERT_EQ(govern::current_run(), nullptr);
+  EXPECT_EQ(govern::cancel_token(), nullptr);
+  robust::fault::configure("budget_check@*");
+  for (int i = 0; i < 10; ++i) EXPECT_FALSE(govern::checkpoint(1 << 20));
+  EXPECT_EQ(robust::fault::calls(robust::fault::Site::BudgetCheck), 10);
+  EXPECT_NO_THROW(govern::throw_if_cancelled("test"));
+  auto& reg = runtime::MetricsRegistry::instance();
+  (void)reg.to_json();  // runs the snapshot hooks
+  EXPECT_GE(reg.counter("govern.work_units_total").value.load(), 10 << 20);
+}
+
 TEST_F(GovernBudgetTest, ExternalCancelSurvivesAttemptReset) {
-  auto& gov = govern::Governor::instance();
-  gov.configure({});
-  gov.begin_run();
+  govern::Run run;
+  run.begin_attempt();
 
   // Budget trips are cleared by the next rung — that is what lets the
   // ladder degrade past them.
-  gov.cancel(govern::BudgetKind::Work);
-  gov.begin_attempt();
-  EXPECT_FALSE(gov.cancelled());
+  run.cancel(govern::BudgetKind::Work);
+  run.begin_attempt();
+  EXPECT_FALSE(run.cancelled());
 
   // An external cancel (client disconnect, service shutdown) is an
   // abandonment, not a budget trip: it must survive the rung-to-rung token
   // reset even when another cause won the token's first-cause slot.
-  gov.cancel(govern::BudgetKind::Work);
-  gov.cancel(govern::BudgetKind::External);  // loses the slot to Work
-  gov.begin_attempt();
-  EXPECT_TRUE(gov.cancelled());
-  EXPECT_EQ(gov.cancel_kind(), govern::BudgetKind::External);
-  gov.begin_attempt();  // sticky across every later rung of this run
-  EXPECT_TRUE(gov.cancelled());
+  run.cancel(govern::BudgetKind::Work);
+  run.cancel(govern::BudgetKind::External);  // loses the slot to Work
+  run.begin_attempt();
+  EXPECT_TRUE(run.cancelled());
+  EXPECT_EQ(run.cancel_kind(), govern::BudgetKind::External);
+  run.begin_attempt();  // sticky across every later rung of this run
+  EXPECT_TRUE(run.cancelled());
 
-  // A fresh run starts clean.
-  gov.begin_run();
-  EXPECT_FALSE(gov.cancelled());
-  gov.begin_attempt();
-  EXPECT_FALSE(gov.cancelled());
+  // Another run starts clean.
+  govern::Run fresh;
+  fresh.begin_attempt();
+  EXPECT_FALSE(fresh.cancelled());
 }
 
 TEST_F(GovernBudgetTest, UnbudgetedCheckpointNeverTrips) {
-  auto& gov = govern::Governor::instance();
-  gov.configure({});
-  gov.begin_run();
+  govern::Run run;
+  const govern::RunScope scope(run);
+  run.begin_attempt();
   for (int i = 0; i < 1000; ++i) EXPECT_FALSE(govern::checkpoint(1 << 20));
-  EXPECT_EQ(gov.deadline_margin_ms(), -1);
+  EXPECT_EQ(run.work_units(), 1000u << 20);
 }
 
 // ---------------------------------------------------------------------------
@@ -263,18 +272,19 @@ TEST_F(GovernBudgetTest, TransientTruncatesInsteadOfDiscarding) {
   topts.t_stop = 1e-9;
   topts.dt = 1e-12;
 
-  auto& gov = govern::Governor::instance();
-  gov.configure({});
-  gov.begin_run();
-  const auto full = circuit::transient(nl, probes, topts);
+  govern::Run unbudgeted;
+  const auto full = [&] {
+    const govern::RunScope scope(unbudgeted);
+    return circuit::transient(nl, probes, topts);
+  }();
   ASSERT_FALSE(full.truncated);
-  const std::uint64_t full_work = gov.work_units();
+  const std::uint64_t full_work = unbudgeted.work_units();
   ASSERT_GT(full_work, 0u);
 
   govern::RunBudget b;
   b.work_units = full_work / 2;
-  gov.configure(b);
-  gov.begin_run();
+  govern::Run run(b);
+  const govern::RunScope scope(run);
   const auto cut = circuit::transient(nl, probes, topts);
   EXPECT_TRUE(cut.truncated);
   ASSERT_FALSE(cut.time.empty());
@@ -326,25 +336,29 @@ core::AnalysisOptions ladder_options(core::Flow flow, int signal_net) {
 /// Work units one flow consumes with no budget armed (pure function of the
 /// problem shape — see the determinism contract in govern/budget.hpp).
 std::uint64_t work_of(const geom::Layout& l, core::Flow flow, int net) {
-  auto& gov = govern::Governor::instance();
-  gov.configure({});
-  const auto r = core::analyze(l, ladder_options(flow, net));
+  govern::Run run;
+  const auto r = core::analyze(l, ladder_options(flow, net), run);
   EXPECT_TRUE(r.degradations.empty());
-  return gov.work_units();
+  return run.work_units();
+}
+
+/// A run whose work budget sits halfway between the full-PEEC cost and the
+/// block-diagonal one: under it, peec_rlc degrades exactly one rung.
+govern::RunBudget full_to_blockdiag_budget(const geom::Layout& l, int net) {
+  const std::uint64_t w_full = work_of(l, core::Flow::PeecRlcFull, net);
+  const std::uint64_t w_bd = work_of(l, core::Flow::PeecRlcBlockDiag, net);
+  EXPECT_LT(w_bd, w_full);  // the rung must actually be cheaper
+  govern::RunBudget b;
+  b.work_units = w_bd + (w_full - w_bd) / 2;
+  return b;
 }
 
 TEST_F(GovernBudgetTest, WorkBudgetDegradesFullToBlockDiag) {
   int net = -1;
   const geom::Layout l = ladder_workload(&net);
-  const std::uint64_t w_full = work_of(l, core::Flow::PeecRlcFull, net);
-  const std::uint64_t w_bd = work_of(l, core::Flow::PeecRlcBlockDiag, net);
-  ASSERT_LT(w_bd, w_full);  // the rung must actually be cheaper
-
-  auto& gov = govern::Governor::instance();
-  govern::RunBudget b;
-  b.work_units = w_bd + (w_full - w_bd) / 2;
-  gov.configure(b);
-  const auto r = core::analyze(l, ladder_options(core::Flow::PeecRlcFull, net));
+  govern::Run run(full_to_blockdiag_budget(l, net));
+  const auto r =
+      core::analyze(l, ladder_options(core::Flow::PeecRlcFull, net), run);
   EXPECT_EQ(r.requested_flow, core::Flow::PeecRlcFull);
   EXPECT_EQ(r.flow, core::Flow::PeecRlcBlockDiag);
   ASSERT_EQ(r.degradations.size(), 1u);
@@ -365,11 +379,11 @@ TEST_F(GovernBudgetTest, TightBudgetWalksLadderToLoopModel) {
     w_min_peec = std::min(w_min_peec, work_of(l, f, net));
   ASSERT_LT(w_loop, w_min_peec);  // the loop model must be the cheap exit
 
-  auto& gov = govern::Governor::instance();
   govern::RunBudget b;
   b.work_units = w_loop + (w_min_peec - w_loop) / 2;
-  gov.configure(b);
-  const auto r = core::analyze(l, ladder_options(core::Flow::PeecRlcFull, net));
+  govern::Run run(b);
+  const auto r =
+      core::analyze(l, ladder_options(core::Flow::PeecRlcFull, net), run);
   EXPECT_EQ(r.flow, core::Flow::LoopRlc);
   // Full -> blockdiag -> shell -> truncated -> loop: four rungs recorded.
   ASSERT_EQ(r.degradations.size(), 4u);
@@ -380,21 +394,17 @@ TEST_F(GovernBudgetTest, TightBudgetWalksLadderToLoopModel) {
 TEST_F(GovernBudgetTest, DegradationIsBitwiseDeterministicAcrossThreads) {
   int net = -1;
   const geom::Layout l = ladder_workload(&net);
-  const std::uint64_t w_full = work_of(l, core::Flow::PeecRlcFull, net);
-  const std::uint64_t w_bd = work_of(l, core::Flow::PeecRlcBlockDiag, net);
-  ASSERT_LT(w_bd, w_full);
-
-  auto& gov = govern::Governor::instance();
-  govern::RunBudget b;
-  b.work_units = w_bd + (w_full - w_bd) / 2;
+  const govern::RunBudget b = full_to_blockdiag_budget(l, net);
 
   runtime::set_global_threads(1);
-  gov.configure(b);
-  const auto r1 = core::analyze(l, ladder_options(core::Flow::PeecRlcFull, net));
+  govern::Run run1(b);
+  const auto r1 =
+      core::analyze(l, ladder_options(core::Flow::PeecRlcFull, net), run1);
 
   runtime::set_global_threads(4);
-  gov.configure(b);
-  const auto r4 = core::analyze(l, ladder_options(core::Flow::PeecRlcFull, net));
+  govern::Run run4(b);
+  const auto r4 =
+      core::analyze(l, ladder_options(core::Flow::PeecRlcFull, net), run4);
 
   EXPECT_EQ(r1.flow, r4.flow);
   EXPECT_EQ(r1.degradations, r4.degradations);
@@ -403,6 +413,72 @@ TEST_F(GovernBudgetTest, DegradationIsBitwiseDeterministicAcrossThreads) {
   for (std::size_t w = 0; w < r1.sink_waveforms.size(); ++w)
     for (std::size_t k = 0; k < r1.time.size(); ++k)
       EXPECT_EQ(r1.sink_waveforms[w][k], r4.sink_waveforms[w][k]);
+}
+
+/// Reads and clears the result.<flow>.* digests the last analysis of `flow`
+/// published, so the next one must publish them afresh.
+std::vector<std::int64_t> result_digests(core::Flow flow) {
+  auto& reg = runtime::MetricsRegistry::instance();
+  const std::string prefix = std::string("result.") + core::flow_key(flow);
+  std::vector<std::int64_t> out;
+  for (const char* name : {".worst_delay_fs", ".skew_fs", ".waveform_hash"})
+    out.push_back(reg.counter(prefix + name).value.exchange(0));
+  return out;
+}
+
+// Two analyses on two threads share the process pool but not their runs: the
+// budgeted one degrades exactly as it does alone, and the unbudgeted one next
+// to it neither degrades nor sees the other's trip. Each run is charged the
+// same work units as a serial solo run, so every chunk a pool thread ran
+// was charged to the run that submitted it.
+TEST_F(GovernBudgetTest, ConcurrentAnalysesKeepTheirOwnRuns) {
+  int net = -1;
+  const geom::Layout l = ladder_workload(&net);
+  const govern::RunBudget b = full_to_blockdiag_budget(l, net);
+  const auto opts = ladder_options(core::Flow::PeecRlcFull, net);
+
+  runtime::set_global_threads(1);
+  govern::Run solo_budgeted_run(b), solo_plain_run;
+  const auto solo_budgeted = core::analyze(l, opts, solo_budgeted_run);
+  const auto solo_budgeted_digests =
+      result_digests(core::Flow::PeecRlcBlockDiag);
+  const auto solo_plain = core::analyze(l, opts, solo_plain_run);
+  const auto solo_plain_digests = result_digests(core::Flow::PeecRlcFull);
+  ASSERT_EQ(solo_budgeted.flow, core::Flow::PeecRlcBlockDiag);
+  ASSERT_EQ(solo_budgeted.degradations.size(), 1u);
+  ASSERT_TRUE(solo_plain.degradations.empty());
+
+  runtime::set_global_threads(4);
+  govern::Run budgeted_run(b), plain_run;
+  core::AnalysisReport budgeted, plain;
+  std::atomic<int> failures{0};
+  const auto run_on_thread = [&](govern::Run& run,
+                                 core::AnalysisReport& out) {
+    return std::thread([&] {
+      try {
+        out = core::analyze(l, opts, run);
+      } catch (...) {
+        ++failures;
+      }
+    });
+  };
+  std::thread budgeted_thread = run_on_thread(budgeted_run, budgeted);
+  std::thread plain_thread = run_on_thread(plain_run, plain);
+  budgeted_thread.join();
+  plain_thread.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  EXPECT_EQ(budgeted.flow, core::Flow::PeecRlcBlockDiag);
+  EXPECT_EQ(budgeted.degradations, solo_budgeted.degradations);
+  EXPECT_EQ(budgeted.sink_waveforms, solo_budgeted.sink_waveforms);
+  EXPECT_EQ(result_digests(core::Flow::PeecRlcBlockDiag),
+            solo_budgeted_digests);
+  EXPECT_EQ(budgeted_run.work_units(), solo_budgeted_run.work_units());
+  EXPECT_EQ(plain.flow, core::Flow::PeecRlcFull);
+  EXPECT_TRUE(plain.degradations.empty());
+  EXPECT_EQ(plain.sink_waveforms, solo_plain.sink_waveforms);
+  EXPECT_EQ(result_digests(core::Flow::PeecRlcFull), solo_plain_digests);
+  EXPECT_EQ(plain_run.work_units(), solo_plain_run.work_units());
 }
 
 TEST_F(GovernBudgetTest, BudgetCheckFaultSiteForcesOneDegradation) {
@@ -453,9 +529,9 @@ TEST_F(GovernBudgetTest, WorkBudgetTruncatesPrimaCosimulation) {
   const std::int64_t before = truncations.value.load();
   govern::RunBudget b;
   b.work_units = w_prima - 1;
-  govern::Governor::instance().configure(b);
+  govern::Run run(b);
   const auto r =
-      core::analyze(l, ladder_options(core::Flow::PeecRlcPrima, net));
+      core::analyze(l, ladder_options(core::Flow::PeecRlcPrima, net), run);
   EXPECT_EQ(r.requested_flow, core::Flow::PeecRlcPrima);
   ASSERT_FALSE(r.degradations.empty());
   EXPECT_EQ(r.degradations[0], "peec_rlc_prima->peec_rlc_blockdiag [work]");
@@ -465,13 +541,12 @@ TEST_F(GovernBudgetTest, WorkBudgetTruncatesPrimaCosimulation) {
 TEST_F(GovernBudgetTest, DeadlineNeverRetries) {
   int net = -1;
   const geom::Layout l = ladder_workload(&net);
-  auto& gov = govern::Governor::instance();
   govern::RunBudget b;
   b.deadline_ms = 1;  // will expire long before the analysis completes
-  gov.configure(b);
+  govern::Run run(b);
   try {
     const auto r =
-        core::analyze(l, ladder_options(core::Flow::PeecRlcFull, net));
+        core::analyze(l, ladder_options(core::Flow::PeecRlcFull, net), run);
     // The deadline landed inside the transient stepper: the analyzer keeps
     // the prefix, marks it truncated, and does NOT walk the ladder.
     EXPECT_TRUE(r.waveform_truncated);
@@ -485,15 +560,13 @@ TEST_F(GovernBudgetTest, DeadlineNeverRetries) {
 TEST_F(GovernBudgetTest, GovernCountersPublished) {
   int net = -1;
   const geom::Layout l = ladder_workload(&net);
-  auto& gov = govern::Governor::instance();
-  gov.configure({});
   (void)core::analyze(l, ladder_options(core::Flow::PeecRlcBlockDiag, net));
   auto& reg = runtime::MetricsRegistry::instance();
-  EXPECT_GT(reg.counter("govern.work_units").value.load(), 0);
+  const std::string json = reg.to_json();  // runs the snapshot hooks
+  EXPECT_GT(reg.counter("govern.work_units_total").value.load(), 0);
   EXPECT_GT(reg.counter("govern.checkpoints").value.load(), 0);
   EXPECT_EQ(reg.counter("govern.budget_armed").value.load(), 0);
-  const std::string json = reg.to_json();
-  EXPECT_NE(json.find("govern.work_units"), std::string::npos);
+  EXPECT_NE(json.find("govern.work_units_total"), std::string::npos);
   EXPECT_NE(json.find("govern.peak_rss_bytes"), std::string::npos);
 }
 

@@ -751,15 +751,12 @@ TEST(Lu, MultiRhsMatchesVectorSolveBitwise) {
 }
 
 TEST(LuBlocked, WorkBudgetCancelsMidFactor) {
-  auto& gov = ind::govern::Governor::instance();
   const Matrix a = dominant_random(128, 31);
   ind::govern::RunBudget budget;
   budget.work_units = 100;  // far below the factor's ~n^2/2 panel charges
-  gov.configure(budget);
-  gov.begin_run();
+  ind::govern::Run run(budget);
+  const ind::govern::RunScope scope(run);
   EXPECT_THROW(LuFactor<double>{a}, ind::govern::CancelledError);
-  gov.configure({});
-  gov.begin_run();
 }
 
 }  // namespace

@@ -85,6 +85,29 @@ serve::Request grid_request(double extent_um = 220.0) {
   return req;
 }
 
+/// grid_request() with a 400,000-step transient (seconds of work), so a
+/// test can act while it runs; a cancel stops it at the next step.
+serve::Request long_request() {
+  serve::Request req = grid_request();
+  req.options.transient.t_stop = 2e-6;
+  return req;
+}
+
+/// How many PEEC models were built so far: once it rises past a baseline,
+/// the analysis that built one is on its way to the transient.
+std::int64_t peec_builds() {
+  return runtime::MetricsRegistry::instance()
+      .timer("assemble.peec")
+      .count.load();
+}
+
+/// run_request under a fresh run made from the request's budget, as both
+/// serving modes call it.
+serve::Outcome run_request(const serve::Request& req) {
+  govern::Run run(req.budget);
+  return serve::run_request(req, run, serve::kDefaultMaxFrameBytes);
+}
+
 std::vector<std::uint8_t> encoded(const serve::Request& req) {
   store::ByteWriter w;
   serve::put_request(w, req);
@@ -567,16 +590,15 @@ serve::Request degrading_request() {
       "loop_seg_um=150 loop_extract_um=150");
   req.options.signal_net = nets.signal_net;
 
-  auto& gov = govern::Governor::instance();
-  gov.configure({});
-  const auto full = core::analyze(layout, req.options);
+  govern::Run full_run;
+  const auto full = core::analyze(layout, req.options, full_run);
   EXPECT_TRUE(full.degradations.empty());
-  const std::uint64_t w_full = gov.work_units();
+  const std::uint64_t w_full = full_run.work_units();
   auto bd_options = req.options;
   bd_options.flow = core::Flow::PeecRlcBlockDiag;
-  gov.configure({});
-  (void)core::analyze(layout, bd_options);
-  const std::uint64_t w_bd = gov.work_units();
+  govern::Run bd_run;
+  (void)core::analyze(layout, bd_options, bd_run);
+  const std::uint64_t w_bd = bd_run.work_units();
   EXPECT_LT(w_bd, w_full);
 
   req.budget.work_units = w_bd + (w_full - w_bd) / 2;
@@ -653,6 +675,54 @@ TEST_F(ServeTest, DisconnectedClientsRequestIsAbandoned) {
   ASSERT_TRUE(reply.ok);
   EXPECT_EQ(reply.response.served_by, serve::Response::ServedBy::Computed);
   server.shutdown();
+}
+
+TEST_F(ServeTest, DisconnectCancelsTheRunningAnalysis) {
+  const serve::Request next = grid_request();
+  const serve::Outcome expected = run_request(next);
+  ASSERT_EQ(expected.code, serve::ErrorCode::None) << expected.detail;
+
+  serve::Server server(serve::ServerConfig{});
+  server.start();
+  const std::int64_t disconnect0 = counter("serve.cancelled_disconnect");
+  const std::int64_t cancelled0 = counter("serve.cancelled_runs");
+  const std::int64_t builds0 = peec_builds();
+  {
+    serve::Client doomed;
+    doomed.connect_tcp("127.0.0.1", server.port());
+    ASSERT_TRUE(doomed.send_request(1, long_request()));
+    ASSERT_TRUE(eventually([&] { return peec_builds() > builds0; }));
+  }  // the only client leaves while its flight is mid-analysis
+  ASSERT_TRUE(eventually(
+      [&] { return counter("serve.cancelled_runs") == cancelled0 + 1; }));
+  EXPECT_EQ(counter("serve.cancelled_disconnect"), disconnect0 + 1);
+
+  // The lane is free again, and the cancel did not leak into the next run.
+  serve::Client client;
+  client.connect_tcp("127.0.0.1", server.port());
+  const serve::Reply reply = client.analyze(2, next);
+  ASSERT_TRUE(reply.ok) << serve::to_string(reply.error.code);
+  EXPECT_EQ(reply.response.served_by, serve::Response::ServedBy::Computed);
+  EXPECT_EQ(reply.response.result_bytes, expected.result_bytes);
+  server.shutdown();
+}
+
+TEST_F(ServeTest, DrainDeadlineAnswersTheRunningFlightShuttingDown) {
+  serve::ServerConfig config;
+  config.drain_ms = 0;
+  serve::Server server(config);
+  server.start();
+  const std::int64_t cancelled0 = counter("serve.cancelled_runs");
+  const std::int64_t builds0 = peec_builds();
+  serve::Client client;
+  client.connect_tcp("127.0.0.1", server.port());
+  ASSERT_TRUE(client.send_request(1, long_request()));
+  ASSERT_TRUE(eventually([&] { return peec_builds() > builds0; }));
+  server.shutdown();  // no drain time: the running flight is cancelled
+  const serve::Reply reply = client.read_reply();
+  ASSERT_FALSE(reply.ok);
+  EXPECT_EQ(reply.error.code, serve::ErrorCode::ShuttingDown);
+  EXPECT_EQ(counter("serve.cancelled_runs"), cancelled0 + 1);
 }
 
 TEST_F(ServeTest, FinishedReaderThreadsAreReaped) {
@@ -1046,6 +1116,51 @@ TEST_F(ServeTest, WorkerCrashMidFlightRetriesOnSiblingBitwise) {
 #endif
 }
 
+// A supervisor that dies without stop() takes its workers with it, even a
+// busy one, which would otherwise finish its analysis holding whatever the
+// supervisor left it. The owner runs in a re-executed copy of this binary
+// (the threadsafe death-test style, so it may start threads under
+// ThreadSanitizer); it leaves its worker's pid in a file named after this
+// process and exits mid-flight.
+TEST(WorkerPoolOwner, WorkersDieWithTheirSupervisor) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto pid_file = [](pid_t test_process) {
+    return ::testing::TempDir() + "ind_pool_owner_" +
+           std::to_string(test_process);
+  };
+  EXPECT_EXIT(
+      {
+        serve::WorkerPool::Config wc;
+        wc.workers = 1;
+        wc.worker_bin = IND_WORKER_BIN_PATH;
+        serve::WorkerPool pool(wc);
+        pool.start();
+        const serve::Request req = long_request();
+        std::thread([&] {
+          (void)pool.run(serve::request_fingerprint(req), req);
+        }).detach();
+        std::ofstream(pid_file(::getppid())) << pool.health().pids.at(0);
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        ::_exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+  pid_t worker = 0;
+  std::ifstream(pid_file(::getpid())) >> worker;
+  std::filesystem::remove(pid_file(::getpid()));
+  ASSERT_GT(worker, 0);
+
+  const auto dead = [worker] {
+    std::ifstream stat("/proc/" + std::to_string(worker) + "/stat");
+    std::string pid, comm, state;
+    return !(stat >> pid >> comm >> state) || state == "Z";
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (!dead() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_TRUE(dead()) << "worker " << worker << " outlived its supervisor";
+}
+
 TEST_F(ServeTest, PoisonedRequestQuarantinedAfterThresholdKills) {
   const std::int64_t quarantined0 = counter("serve.worker.quarantined");
   const std::int64_t rejects0 = counter("serve.worker.poison_rejects");
@@ -1190,8 +1305,7 @@ TEST_F(ServeTest, WorkerPoolRefusesMisframedRepliesAsInternal) {
 
 TEST_F(ServeTest, RunRequestIsAnalyzePlusEncode) {
   const serve::Request req = grid_request();
-  const serve::Outcome out =
-      serve::run_request(req, serve::kDefaultMaxFrameBytes);
+  const serve::Outcome out = run_request(req);
   ASSERT_EQ(out.code, serve::ErrorCode::None) << out.detail;
   const core::AnalysisReport report = core::analyze(req.layout, req.options);
   EXPECT_EQ(out.result_bytes, serve::encode_result(report, false));
@@ -1200,28 +1314,21 @@ TEST_F(ServeTest, RunRequestIsAnalyzePlusEncode) {
   serve::Request bad = grid_request();
   bad.options.flow = core::Flow::LoopRlc;
   bad.options.signal_net = -1;  // LoopRlc needs a signal net
-  const serve::Outcome rejected =
-      serve::run_request(bad, serve::kDefaultMaxFrameBytes);
+  const serve::Outcome rejected = run_request(bad);
   EXPECT_EQ(rejected.code, serve::ErrorCode::BadRequest);
   EXPECT_NE(rejected.detail.find("signal_net"), std::string::npos)
       << rejected.detail;
   EXPECT_TRUE(rejected.result_bytes.empty());
 }
 
-TEST_F(ServeTest, RunRequestRestoresTheCallersBudget) {
+TEST_F(ServeTest, RunRequestBudgetEndsWithTheCall) {
   const serve::Request req = degrading_request();
-  auto& gov = govern::Governor::instance();
-  const govern::RunBudget before = gov.budget();
-  const serve::Outcome out =
-      serve::run_request(req, serve::kDefaultMaxFrameBytes);
+  const serve::Outcome out = run_request(req);
   ASSERT_EQ(out.code, serve::ErrorCode::None) << out.detail;
   core::AnalysisReport served;
   serve::decode_result(out.result_bytes, served);
   ASSERT_FALSE(served.degradations.empty());
 
-  EXPECT_EQ(gov.budget().deadline_ms, before.deadline_ms);
-  EXPECT_EQ(gov.budget().mem_bytes, before.mem_bytes);
-  EXPECT_EQ(gov.budget().work_units, before.work_units);
   const core::AnalysisReport plain = core::analyze(req.layout, req.options);
   EXPECT_TRUE(plain.degradations.empty());
   EXPECT_EQ(plain.flow, core::Flow::PeecRlcFull);

@@ -96,7 +96,8 @@ int main(int argc, char** argv) {
       ind::serve::get_request(r, req);
       ind::govern::apply_worker_rlimits(ind::govern::worker_rlimits(
           req.budget, kAsSlackBytes, kCpuSlackSeconds));
-      out = ind::serve::run_request(req, args.max_frame_bytes);
+      ind::govern::Run run(req.budget);
+      out = ind::serve::run_request(req, run, args.max_frame_bytes);
       ind::govern::relax_worker_rlimits();
     } catch (const std::exception& e) {
       out.code = ind::serve::ErrorCode::BadRequest;  // undecodable job
