@@ -1,25 +1,22 @@
 // Input validation front door.
 //
-// Degenerate inputs (floating nodes, non-positive element values, over-unity
-// mutual coupling, zero-width or overlapping wires) are the usual origin of
-// the singular MNA systems the fallback ladder then has to rescue; these
-// passes catch them at the boundary — spice_import, layout_io, and the PEEC
-// model builder all run them — and return structured issues with source
+// Degenerate inputs (zero-width or overlapping wires, degenerate vias) are
+// the usual origin of the singular MNA systems the fallback ladder then has
+// to rescue; this pass catches them at the boundary — layout_io and the
+// PEEC model builder run it — and returns structured issues with source
 // locations instead of letting the solver discover the problem as a
 // singular pivot three layers down.
 //
-// The implementations compile into the owning layer (validate_netlist.cpp
-// into ind_circuit, validate_layout.cpp into ind_geom); this header only
-// forward-declares the validated types so it stays dependency-free.
+// The implementation compiles into the owning layer (validate_layout.cpp
+// into ind_geom); this header only forward-declares the validated type so
+// it stays dependency-free. The netlist pass that goes with the tests'
+// SPICE reader lives in tests/ (validate_netlist.cpp).
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-namespace ind::circuit {
-class Netlist;
-}
 namespace ind::geom {
 class Layout;
 }
@@ -71,10 +68,6 @@ struct ValidationReport {
     return out;
   }
 };
-
-/// Electrical sanity of a netlist: floating / capacitor-only nodes,
-/// non-positive R/L/C values, mutual coupling |k| > 1.
-ValidationReport validate(const circuit::Netlist& netlist);
 
 /// Geometric sanity of a layout: zero-width or zero-length wires,
 /// degenerate vias, cross-net same-layer metal overlap (shorts).

@@ -1,8 +1,14 @@
 #include "store/artifact_cache.hpp"
 
+#include <signal.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <vector>
 
@@ -46,97 +52,26 @@ void ArtifactCache::configure(std::string dir, std::uint64_t max_bytes) {
     dir_.clear();  // unusable directory: run with the cache off
     return;
   }
-  // Crash recovery on every (re)configure: a previous process killed
-  // mid-write must never poison this one.
-  recover_locked();
-}
-
-ArtifactCache::RecoveryReport ArtifactCache::recover() {
-  std::scoped_lock lock(g_mutex);
-  return recover_locked();
-}
-
-namespace {
-
-/// Parses the 32-hex fingerprint out of `<kind>-<32hex>.art`. Returns false
-/// for names that do not follow the cache's naming scheme (foreign files are
-/// validated by checksums alone).
-bool digest_from_name(const std::string& stem, Digest* out) {
-  const std::size_t dash = stem.rfind('-');
-  if (dash == std::string::npos || stem.size() - dash - 1 != 32) return false;
-  std::uint64_t halves[2] = {0, 0};
-  for (int half = 0; half < 2; ++half) {
-    for (int k = 0; k < 16; ++k) {
-      const char c = stem[dash + 1 + static_cast<std::size_t>(half * 16 + k)];
-      std::uint64_t nibble;
-      if (c >= '0' && c <= '9') nibble = static_cast<std::uint64_t>(c - '0');
-      else if (c >= 'a' && c <= 'f')
-        nibble = static_cast<std::uint64_t>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F')
-        nibble = static_cast<std::uint64_t>(c - 'A' + 10);
-      else
-        return false;
-      halves[half] = (halves[half] << 4) | nibble;
-    }
-  }
-  out->hi = halves[0];
-  out->lo = halves[1];
-  return true;
-}
-
-}  // namespace
-
-ArtifactCache::RecoveryReport ArtifactCache::recover_locked() {
-  RecoveryReport report;
-  if (dir_.empty()) return report;
-  auto& metrics = runtime::MetricsRegistry::instance();
-  const fs::path qdir = fs::path(dir_) / "quarantine";
-  std::error_code ec;
-  // One quarantine generation: the previous sweep's exhibits made it through
-  // a full process lifetime without anyone asking for them.
-  fs::remove_all(qdir, ec);
-
-  const auto quarantine = [&](const fs::path& p, const std::string& why) {
-    std::error_code qec;
-    fs::create_directories(qdir, qec);
-    fs::rename(p, qdir / p.filename(), qec);
-    if (qec) fs::remove(p, qec);  // quarantine unusable: drop the file
-    metrics.add_count("store.quarantined", 1);
-    metrics.add_count("store.quarantined." + why, 1);
-  };
-
-  std::vector<fs::path> tmps, arts;
+  // A `.tmp<pid>` whose writer is gone is a write torn between open and
+  // rename (a kill -9 mid-commit). This process's own temps count as torn:
+  // instance() is a function-local static, so no save of this process is
+  // in flight while it is first configured. A live writer's temp, e.g. a
+  // sibling worker's on the same directory, is left alone. Nothing else is
+  // touched here: load() validates each artifact when it is read.
   for (const auto& de : fs::directory_iterator(dir_, ec)) {
-    if (ec) return report;
-    std::error_code fec;
-    if (!de.is_regular_file(fec)) continue;
     const std::string name = de.path().filename().string();
-    if (name.find(".tmp") != std::string::npos)
-      tmps.push_back(de.path());
-    else if (de.path().extension() == ".art")
-      arts.push_back(de.path());
+    const std::size_t at = name.rfind(".tmp");
+    if (at == std::string::npos) continue;
+    const char* first = name.data() + at + 4;
+    const char* last = name.data() + name.size();
+    pid_t pid = 0;
+    const auto [end, err] = std::from_chars(first, last, pid);
+    if (err != std::errc() || end != last || pid <= 0) continue;
+    if (pid != ::getpid() && (::kill(pid, 0) == 0 || errno != ESRCH)) continue;
+    std::error_code rec;
+    if (fs::remove(de.path(), rec))
+      runtime::MetricsRegistry::instance().add_count("store.torn_removed", 1);
   }
-
-  for (const fs::path& p : tmps) {
-    // An orphaned temp file is a writer that died between open and rename —
-    // by construction it may be torn, so it never graduates to .art.
-    quarantine(p, "tmp");
-    ++report.quarantined_tmp;
-  }
-  for (const fs::path& p : arts) {
-    ++report.scanned;
-    Digest want;
-    const bool have_want = digest_from_name(p.stem().string(), &want);
-    try {
-      (void)read_artifact(p.string(), have_want ? &want : nullptr);
-      ++report.recovered;
-      metrics.add_count("store.recovered", 1);
-    } catch (const StoreError& e) {
-      quarantine(p, to_string(e.code()));
-      ++report.quarantined_corrupt;
-    }
-  }
-  return report;
 }
 
 std::string ArtifactCache::path_for(const std::string& kind,
@@ -150,15 +85,22 @@ std::optional<Artifact> ArtifactCache::load(const std::string& kind,
   if (!enabled()) return std::nullopt;
   auto& metrics = runtime::MetricsRegistry::instance();
   const std::string path = path_for(kind, fp);
-  {
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-      metrics.add_count("store.misses", 1);
-      return std::nullopt;
-    }
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) {
+    metrics.add_count("store.misses", 1);
+    return std::nullopt;
   }
   try {
-    Artifact a = read_artifact(path, &fp);
+    runtime::ScopedTimer t("store.read");
+    std::vector<std::uint8_t> image(static_cast<std::size_t>(in.tellg()));
+    in.seekg(0);
+    in.read(reinterpret_cast<char*>(image.data()),
+            static_cast<std::streamsize>(image.size()));
+    if (!in)
+      throw StoreError(StoreErrc::IoError, "short read from '" + path + "'");
+    metrics.add_count("store.read_bytes",
+                      static_cast<std::int64_t>(image.size()));
+    Artifact a = decode_artifact(image, &fp);
     if (robust::fault::fire(robust::fault::Site::StoreRead))
       throw StoreError(StoreErrc::ChecksumMismatch,
                        "injected artifact-read fault (" + path + ")");
@@ -168,7 +110,7 @@ std::optional<Artifact> ArtifactCache::load(const std::string& kind,
                                                  "' file name");
     metrics.add_count("store.hits", 1);
     metrics.add_count("store.hit_bytes",
-                      static_cast<std::int64_t>(a.total_bytes()));
+                      static_cast<std::int64_t>(image.size()));
     // Refresh recency for LRU eviction.
     std::error_code ec;
     fs::last_write_time(path, fs::file_time_type::clock::now(), ec);

@@ -12,20 +12,21 @@
 //   size cap      IND_CACHE_MAX_BYTES (default 1 GiB); least-recently-used
 //                 artifacts (by mtime, refreshed on hit) are evicted after
 //                 each store
-//   corruption    any StoreError on read is counted (store.corrupt.<code>),
+//   validation    load() alone: the fingerprint echo, the kind and the
+//                 checksum. Any StoreError is counted (store.corrupt.<code>),
 //                 the bad file is removed, and the caller recomputes; the
 //                 fallback is surfaced through robust::SolveReport as an
 //                 ArtifactRecompute recovery action, never a crash
 //   fault site    IND_FAULT_INJECT=store_read@N forces the corruption path
-//   recovery      every configure() (so: every startup with IND_CACHE_DIR)
-//                 sweeps the directory: orphaned .tmp partial writes and
-//                 entries failing validation move to quarantine/ —
-//                 store.recovered / store.quarantined[.*] counters;
-//                 IND_FAULT_INJECT=store_write@N leaves a torn .tmp behind
-//                 exactly like a kill -9 mid-commit
+//   torn writes   configure() lists the directory, reads no artifact bytes,
+//                 and removes each `.tmp<pid>` whose writer is gone
+//                 (store.torn_removed); IND_FAULT_INJECT=store_write@N
+//                 leaves a torn .tmp behind exactly like a kill -9
+//                 mid-commit
 //
 // Metrics: store.hits / store.misses / store.corrupt[.*] / store.evictions /
-// store.evicted_bytes counters and store.{serialize,deserialize,read,write}
+// store.evicted_bytes counters, store.read_bytes / store.hit_bytes (file
+// bytes read, and those of hits) and store.{serialize,deserialize,read,write}
 // timers, all published into BENCH_*.json via the MetricsRegistry.
 #pragma once
 
@@ -66,26 +67,10 @@ class ArtifactCache {
   std::string path_for(const std::string& kind, const Digest& fp) const;
 
   /// Test hooks: reconfigure at runtime. An empty dir disables the cache.
-  /// Runs a recover() sweep over the new directory (see below).
+  /// Removes the torn temp files of dead writers (see the file comment); a
+  /// temp file of a live process, e.g. a sibling worker sharing the
+  /// directory, is left to its writer.
   void configure(std::string dir, std::uint64_t max_bytes = kDefaultMaxBytes);
-
-  struct RecoveryReport {
-    std::uint64_t scanned = 0;           ///< .art files examined
-    std::uint64_t recovered = 0;         ///< intact entries kept
-    std::uint64_t quarantined_tmp = 0;   ///< orphaned .tmp* partial writes
-    std::uint64_t quarantined_corrupt = 0;  ///< checksum/decode failures
-  };
-
-  /// Crash-recovery sweep: moves orphaned `.tmp*` partial writes (a writer
-  /// died between open and rename) and `.art` entries that fail full
-  /// validation (checksums + name-embedded fingerprint) into a
-  /// `quarantine/` subdirectory, keeping everything intact. Counted as
-  /// store.recovered / store.quarantined[.tmp|.<errc>]. Runs automatically
-  /// from configure() — i.e. at every process start with IND_CACHE_DIR set —
-  /// so a kill -9 mid-write can never poison later runs; quarantined files
-  /// are kept for one generation (the next sweep clears the subdirectory)
-  /// for post-mortem inspection.
-  RecoveryReport recover();
 
   static constexpr std::uint64_t kDefaultMaxBytes = 1ULL << 30;  // 1 GiB
   /// IND_CACHE_MAX_BYTES outside [1 MiB, 1 TiB] is a misconfiguration, not a
@@ -97,7 +82,6 @@ class ArtifactCache {
  private:
   ArtifactCache();
   void evict_to_cap(const std::string& keep_path);
-  RecoveryReport recover_locked();
 
   std::string dir_;
   std::uint64_t max_bytes_ = kDefaultMaxBytes;
@@ -122,7 +106,7 @@ T cached(const char* kind, Fingerprint fingerprint, Compute compute,
   if (auto artifact = cache.load(kind, fp, &report)) {
     runtime::ScopedTimer t("store.deserialize");
     T value;
-    ByteReader r = artifact->reader(kind);
+    ByteReader r(artifact->payload);
     get_fn(r, value);
     if (!report.actions.empty()) report.record("store");
     return value;
@@ -134,16 +118,12 @@ T cached(const char* kind, Fingerprint fingerprint, Compute compute,
     runtime::MetricsRegistry::instance().add_count("store.save_skipped", 1);
     return value;
   }
-  Artifact a;
-  a.kind = kind;
-  a.fingerprint = fp;
   ByteWriter w;
   {
     runtime::ScopedTimer t("store.serialize");
     put_fn(w, value);
   }
-  a.add(kind, std::move(w));
-  cache.save(a);
+  cache.save(Artifact{kind, fp, w.take()});
   if (!report.actions.empty()) report.record("store");
   return value;
 }

@@ -5,10 +5,8 @@
 
 #include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "robust/fault_injection.hpp"
 #include "runtime/metrics.hpp"
@@ -38,19 +36,6 @@ const char* to_string(StoreErrc code) {
   return "unknown";
 }
 
-const std::vector<std::uint8_t>& Artifact::section(
-    const std::string& name) const {
-  for (const Section& s : sections)
-    if (s.name == name) return s.bytes;
-  throw StoreError(StoreErrc::Malformed, "missing section '" + name + "'");
-}
-
-std::size_t Artifact::total_bytes() const {
-  std::size_t n = 0;
-  for (const Section& s : sections) n += s.bytes.size();
-  return n;
-}
-
 std::vector<std::uint8_t> encode_artifact(const Artifact& a) {
   ByteWriter w;
   for (unsigned char m : kMagic) w.u8(m);
@@ -60,27 +45,19 @@ std::vector<std::uint8_t> encode_artifact(const Artifact& a) {
   if (a.kind.size() > 0xffff)
     throw StoreError(StoreErrc::Malformed, "kind string too long");
   w.u16(static_cast<std::uint16_t>(a.kind.size()));
-  for (char c : a.kind) w.u8(static_cast<std::uint8_t>(c));
+  w.raw(a.kind.data(), a.kind.size());
   w.u64(a.fingerprint.hi);
   w.u64(a.fingerprint.lo);
-  w.u32(static_cast<std::uint32_t>(a.sections.size()));
-  for (const Artifact::Section& s : a.sections) {
-    if (s.name.size() > 0xffff)
-      throw StoreError(StoreErrc::Malformed, "section name too long");
-    w.u16(static_cast<std::uint16_t>(s.name.size()));
-    for (char c : s.name) w.u8(static_cast<std::uint8_t>(c));
-    w.u64(s.bytes.size());
-    w.u64(fnv64(s.bytes.data(), s.bytes.size()));
-    w.raw(s.bytes.data(), s.bytes.size());
-  }
+  w.u64(a.payload.size());
+  w.u64(fnv64(a.payload.data(), a.payload.size()));
+  w.raw(a.payload.data(), a.payload.size());
   return w.take();
 }
 
 Artifact decode_artifact(const std::vector<std::uint8_t>& image,
                          const Digest* expect) {
-  // The header is parsed with a dedicated reader so its Truncated errors are
-  // re-labelled: a file shorter than the fixed header is indistinguishable
-  // from random bytes, which callers should see as BadMagic.
+  // A file shorter than the magic is indistinguishable from random bytes,
+  // which callers should see as BadMagic, not Truncated.
   if (image.size() < sizeof kMagic)
     throw StoreError(StoreErrc::BadMagic, "file shorter than magic");
   if (std::memcmp(image.data(), kMagic, sizeof kMagic) != 0)
@@ -101,10 +78,8 @@ Artifact decode_artifact(const std::vector<std::uint8_t>& image,
   r.u8();  // reserved
 
   Artifact a;
-  const std::uint16_t kind_len = r.u16();
-  a.kind.resize(kind_len);
-  for (std::uint16_t k = 0; k < kind_len; ++k)
-    a.kind[k] = static_cast<char>(r.u8());
+  a.kind.resize(r.count(r.u16(), 1));
+  r.raw(a.kind.data(), a.kind.size());
   a.fingerprint.hi = r.u64();
   a.fingerprint.lo = r.u64();
   if (expect != nullptr && !(a.fingerprint == *expect))
@@ -112,43 +87,30 @@ Artifact decode_artifact(const std::vector<std::uint8_t>& image,
                      "expected " + expect->hex() + ", file holds " +
                          a.fingerprint.hex());
 
-  const std::uint32_t n_sections = r.u32();
-  for (std::uint32_t s = 0; s < n_sections; ++s) {
-    Artifact::Section sec;
-    const std::uint16_t name_len = r.u16();
-    sec.name.resize(name_len);
-    for (std::uint16_t k = 0; k < name_len; ++k)
-      sec.name[k] = static_cast<char>(r.u8());
-    const std::uint64_t size = r.u64();
-    const std::uint64_t checksum = r.u64();
-    if (size > r.remaining())
-      throw StoreError(StoreErrc::Truncated,
-                       "section '" + sec.name + "' payload cut short");
-    sec.bytes.resize(size);
-    r.raw(sec.bytes.data(), size);
-    if (fnv64(sec.bytes.data(), sec.bytes.size()) != checksum)
-      throw StoreError(StoreErrc::ChecksumMismatch,
-                       "section '" + sec.name + "' failed its checksum");
-    a.sections.push_back(std::move(sec));
-  }
+  const std::uint64_t size = r.u64();
+  const std::uint64_t checksum = r.u64();
+  if (size > r.remaining())
+    throw StoreError(StoreErrc::Truncated, "payload cut short");
+  if (size < r.remaining())
+    throw StoreError(StoreErrc::Malformed, "bytes past the payload");
+  a.payload.resize(size);
+  r.raw(a.payload.data(), size);
+  if (fnv64(a.payload.data(), a.payload.size()) != checksum)
+    throw StoreError(StoreErrc::ChecksumMismatch, "payload failed its checksum");
   return a;
 }
 
 void write_artifact(const std::string& path, const Artifact& a) {
-  std::vector<std::uint8_t> image;
-  {
-    runtime::ScopedTimer t("store.serialize");
-    image = encode_artifact(a);
-  }
   runtime::ScopedTimer t("store.write");
+  const std::vector<std::uint8_t> image = encode_artifact(a);
   namespace fs = std::filesystem;
   const std::string tmp = path + ".tmp" + std::to_string(::getpid());
 
   // Crash-safe commit: write + fsync the temp file, rename over the final
   // name, then fsync the directory so the rename itself is durable. A crash
   // at any point leaves either the old state or a `.tmp` orphan — never a
-  // half-written `.art` — and ArtifactCache::recover() quarantines orphans
-  // at the next startup.
+  // half-written `.art` — and the next ArtifactCache::configure() removes
+  // an orphan whose writer is gone.
   //
   // Deterministic chaos hook: a fired store_write commits only half the
   // image to the temp file and aborts before the rename — exactly the
@@ -210,22 +172,6 @@ void write_artifact(const std::string& path, const Artifact& a) {
   }
   runtime::MetricsRegistry::instance().add_count(
       "store.write_bytes", static_cast<std::int64_t>(image.size()));
-}
-
-Artifact read_artifact(const std::string& path, const Digest* expect) {
-  runtime::ScopedTimer t("store.read");
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in)
-    throw StoreError(StoreErrc::IoError, "cannot open '" + path + "'");
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> image(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(image.data()), size);
-  if (!in)
-    throw StoreError(StoreErrc::IoError, "short read from '" + path + "'");
-  runtime::MetricsRegistry::instance().add_count(
-      "store.read_bytes", static_cast<std::int64_t>(image.size()));
-  return decode_artifact(image, expect);
 }
 
 }  // namespace ind::store

@@ -12,18 +12,15 @@
 //   14      2     kind length (u16) followed by the kind string
 //   ..      16    fingerprint echo (Digest hi, lo) — lets a reader verify
 //                 the file really is the artifact its name claims
-//   ..      4     section count (u32)
-//   per section:
-//           2+n   name (u16 length + bytes)
-//           8     payload size (u64)
-//           8     FNV-1a-64 checksum of the payload (u64)
-//           *     payload bytes
+//   ..      8     payload size (u64); the payload ends the file
+//   ..      8     FNV-1a-64 checksum of the payload (u64)
+//   ..      *     payload bytes
 //
-// Sections are independently checksummed, so a reader can tell *which* part
-// of a multi-gigabyte artifact rotted, and truncation is distinguishable
-// from bit rot (Truncated vs ChecksumMismatch). Readers are strict: any
-// malformed header raises StoreError with a machine-readable code; the cache
-// converts that into a recompute-and-rewrite, never a crash.
+// Truncation is distinguishable from bit rot (Truncated vs
+// ChecksumMismatch), and bytes past the declared payload are Malformed.
+// Readers are strict: any malformed header raises StoreError with a
+// machine-readable code; the cache converts that into a
+// recompute-and-rewrite, never a crash.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +34,7 @@
 
 namespace ind::store {
 
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr unsigned char kMagic[8] = {'I', 'N', 'D', 'A',
                                             'R', 'T', 0x00, 0x01};
 inline constexpr std::uint8_t kLittleEndianTag = 0x01;
@@ -49,7 +46,7 @@ enum class StoreErrc {
   VersionMismatch,   ///< produced by a different format version
   EndianMismatch,    ///< produced on a foreign-endian machine
   Truncated,         ///< file ends before a declared payload does
-  ChecksumMismatch,  ///< a section's bytes do not match their checksum
+  ChecksumMismatch,  ///< the payload does not match its checksum
   FingerprintMismatch,  ///< file content is a different artifact
   Malformed,         ///< structurally invalid payload during decode
 };
@@ -129,7 +126,7 @@ Digest artifact_key(std::string_view kind, PutInputs&& put_inputs) {
   return h.digest();
 }
 
-/// Bounds-checked cursor over a decoded section; every overrun throws
+/// Bounds-checked cursor over a decoded payload; every overrun throws
 /// StoreError(Truncated) instead of reading garbage.
 class ByteReader {
  public:
@@ -184,7 +181,7 @@ class ByteReader {
   /// Bulk extract; throws Truncated past the end like every other getter.
   void raw(void* out, std::size_t n) {
     if (n > remaining())
-      throw StoreError(StoreErrc::Truncated, "read past end of section");
+      throw StoreError(StoreErrc::Truncated, "read past end of payload");
     if (n == 0) return;  // an empty vector's data() may be null: no memcpy
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
@@ -197,28 +194,14 @@ class ByteReader {
 };
 
 /// An artifact in memory: a kind tag, the fingerprint it was stored under,
-/// and named byte sections (one per serialized sub-object).
+/// and the serde bytes of the stored value.
 struct Artifact {
   std::string kind;
   Digest fingerprint;
-  struct Section {
-    std::string name;
-    std::vector<std::uint8_t> bytes;
-  };
-  std::vector<Section> sections;
-
-  void add(std::string name, ByteWriter&& w) {
-    sections.push_back({std::move(name), w.take()});
-  }
-  /// Section lookup; throws StoreError(Malformed) when absent.
-  const std::vector<std::uint8_t>& section(const std::string& name) const;
-  ByteReader reader(const std::string& name) const {
-    return ByteReader(section(name));
-  }
-  std::size_t total_bytes() const;
+  std::vector<std::uint8_t> payload;
 };
 
-/// Encodes an artifact to the full file image (header + sections).
+/// Encodes an artifact to the full file image (header + payload).
 std::vector<std::uint8_t> encode_artifact(const Artifact& a);
 
 /// Decodes and validates a file image. `expect` (when non-null) must match
@@ -226,9 +209,9 @@ std::vector<std::uint8_t> encode_artifact(const Artifact& a);
 Artifact decode_artifact(const std::vector<std::uint8_t>& image,
                          const Digest* expect = nullptr);
 
-/// Stream-based file I/O. write_artifact writes to `path + ".tmp<pid>"` and
-/// atomically renames, so readers never observe a half-written artifact.
+/// Crash-safe file write: encodes under the store.write timer, writes
+/// `path + ".tmp<pid>"` and atomically renames it, so readers never observe
+/// a half-written artifact.
 void write_artifact(const std::string& path, const Artifact& a);
-Artifact read_artifact(const std::string& path, const Digest* expect = nullptr);
 
 }  // namespace ind::store

@@ -1,4 +1,4 @@
-#include "circuit/spice_import.hpp"
+#include "spice_import.hpp"
 
 #include <algorithm>
 #include <cctype>

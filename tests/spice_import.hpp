@@ -1,7 +1,8 @@
-// SPICE deck import: the inverse of spice_export for the linear subset
-// (R, C, L, K, V, I cards with numeric or PWL/DC values). Lets users bring
-// externally extracted netlists into the analysis flows, and closes the
-// round-trip test loop on the exporter.
+// SPICE deck import for the tests: the inverse of circuit::write_spice for
+// the linear subset (R, C, L, K, V, I cards with numeric or PWL/DC values).
+// It is the round-trip oracle of the exporter; no library or tool reads
+// SPICE decks, so the parser and the netlist validation it attaches live
+// here rather than in src/.
 //
 // Unsupported cards (models, subcircuits, behavioural sources) are counted
 // and skipped rather than rejected, so decks written by other tools load
@@ -38,3 +39,12 @@ SpiceImportResult parse_spice(const std::string& deck);
 double parse_spice_value(const std::string& token);
 
 }  // namespace ind::circuit
+
+namespace ind::robust {
+
+/// Electrical sanity of a netlist: floating / capacitor-only nodes,
+/// non-positive R/L/C values, mutual coupling |k| > 1
+/// (tests/validate_netlist.cpp).
+ValidationReport validate(const circuit::Netlist& netlist);
+
+}  // namespace ind::robust

@@ -22,9 +22,11 @@
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "geom/topologies.hpp"
+#include "robust/diagnostics.hpp"
 #include "robust/fault_injection.hpp"
 #include "runtime/metrics.hpp"
 #include "serve/client.hpp"
@@ -553,7 +555,7 @@ TEST_F(ResilienceTest, MidFrameDisconnectAtEveryByteOffset) {
 }
 
 // ---------------------------------------------------------------------------
-// Crash-safe store recovery.
+// Crash-safe store: torn temp files at configure(), validation at load().
 // ---------------------------------------------------------------------------
 
 class StoreRecoveryTest : public ::testing::Test {
@@ -572,57 +574,77 @@ class StoreRecoveryTest : public ::testing::Test {
   }
 
   static store::Artifact small_artifact(std::uint64_t salt = 0) {
-    store::Artifact a;
-    a.kind = "test";
-    a.fingerprint = {0x0123456789abcdefULL ^ salt, 0xfedcba9876543210ULL};
     store::ByteWriter w;
     w.str("payload");
     w.u64(salt);
-    a.add("payload", std::move(w));
-    return a;
+    return {"test", {0x0123456789abcdefULL ^ salt, 0xfedcba9876543210ULL},
+            w.take()};
+  }
+
+  /// Where a writer with process id `pid` stages its commit.
+  std::string tmp_of(pid_t pid) const {
+    return store::ArtifactCache::instance().path_for(
+               "test", small_artifact().fingerprint) +
+           ".tmp" + std::to_string(pid);
   }
 
   std::string dir_;
 };
 
-TEST_F(StoreRecoveryTest, StoreWriteFaultLeavesTornTmpAndRecoverQuarantines) {
+TEST_F(StoreRecoveryTest, StoreWriteFaultLeavesTornTmpThatConfigureRemoves) {
   auto& cache = store::ArtifactCache::instance();
-  const std::int64_t quarantined0 = counter("store.quarantined");
-
   // A fired store_write is a kill -9 mid-commit: half the image reaches a
   // .tmp file and the rename never happens.
   fault::configure("store_write@0");
   cache.save(small_artifact());
   EXPECT_EQ(fault::fired(fault::Site::StoreWrite), 1);
   fault::clear();
-
-  bool saw_tmp = false;
-  for (const auto& de : fs::directory_iterator(dir_))
-    saw_tmp |= de.path().filename().string().find(".tmp") != std::string::npos;
-  ASSERT_TRUE(saw_tmp) << "torn write left no .tmp orphan";
+  ASSERT_TRUE(fs::exists(tmp_of(::getpid()))) << "torn write left no orphan";
   // The torn write never produced a loadable entry.
   EXPECT_FALSE(cache.load("test", small_artifact().fingerprint).has_value());
 
-  const auto report = cache.recover();
-  EXPECT_EQ(report.quarantined_tmp, 1u);
-  EXPECT_EQ(report.quarantined_corrupt, 0u);
-  EXPECT_EQ(counter("store.quarantined"), quarantined0 + 1);
-  // The orphan is preserved for post-mortem, out of the cache's namespace.
-  EXPECT_TRUE(fs::exists(fs::path(dir_) / "quarantine"));
-  for (const auto& de : fs::directory_iterator(dir_))
-    EXPECT_EQ(de.path().filename().string().find(".tmp"), std::string::npos)
-        << de.path();
+  // No save of this process is in flight, so its own temp file is torn.
+  const std::int64_t torn0 = counter("store.torn_removed");
+  const std::int64_t read0 = counter("store.read_bytes");
+  cache.configure(dir_);
+  EXPECT_EQ(counter("store.torn_removed"), torn0 + 1);
+  EXPECT_EQ(counter("store.read_bytes"), read0);
+  EXPECT_FALSE(fs::exists(tmp_of(::getpid())));
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "quarantine"));
 
-  // With the fault consumed, the same save commits and survives a sweep.
+  // With the fault consumed, the same save commits and loads.
   cache.save(small_artifact());
-  const auto clean = cache.recover();
-  EXPECT_EQ(clean.scanned, 1u);
-  EXPECT_EQ(clean.recovered, 1u);
-  EXPECT_EQ(clean.quarantined_tmp + clean.quarantined_corrupt, 0u);
   EXPECT_TRUE(cache.load("test", small_artifact().fingerprint).has_value());
 }
 
-TEST_F(StoreRecoveryTest, RecoverQuarantinesChecksumFailures) {
+TEST_F(StoreRecoveryTest, ConfigureRemovesOnlyDeadWritersTempFiles) {
+  auto& cache = store::ArtifactCache::instance();
+  cache.save(small_artifact());
+  // A writer that has exited and been reaped: its pid names no process.
+  const pid_t dead = ::fork();
+  ASSERT_GE(dead, 0);
+  if (dead == 0) ::_exit(0);
+  ASSERT_EQ(::waitpid(dead, nullptr, 0), dead);
+  // The parent process is alive, like a sibling worker mid-commit.
+  const pid_t live = ::getppid();
+  ASSERT_GT(live, 0);
+  const std::string foreign = dir_ + "/notes.tmpfile";
+  for (const std::string& f : {tmp_of(dead), tmp_of(live), foreign})
+    std::ofstream(f, std::ios::binary) << "partial";
+
+  const std::int64_t torn0 = counter("store.torn_removed");
+  const std::int64_t read0 = counter("store.read_bytes");
+  cache.configure(dir_);
+  EXPECT_FALSE(fs::exists(tmp_of(dead)));
+  EXPECT_TRUE(fs::exists(tmp_of(live)));
+  EXPECT_TRUE(fs::exists(foreign));
+  EXPECT_EQ(counter("store.torn_removed"), torn0 + 1);
+  // configure() lists names only; no artifact byte is read before a load.
+  EXPECT_EQ(counter("store.read_bytes"), read0);
+  EXPECT_TRUE(cache.load("test", small_artifact().fingerprint).has_value());
+}
+
+TEST_F(StoreRecoveryTest, LoadRemovesChecksumFailures) {
   auto& cache = store::ArtifactCache::instance();
   const store::Artifact good = small_artifact(1);
   const store::Artifact doomed = small_artifact(2);
@@ -638,50 +660,36 @@ TEST_F(StoreRecoveryTest, RecoverQuarantinesChecksumFailures) {
     f.put('\x7f');
   }
 
-  const auto report = cache.recover();
-  EXPECT_EQ(report.scanned, 2u);
-  EXPECT_EQ(report.recovered, 1u);
-  EXPECT_EQ(report.quarantined_corrupt, 1u);
-  // The intact entry still serves; the corrupt one is gone from the cache.
+  // A restart leaves both files in place; the read finds the rot.
+  cache.configure(dir_);
+  EXPECT_TRUE(fs::exists(path));
+  const std::int64_t corrupt0 = counter("store.corrupt.checksum_mismatch");
   EXPECT_TRUE(cache.load(good.kind, good.fingerprint).has_value());
   EXPECT_FALSE(cache.load(doomed.kind, doomed.fingerprint).has_value());
-  EXPECT_TRUE(fs::exists(fs::path(dir_) / "quarantine" /
-                         fs::path(path).filename()));
+  EXPECT_EQ(counter("store.corrupt.checksum_mismatch"), corrupt0 + 1);
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_FALSE(fs::exists(fs::path(dir_) / "quarantine"));
 }
 
-TEST_F(StoreRecoveryTest, RecoverRejectsRenamedEntries) {
+TEST_F(StoreRecoveryTest, LoadRejectsRenamedEntries) {
   // An .art file whose name-embedded fingerprint disagrees with its header
-  // is an operator mistake (a stray cp); recovery must not let a lookup for
-  // fingerprint A ever return artifact B.
+  // is an operator mistake (a stray cp); a lookup for fingerprint A must
+  // never return artifact B.
   auto& cache = store::ArtifactCache::instance();
   const store::Artifact a = small_artifact(3);
   cache.save(a);
   const store::Digest wrong{0x1111111111111111ULL, 0x2222222222222222ULL};
-  fs::rename(cache.path_for(a.kind, a.fingerprint),
-             cache.path_for(a.kind, wrong));
+  const std::string renamed = cache.path_for(a.kind, wrong);
+  fs::rename(cache.path_for(a.kind, a.fingerprint), renamed);
 
-  const auto report = cache.recover();
-  EXPECT_EQ(report.scanned, 1u);
-  EXPECT_EQ(report.recovered, 0u);
-  EXPECT_EQ(report.quarantined_corrupt, 1u);
-}
-
-TEST_F(StoreRecoveryTest, ConfigureRunsRecoverySweep) {
-  auto& cache = store::ArtifactCache::instance();
-  cache.save(small_artifact());
-  // Plant an orphan exactly where a crashed writer would leave one.
-  const std::string orphan = dir_ + "/test-00000000000000000000000000000000"
-                                    ".art.tmp12345";
-  { std::ofstream(orphan, std::ios::binary) << "partial"; }
-
-  const std::int64_t recovered0 = counter("store.recovered");
-  // configure() — i.e. process startup with IND_CACHE_DIR — sweeps without
-  // anyone calling recover() explicitly.
   cache.configure(dir_);
-  EXPECT_FALSE(fs::exists(orphan));
-  EXPECT_TRUE(fs::exists(fs::path(dir_) / "quarantine"));
-  EXPECT_EQ(counter("store.recovered"), recovered0 + 1);
-  EXPECT_TRUE(cache.load("test", small_artifact().fingerprint).has_value());
+  const std::int64_t corrupt0 = counter("store.corrupt.fingerprint_mismatch");
+  robust::SolveReport report;
+  EXPECT_FALSE(cache.load(a.kind, wrong, &report).has_value());
+  EXPECT_EQ(counter("store.corrupt.fingerprint_mismatch"), corrupt0 + 1);
+  ASSERT_EQ(report.actions.size(), 1u);
+  EXPECT_EQ(report.actions[0].kind, robust::RecoveryKind::ArtifactRecompute);
+  EXPECT_FALSE(fs::exists(renamed));
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "circuit/ac.hpp"
 #include "circuit/mna.hpp"
 #include "circuit/netlist.hpp"
-#include "circuit/spice_import.hpp"
 #include "circuit/transient.hpp"
 #include "geom/layer.hpp"
 #include "geom/layout.hpp"
@@ -30,6 +29,7 @@
 #include "robust/recovery.hpp"
 #include "robust/validate.hpp"
 #include "runtime/metrics.hpp"
+#include "spice_import.hpp"
 
 namespace {
 

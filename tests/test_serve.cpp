@@ -280,34 +280,52 @@ TEST_F(ServeTest, ResponseEnvelopeChecksFramingNotResult) {
 
 // ---------------------------------------------------------------------------
 // Decoder mutation: every truncation and every single-byte flip of a golden
-// encoding either decodes or throws one of the two documented error types.
+// encoding either decodes or throws one of the documented error types.
 // Anything else escaping (or a crash, which the sanitizer job turns into a
 // report) is a decoder bug.
 // ---------------------------------------------------------------------------
 
+/// What a decoder may do with a mutated image. By default it may throw
+/// store::StoreError or std::invalid_argument and may decode any mutation.
+struct MutationContract {
+  bool invalid_argument_allowed = true;
+  /// A flip at or past this offset must not decode.
+  std::size_t reject_flips_from = SIZE_MAX;
+};
+
 /// Runs `decode(reader)` on every prefix of `golden` and on `golden` with
-/// each byte in turn XORed with 0xff; returns how many attempts let an
-/// exception other than store::StoreError / std::invalid_argument escape,
-/// naming the first in `first`.
+/// each byte in turn XORed with 0xff; returns how many attempts broke
+/// `contract`, naming the first in `first`.
 template <typename Decode>
 std::size_t escaped_mutations(std::vector<std::uint8_t> golden, Decode decode,
-                              std::string& first) {
+                              std::string& first,
+                              MutationContract contract = {}) {
   std::size_t escaped = 0;
-  const auto attempt = [&](std::size_t n, const char* how, std::size_t at) {
+  const auto attempt = [&](std::size_t n, const char* how, std::size_t at,
+                           bool must_reject) {
+    std::string why;
     try {
       store::ByteReader r(golden.data(), n);
       decode(r);
+      if (!must_reject) return;
+      why = "decoded";
     } catch (const store::StoreError&) {
-    } catch (const std::invalid_argument&) {
+      return;
+    } catch (const std::invalid_argument& e) {
+      if (contract.invalid_argument_allowed) return;
+      why = e.what();
     } catch (const std::exception& e) {
-      if (escaped++ == 0)
-        first = std::string(how) + " " + std::to_string(at) + ": " + e.what();
+      why = e.what();
     }
+    if (escaped++ == 0)
+      first = std::string(how) + " " + std::to_string(at) + ": " + why;
   };
-  for (std::size_t n = 0; n < golden.size(); ++n) attempt(n, "truncated to", n);
+  for (std::size_t n = 0; n < golden.size(); ++n)
+    attempt(n, "truncated to", n, false);
   for (std::size_t at = 0; at < golden.size(); ++at) {
     golden[at] ^= 0xff;
-    attempt(golden.size(), "flipped byte", at);
+    attempt(golden.size(), "flipped byte", at,
+            at >= contract.reject_flips_from);
     golden[at] ^= 0xff;
   }
   return escaped;
@@ -336,6 +354,26 @@ TEST(DecoderMutation, LayoutDecodesOrThrowsDocumentedErrors) {
                                 store::serde::get(r, back);
                               },
                               first),
+            0u)
+      << first;
+}
+
+TEST(DecoderMutation, ArtifactDecodesOrThrowsStoreError) {
+  store::ByteWriter w;
+  store::serde::put(w, grid_request().layout);
+  const store::Artifact a{"extraction", {0x0123456789abcdefULL, 42}, w.take()};
+  const std::vector<std::uint8_t> golden = store::encode_artifact(a);
+  // The image ends in the u64 payload size, the u64 checksum and the
+  // payload: no flip there may decode. Only StoreError may escape.
+  const MutationContract art{false, golden.size() - a.payload.size() - 16};
+  std::string first;
+  EXPECT_EQ(escaped_mutations(golden,
+                              [&](store::ByteReader& r) {
+                                std::vector<std::uint8_t> image(r.remaining());
+                                r.raw(image.data(), image.size());
+                                store::decode_artifact(image, &a.fingerprint);
+                              },
+                              first, art),
             0u)
       << first;
 }

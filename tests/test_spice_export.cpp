@@ -113,9 +113,9 @@ TEST(SpiceExport, DeckIsTerminatedAndTitled) {
 // SPICE import + round-trip.
 // ---------------------------------------------------------------------------
 
-#include "circuit/spice_import.hpp"
 #include "circuit/transient.hpp"
 #include "circuit/waveform.hpp"
+#include "spice_import.hpp"
 
 namespace {
 

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -97,14 +98,10 @@ geom::Layout small_layout(double signal_width_um = 2.0) {
 }
 
 store::Artifact small_artifact() {
-  store::Artifact a;
-  a.kind = "test";
-  a.fingerprint = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
   store::ByteWriter w;
   w.str("hello");
   w.f64(3.14159);
-  a.add("payload", std::move(w));
-  return a;
+  return {"test", {0x0123456789abcdefULL, 0xfedcba9876543210ULL}, w.take()};
 }
 
 store::StoreErrc decode_error(const std::vector<std::uint8_t>& image,
@@ -541,9 +538,7 @@ TEST(StoreFormat, RoundTripPreservesEverything) {
       store::encode_artifact(a), &a.fingerprint);
   EXPECT_EQ(back.kind, a.kind);
   EXPECT_EQ(back.fingerprint, a.fingerprint);
-  ASSERT_EQ(back.sections.size(), 1u);
-  EXPECT_EQ(back.sections[0].name, "payload");
-  EXPECT_EQ(back.sections[0].bytes, a.sections[0].bytes);
+  EXPECT_EQ(back.payload, a.payload);
 }
 
 TEST(StoreFormat, ErrorsAreDistinguishable) {
@@ -563,13 +558,17 @@ TEST(StoreFormat, ErrorsAreDistinguishable) {
   EXPECT_EQ(decode_error(mutated(8, 0xff)),
             store::StoreErrc::VersionMismatch);
   EXPECT_EQ(decode_error(mutated(12, 0xff)), store::StoreErrc::EndianMismatch);
-  // A flipped payload byte fails only that section's checksum.
+  // A flipped payload byte fails the checksum.
   EXPECT_EQ(decode_error(mutated(good.size() - 1, 0x01)),
             store::StoreErrc::ChecksumMismatch);
   // A file cut short mid-payload is Truncated, not ChecksumMismatch.
   std::vector<std::uint8_t> cut = good;
   cut.resize(cut.size() - 4);
   EXPECT_EQ(decode_error(cut), store::StoreErrc::Truncated);
+  // The payload ends the file: anything after it is Malformed.
+  std::vector<std::uint8_t> padded = good;
+  padded.push_back(0);
+  EXPECT_EQ(decode_error(padded), store::StoreErrc::Malformed);
   // The right file for a different key.
   const store::Digest other{1, 2};
   EXPECT_EQ(decode_error(good, &other),
@@ -592,7 +591,11 @@ TEST(StoreFormat, WriteIsAtomicAndReadable) {
     ++files;
   }
   EXPECT_EQ(files, 1u);
-  EXPECT_EQ(store::read_artifact(path, &a.fingerprint).kind, "test");
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> image{std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>()};
+  EXPECT_EQ(image, store::encode_artifact(a));
+  EXPECT_EQ(store::decode_artifact(image, &a.fingerprint).payload, a.payload);
   fs::remove_all(dir);
 }
 
@@ -658,6 +661,23 @@ TEST_F(StoreCacheTest, CachedModelWrappersRoundTrip) {
   const sparsify::SparsifiedL k_warm = store::cached_kmatrix_sparsify(pl, 0.05);
   EXPECT_EQ(serialized(k_warm), serialized(k_cold));
   EXPECT_EQ(counter("store.hits"), hits0 + 2);
+}
+
+TEST_F(StoreCacheTest, SerializeTimerCountsOncePerSave) {
+  // The value's serde runs under store.serialize; the file framing is part
+  // of store.write. A cold PEEC model saves its extraction and the model.
+  const geom::Layout layout = small_layout();
+  peec::PeecOptions popts;
+  popts.max_segment_length = um(100);
+  auto& metrics = runtime::MetricsRegistry::instance();
+  const std::int64_t serialize0 = metrics.timer("store.serialize").count.load();
+  const std::int64_t writes0 = metrics.timer("store.write").count.load();
+  const std::int64_t saves0 = counter("store.saves");
+  store::cached_peec_model(layout, popts);
+  const std::int64_t saves = counter("store.saves") - saves0;
+  EXPECT_EQ(saves, 2);
+  EXPECT_EQ(metrics.timer("store.serialize").count.load() - serialize0, saves);
+  EXPECT_EQ(metrics.timer("store.write").count.load() - writes0, saves);
 }
 
 TEST_F(StoreCacheTest, CorruptArtifactRecomputesAndRewrites) {
@@ -727,13 +747,8 @@ TEST_F(StoreCacheTest, FaultInjectionForcesRecomputePath) {
 TEST_F(StoreCacheTest, LruEvictionRespectsCapAndRecency) {
   store::ArtifactCache& cache = store::ArtifactCache::instance();
   auto artifact = [](std::uint64_t key) {
-    store::Artifact a;
-    a.kind = "test";
-    a.fingerprint = {key, key};
-    store::ByteWriter w;
-    w.raw(std::vector<std::uint8_t>(256, 0x5a).data(), 256);
-    a.add("test", std::move(w));
-    return a;
+    return store::Artifact{"test", {key, key},
+                           std::vector<std::uint8_t>(256, 0x5a)};
   };
   cache.save(artifact(1));
   cache.save(artifact(2));

@@ -6,6 +6,7 @@
 
 #include "circuit/netlist.hpp"
 #include "robust/validate.hpp"
+#include "spice_import.hpp"
 
 namespace ind::robust {
 namespace {
