@@ -72,17 +72,15 @@ double output_value(const Output& o, const std::vector<SwitchedDriver>& drivers,
   throw std::logic_error("output_value: unknown gain");
 }
 
-// Fingerprint of the driver conductance state; a refactorisation is needed
-// exactly when this changes between steps.
-std::vector<double> driver_state(const std::vector<SwitchedDriver>& drivers,
-                                 double t) {
-  std::vector<double> s;
-  s.reserve(2 * drivers.size());
+// Fingerprint of the driver conductance state, into `s`; a refactorisation
+// is needed exactly when this changes between steps.
+void driver_state(const std::vector<SwitchedDriver>& drivers, double t,
+                  std::vector<double>& s) {
+  s.clear();
   for (const SwitchedDriver& d : drivers) {
     s.push_back(d.g_up(t));
     s.push_back(d.g_dn(t));
   }
-  return s;
 }
 
 // The unknowns a driver transition restamps (every driver's out, vdd and
@@ -100,10 +98,10 @@ std::vector<std::size_t> driver_nodes(const std::vector<SwitchedDriver>& drivers
 
 // y = G(t) x: the static G plus the drivers' conductances at t, applied
 // directly (few entries, avoids re-compressing).
-la::Vector apply_g(const la::CscMatrix& g_static,
-                   const std::vector<SwitchedDriver>& drivers, double t,
-                   const la::Vector& x) {
-  la::Vector y = g_static.apply(x);
+void apply_g(const la::CscMatrix& g_static,
+             const std::vector<SwitchedDriver>& drivers, double t,
+             const la::Vector& x, la::Vector& y) {
+  g_static.apply(x, y);
   for (const SwitchedDriver& d : drivers) {
     for (const auto& [node_a, node_b, g] :
          {std::tuple{d.out, d.vdd, d.g_up(t)}, std::tuple{d.out, d.gnd, d.g_dn(t)}}) {
@@ -114,10 +112,44 @@ la::Vector apply_g(const la::CscMatrix& g_static,
       if (node_b >= 0) y[static_cast<std::size_t>(node_b)] -= i;
     }
   }
-  return y;
+}
+
+// G's triplets, the drivers' stamps at t, then C's scaled (left out at
+// scale 0): the companion matrix's stamping order.
+la::TripletMatrix companion_triplets(const DescriptorSystem& sys,
+                                     double scale, double t) {
+  la::TripletMatrix a = sys.g;
+  stamp_drivers(sys.drivers, a, t);
+  if (scale != 0.0)
+    for (const auto& e : sys.c.entries()) a.add(e.row, e.col, scale * e.value);
+  return a;
 }
 
 }  // namespace
+
+CompanionMatrix::CompanionMatrix(const DescriptorSystem& sys, double scale,
+                                 double t)
+    : sys_(&sys), scale_(scale), drivers_(sys.size(), sys.size()) {
+  const la::TripletMatrix stamped = companion_triplets(sys, scale, t);
+  plan_ = la::CscAssembly(stamped);
+  a_ = plan_.matrix(
+      [&](std::size_t i) { return stamped.entries()[i].value; });
+}
+
+const la::CscMatrix& CompanionMatrix::at(double t) {
+  drivers_.clear();
+  stamp_drivers(sys_->drivers, drivers_, t);
+  const auto& g = sys_->g.entries();
+  const auto& d = drivers_.entries();
+  const auto& c = sys_->c.entries();
+  plan_.refill(a_, [&](std::size_t i) {
+    if (i < g.size()) return g[i].value;
+    i -= g.size();
+    if (i < d.size()) return d[i].value;
+    return scale_ * c[i - d.size()].value;
+  });
+  return a_;
+}
 
 const la::Vector& TransientResult::waveform(const std::string& name) const {
   for (std::size_t i = 0; i < names.size(); ++i)
@@ -156,28 +188,26 @@ TransientResult transient(const DescriptorSystem& sys,
   // Companion matrix G + scale*C (+ drivers at t). Re-stamping produces the
   // same triplet sequence every time, so the compressed pattern is identical
   // across driver transitions and the factor's numeric-only refactor path
-  // applies. The DC matrix (scale 0) leaves C's pattern out: stamped as
-  // explicit zeros it would share the companion's analysis, but its branch
-  // rows pivot off the empty diagonal and the full-RLC DC factor then fills
-  // 2.9x more than the companion's. Where they coincide (a PRIMA model's
-  // dense Gr covers Cr), the DC factor shares the companion's analysis.
+  // applies; the held one (CompanionMatrix) is refilled in place. The DC
+  // matrix (scale 0) leaves C's pattern out: stamped as explicit zeros it
+  // would share the companion's analysis, but its branch rows pivot off the
+  // empty diagonal and the full-RLC DC factor then fills 2.9x more than the
+  // companion's. Where they coincide (a PRIMA model's dense Gr covers Cr),
+  // the DC factor shares the companion's analysis.
   auto companion = [&](double scale, double t) {
-    la::TripletMatrix a = sys.g;
-    stamp_drivers(sys.drivers, a, t);
-    if (scale != 0.0)
-      for (const auto& e : sys.c.entries()) a.add(e.row, e.col, scale * e.value);
-    return la::CscMatrix(a);
+    return la::CscMatrix(companion_triplets(sys, scale, t));
   };
-  // b(t) = B u(t).
-  auto rhs = [&](double t) {
-    la::Vector u(sys.inputs.size());
+  // b(t) = B u(t), into `b`.
+  la::Vector u(sys.inputs.size());
+  auto rhs = [&](double t, la::Vector& b) {
     for (std::size_t k = 0; k < u.size(); ++k) u[k] = sys.inputs[k](t);
-    return b_csc.apply(u);
+    b_csc.apply(u, b);
   };
   // Hager's kappa_1 estimate of a freshly factored matrix, from the factor's
   // own solves (a handful of backsolves, no densification).
   auto estimate_condition = [&](const la::CscMatrix& a,
                                 const robust::GuardedSparseFactor& f) {
+    runtime::ScopedTimer timer("robust.condition_estimate");
     result.report.condition_estimate = std::max(
         result.report.condition_estimate,
         la::norm1(a) * la::inverse_norm1_estimate<double>(
@@ -222,7 +252,7 @@ TransientResult transient(const DescriptorSystem& sys,
     const auto t0 = Clock::now();
     robust::refactor_sparse_with_recovery(factor, a, result.report,
                                           "transient");
-    factored_state = driver_state(sys.drivers, t);
+    driver_state(sys.drivers, t, factored_state);
     // Driver transitions only move a few conductances: estimate once.
     if (result.refactor_count == 0 && factor.usable())
       estimate_condition(a, factor);
@@ -233,7 +263,9 @@ TransientResult transient(const DescriptorSystem& sys,
 
   // --- DC operating point at t = 0: G(0) x = b(0).
   la::Vector x(n, 0.0);
-  const la::CscMatrix a1 = companion(c_scale, h);  // first step's, at t1
+  CompanionMatrix held(sys, c_scale, h);  // first step's, at t1
+  const la::CscMatrix& a1 = held.matrix();
+  la::Vector b_prev;  // b(t) of the last accepted step
   {
     const auto t0 = Clock::now();
     const la::CscMatrix g0 = companion(0.0, 0.0);
@@ -242,7 +274,8 @@ TransientResult transient(const DescriptorSystem& sys,
     const robust::GuardedSparseFactor dc = factor_once(g0, result.report);
     if (!dc.usable()) return fail("DC operating point factorisation failed");
     estimate_condition(g0, dc);
-    x = dc.solve(rhs(0.0));
+    rhs(0.0, b_prev);
+    x = dc.solve(b_prev);
     result.step_seconds += seconds_since(t0);
     if (!robust::all_finite(x))
       return fail("DC operating point is non-finite");
@@ -259,7 +292,7 @@ TransientResult transient(const DescriptorSystem& sys,
     robust::SolveReport subrep;
     const robust::GuardedSparseFactor f =
         factor_once(companion(1.0 / hs, t_start + h), subrep);
-    la::Vector xs = x_start;
+    la::Vector xs = x_start, bs, ys;
     if (!f.usable()) {
       // Keep the rung's actions/detail, but let the outer ladder decide the
       // final status: a later rung (different dt, different matrix) may
@@ -275,8 +308,8 @@ TransientResult transient(const DescriptorSystem& sys,
     }
     result.report.merge(subrep);
     for (int i = 1; i <= sub; ++i) {
-      const la::Vector bs = rhs(t_start + i * hs);
-      la::Vector ys = c_csc.apply(xs);
+      rhs(t_start + i * hs, bs);
+      c_csc.apply(xs, ys);
       for (std::size_t j = 0; j < n; ++j) ys[j] = ys[j] / hs + bs[j];
       xs = f.solve(ys);
       if (robust::fault::fire(robust::fault::Site::TransientStep))
@@ -302,7 +335,11 @@ TransientResult transient(const DescriptorSystem& sys,
   if (!refactor(a1, h))
     return fail("companion matrix factorisation failed");
 
-  la::Vector b_prev = rhs(0.0);
+  // The step's buffers, reused by every step (none of it allocates once
+  // they are sized): b(t_next), the right side y, G(t)·x, the previous x,
+  // the driver state and the solve's scratch.
+  la::Vector b_next, y, gx, x_prev, solve_work;
+  std::vector<double> state;
   // Budget charge per step: the dominant per-step cost is the
   // nnz-proportional backsolve. It is a pure function of the problem shape,
   // so the running total stays deterministic, and a cheaper (sparser) model
@@ -329,9 +366,10 @@ TransientResult transient(const DescriptorSystem& sys,
     const double t_next = k * h;
 
     // Refactor only if driver conductances moved since the factored state.
-    if (driver_state(sys.drivers, t_next) != factored_state) {
+    driver_state(sys.drivers, t_next, state);
+    if (state != factored_state) {
       try {
-        if (!refactor(companion(c_scale, t_next), t_next))
+        if (!refactor(held.at(t_next), t_next))
           return fail("companion matrix factorisation failed at t = " +
                       std::to_string(t_next) + " s");
       } catch (const govern::CancelledError& e) {
@@ -343,16 +381,16 @@ TransientResult transient(const DescriptorSystem& sys,
     }
 
     const auto t0 = Clock::now();
-    la::Vector b_next = rhs(t_next);
+    rhs(t_next, b_next);
 
     // Trapezoidal: y = (2/h)C x_n - G(t_n) x_n + b_n + b_{n+1}.
-    la::Vector y = c_csc.apply(x);
+    c_csc.apply(x, y);
     for (double& v : y) v *= c_scale;
-    const la::Vector gx = apply_g(g_static, sys.drivers, t_prev, x);
+    apply_g(g_static, sys.drivers, t_prev, x, gx);
     for (std::size_t i = 0; i < n; ++i) y[i] += b_next[i] + b_prev[i] - gx[i];
 
-    const la::Vector x_prev = x;
-    x = factor.solve(y);
+    x_prev = x;
+    factor.solve(y, x, solve_work);
     if (robust::fault::fire(robust::fault::Site::TransientStep))
       x[0] = std::numeric_limits<double>::quiet_NaN();
     if (!robust::all_finite(x)) {
@@ -360,7 +398,7 @@ TransientResult transient(const DescriptorSystem& sys,
       // Rung 0: plain re-solve. A transient (injected) fault clears here,
       // and the re-solved step is bitwise identical to an undisturbed run.
       result.report.add_action(robust::RecoveryKind::Retry, 0, 0.0, site);
-      x = factor.solve(y);
+      factor.solve(y, x, solve_work);
       if (robust::fault::fire(robust::fault::Site::TransientStep))
         x[0] = std::numeric_limits<double>::quiet_NaN();
       // Rungs 1..kMaxStepRetries: re-integrate the step at halved dt.
@@ -376,7 +414,7 @@ TransientResult transient(const DescriptorSystem& sys,
                     std::to_string(kMaxStepRetries) +
                     " dt-halving retries");
     }
-    b_prev = std::move(b_next);
+    b_prev.swap(b_next);
     result.step_seconds += seconds_since(t0);
     record(t_next);
   }

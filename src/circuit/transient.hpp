@@ -21,15 +21,46 @@
 // refactor restarts at the first driver column: it recomputes at most three
 // columns per driver, bitwise-identical to factoring the matrix afresh with
 // the same order (IND_SPARSE_NO_REFACTOR=1 runs that oracle).
+//
+// The step itself allocates nothing. The companion matrix is compressed
+// once (CompanionMatrix below) and a driver transition refills its values
+// in place; each step reuses one set of buffers for b(t), C·x, G(t)·x, the
+// driver state, the previous x and the solve's scratch, and writes the
+// solution into x through SparseLu's buffer-taking solve. The DC matrix and
+// the dt-halving rung's matrices are one-off and keep the plain conversion.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "circuit/mna.hpp"
+#include "la/sparse.hpp"
 #include "robust/diagnostics.hpp"
 
 namespace ind::circuit {
+
+/// The companion matrix G + scale·C + G_d(t) of a descriptor system. Its
+/// triplets are G's, then the drivers' stamps at t (stamp_drivers), then
+/// C's scaled by `scale`. That (row, col) sequence is the same at every t,
+/// so the matrix is compressed once (la::CscAssembly) and at(t) refills its
+/// values in place: no triplet copy, sort or compress per driver
+/// transition, and bitwise the matrix CscMatrix(TripletMatrix) builds from
+/// the same stamps. `sys` must outlive the object.
+class CompanionMatrix {
+ public:
+  CompanionMatrix(const DescriptorSystem& sys, double scale, double t);
+  /// Restamps the drivers at t and refills the values in place.
+  const la::CscMatrix& at(double t);
+  /// The matrix at the last t.
+  const la::CscMatrix& matrix() const { return a_; }
+
+ private:
+  const DescriptorSystem* sys_;
+  double scale_;
+  la::TripletMatrix drivers_;  // the drivers' stamps at the last t
+  la::CscAssembly plan_;
+  la::CscMatrix a_;
+};
 
 struct TransientOptions {
   double t_stop = 1e-9;

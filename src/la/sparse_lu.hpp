@@ -33,6 +33,30 @@
 // `SparseLu(a, SparseLuSymbolic(a, last))` at any thread count (the
 // factorisation is serial), which preserves the store-fingerprint and
 // determinism contracts.
+//
+// Stored form. After each successful sweep, L and U are kept once, by pivot
+// step: column k of each holds step indices (L's rows mapped through the
+// row-to-step inverse of the pivot sequence) sorted ascending, with their
+// values, in flat arrays split into singletons and runs of consecutive
+// steps (la::ColumnRuns). solve() runs entirely in step space, so a run is a
+// plain `d[i] -= v[i] * y` loop that GCC vectorises; in the full-RLC
+// companion factor most of L's and U's fill lies in such runs. The full
+// sweep builds L in original rows (its DFS walks them) and converts at the
+// end. A replay runs in step space throughout. A restart refactor keeps the
+// columns before `start` and rewrites only the values of the later ones:
+// the replayed reach and pivots fix those columns' steps, so their stored
+// pattern stands.
+//
+// The stored form changes no bit of a result against a plain scatter of
+// each column in elimination order: every update of a row is the same
+// product and the same subtraction, each rounded on its own (no FMA: the
+// build passes -mno-fma), and a row receives its updates in the same
+// order, because a column updates each row once and the columns go in the
+// same order. Sorting a column, or handing its runs to vector loops,
+// reorders only updates of different rows. The one place where the order
+// within a column matters is a dot product: solve_transposed() accumulates
+// each column in the order its reach (the recorded elimination pattern)
+// lists the entries.
 #pragma once
 
 #include <vector>
@@ -117,43 +141,61 @@ class SparseLu {
 
   /// Solves A x = b.
   Vector solve(const Vector& b) const;
+  /// Solves A x = b into the caller's `x`, with `work` as the step-space
+  /// scratch; both are resized to size() (no allocation once they have
+  /// it). `x` may alias `b`; `work` must alias neither.
+  void solve(const Vector& b, Vector& x, Vector& work) const;
 
   /// Solves A^T x = b with the same factors (no refactorisation).
   Vector solve_transposed(const Vector& b) const;
 
  private:
-  struct Col {
-    std::vector<std::size_t> rows;
-    std::vector<double> vals;
+  // One triangle of the stored form: column k's entries are
+  // [ptr[k], ptr[k+1]) of idx (pivot steps, ascending) and val. Only while
+  // a full sweep runs does L's idx hold original rows, in reach order.
+  struct Triangle {
+    std::vector<std::size_t> ptr, idx;
+    std::vector<double> val;
+    ColumnRuns runs;
+    /// Keeps columns 0..k-1 only.
+    void truncate(std::size_t k);
+    /// Appends a column: entries [ptr.back(), idx.size()) of idx / val.
+    void close_column() { ptr.push_back(idx.size()); }
+    /// y[idx[p]] -= val[p] * s over column k.
+    void sub_column(std::size_t k, double s, double* y) const;
+    std::size_t bytes() const;
   };
 
-  /// One numeric sweep. kReuse = false: DFS per column from step 0,
-  /// records reach and pivots into symbolic_, throws on singularity.
-  /// kReuse = true: keeps columns 0..start-1 of the held factor and replays
-  /// the cached reach and pivot sequence from step `start`, returns false
-  /// the moment a pivot choice (or a singularity) deviates — the caller
-  /// then reruns the full path. Both modes execute the same scalar
-  /// arithmetic in the same order. On success the values of `a` are kept
-  /// for the next refactor's restart point.
-  template <bool kReuse>
-  bool factor_impl(const CscMatrix& a, std::size_t start = 0);
-  /// Numeric-only pass from the first changed column (counted under
-  /// "factor.sparse_lu.refactors"/".refactor_columns"); false on drift.
-  bool replay(const CscMatrix& a, std::size_t start);
-  /// The full symbolic + numeric factorisation.
+  /// The full symbolic + numeric factorisation: DFS per column from step
+  /// 0, records reach and pivots into symbolic_, throws on singularity.
   void factor_full(const CscMatrix& a);
+  /// Numeric-only pass from step `start` (counted under
+  /// "factor.sparse_lu.refactors"/".refactor_columns"): keeps columns
+  /// 0..start-1 of the stored form and replays the cached reach and pivot
+  /// sequence in step space. Returns false the moment a pivot choice (or a
+  /// singularity) deviates — the caller then reruns the full path. Both
+  /// paths execute the same scalar arithmetic in the same order.
+  bool replay(const CscMatrix& a, std::size_t start);
+  /// The sweep replay() times and counts.
+  bool replay_sweep(const CscMatrix& a, std::size_t start);
+  /// After a successful sweep: charges the stored form and keeps `a`'s
+  /// values for the next refactor's restart point.
+  void finish_sweep(const CscMatrix& a);
 
   SparseLuSymbolic symbolic_;
   std::size_t n_ = 0;
-  std::vector<Col> lower_;  // strictly-lower part, unit diagonal implicit
-  std::vector<Col> upper_;  // upper part excluding diagonal
-  Vector diag_;             // U diagonal
+  Triangle lower_;  // strictly lower part, unit diagonal implicit
+  Triangle upper_;  // strictly upper part
+  Vector diag_;     // U diagonal
   // Values of the last successfully factored matrix (empty otherwise): a
-  // refactor restarts at the first step whose column differs from them.
+  // refactor restarts at the first step whose column differs from them,
+  // and the stored pattern is then current.
   std::vector<double> values_;
+  // pinv_[row] = pivot step of an original row; complete after a sweep.
+  std::vector<std::size_t> pinv_;
   // Workspaces kept across refactorisations to avoid reallocation.
   std::vector<double> x_;
-  std::vector<std::size_t> pinv_, mark_;
+  std::vector<std::size_t> mark_;
   // Memory-governor charge for the L/U fill arrays (set after each
   // successful numeric sweep; see govern/memory.hpp).
   govern::MemCharge charge_;

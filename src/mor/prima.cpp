@@ -121,14 +121,17 @@ ReducedModel prima_reduce(const la::CscMatrix& g, const la::CscMatrix& c,
     throw la::SingularMatrixError(
         "prima_reduce: G + s0*C is singular (fallback ladder exhausted)");
   }
-  report.condition_estimate = std::max(
-      report.condition_estimate,
-      la::norm1(shifted) *
-          la::inverse_norm1_estimate<double>(
-              n, [&](const la::Vector& v) { return factor.solve(v); },
-              [&](const la::Vector& v) {
-                return factor.solve_transposed(v);
-              }));
+  {
+    runtime::ScopedTimer timer("robust.condition_estimate");
+    report.condition_estimate = std::max(
+        report.condition_estimate,
+        la::norm1(shifted) *
+            la::inverse_norm1_estimate<double>(
+                n, [&](const la::Vector& v) { return factor.solve(v); },
+                [&](const la::Vector& v) {
+                  return factor.solve_transposed(v);
+                }));
+  }
 
   runtime::ScopedTimer timer("solve.prima_krylov");
   auto finite_col = [](const la::Matrix& m, std::size_t j) {

@@ -61,6 +61,14 @@ struct GuardedSparseFactor {
   la::Vector solve(const la::Vector& b) const {
     return sparse ? sparse->solve(b) : dense->solve(b);
   }
+  /// x = A^-1 b into the caller's buffers (la::SparseLu's buffer-taking
+  /// solve; a dense fallback factor returns a fresh vector).
+  void solve(const la::Vector& b, la::Vector& x, la::Vector& work) const {
+    if (sparse)
+      sparse->solve(b, x, work);
+    else
+      x = dense->solve(b);
+  }
   la::Vector solve_transposed(const la::Vector& b) const {
     return sparse ? sparse->solve_transposed(b) : dense->solve_transposed(b);
   }

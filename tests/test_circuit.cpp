@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <tuple>
 #include <vector>
 
 #include "circuit/ac.hpp"
@@ -721,6 +724,73 @@ TEST(Transient, RefactorisationIsBounded) {
       nl, {{ProbeKind::NodeVoltage, static_cast<std::size_t>(out), "o"}},
       opts);
   EXPECT_LE(res.refactor_count, 4u + 3u);
+}
+
+// The held companion matrix is refilled in place at each driver plateau;
+// it must equal, pattern and bits, the matrix compressed from freshly
+// stamped triplets. The drivers' out, vdd and gnd nodes also carry G and C
+// entries (and an inductor adds a branch row), so their slots sum static
+// and driver stamps.
+TEST(Transient, CompanionRefillMatchesRebuildBitwise) {
+  Netlist nl;
+  const NodeId vdd = nl.node("vdd");
+  const NodeId rail = nl.node("gnd_rail");
+  const NodeId out = nl.node("out");
+  const NodeId out2 = nl.node("out2");
+  const NodeId mid = nl.node("mid");
+  nl.add_vsource(vdd, kGround, Pwl::constant(1.8));
+  nl.add_resistor(vdd, mid, 3.0);
+  nl.add_resistor(out, mid, 70.0);
+  nl.add_resistor(rail, kGround, 0.5);
+  nl.add_inductor(mid, out2, 1e-10);
+  nl.add_capacitor(out, kGround, 30e-15);
+  nl.add_capacitor(out, vdd, 7e-15);
+  nl.add_capacitor(rail, kGround, 1e-12);
+  nl.add_capacitor(out2, rail, 20e-15);
+  for (const auto& [o, start, rising] :
+       {std::tuple{out, 20e-12, true}, std::tuple{out2, 45e-12, false}}) {
+    SwitchedDriver d;
+    d.out = o;
+    d.vdd = vdd;
+    d.gnd = rail;
+    d.slew = 40e-12;
+    d.start = start;
+    d.rising = rising;
+    nl.add_driver(d);
+  }
+  const DescriptorSystem sys = Mna(nl).system({});
+  const double scale = 2.0 / 1e-12;
+
+  CompanionMatrix held(sys, scale, 0.0);
+  std::vector<double> last;
+  int plateaus = 0;
+  for (int k = 0; k <= 120; ++k) {
+    const double t = k * 1e-12;
+    std::vector<double> state;
+    for (const SwitchedDriver& d : sys.drivers) {
+      state.push_back(d.g_up(t));
+      state.push_back(d.g_dn(t));
+    }
+    if (state == last) continue;
+    last = state;
+    ++plateaus;
+    const ind::la::CscMatrix& a = held.at(t);
+
+    ind::la::TripletMatrix fresh = sys.g;
+    stamp_drivers(sys.drivers, fresh, t);
+    for (const auto& e : sys.c.entries())
+      fresh.add(e.row, e.col, scale * e.value);
+    const ind::la::CscMatrix b(fresh);
+    ASSERT_EQ(a.col_ptr(), b.col_ptr()) << "t = " << t;
+    ASSERT_EQ(a.row_idx(), b.row_idx()) << "t = " << t;
+    ASSERT_EQ(a.nnz(), b.nnz());
+    for (std::size_t p = 0; p < a.nnz(); ++p)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.values()[p]),
+                std::bit_cast<std::uint64_t>(b.values()[p]))
+          << "t = " << t << ", slot " << p;
+  }
+  // Both edges, each quantised into several plateaus.
+  EXPECT_GE(plateaus, 8);
 }
 
 // A lossless LC tank under trapezoidal integration must neither gain nor

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "govern/budget.hpp"
@@ -198,6 +200,27 @@ TEST(Sparse, TripletToCscMergesDuplicates) {
   const Matrix d = a.to_dense();
   EXPECT_DOUBLE_EQ(d(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(d(2, 1), 5.0);
+
+  // Duplicates whose sum depends on the order they are added in: the
+  // golden values are the compression's historic order, which the
+  // assembly plan (CscAssembly) must keep. Column 1 is long enough for
+  // std::sort to leave insertion sort, so equal rows may reorder.
+  TripletMatrix u(5, 2);
+  u.add(3, 0, 1e16);
+  u.add(3, 0, 1.0);
+  u.add(1, 0, 2.0);
+  u.add(3, 0, -1e16);
+  const double mags[] = {1e16, 1.0, -1e16, 3.0, -1.0, 1e-16};
+  for (std::size_t k = 0; k < 40; ++k)
+    u.add((7 * k) % 5, 1, mags[k % 6] * static_cast<double>(1 + k % 4));
+  const CscMatrix b(u);
+  ASSERT_EQ(b.nnz(), 7u);
+  EXPECT_EQ(b.values()[1], 0.0) << b.values()[1];
+  const double golden[] = {30000000000000008.0, -9999999999999984.0,
+                           10000000000000016.0, -19999999999999984.0,
+                           -29999999999999988.0};
+  for (std::size_t r = 0; r < 5; ++r)
+    EXPECT_EQ(b.values()[2 + r], golden[r]) << r << ": " << b.values()[2 + r];
 }
 
 TEST(Sparse, Apply) {
@@ -683,6 +706,128 @@ TEST(SparseLu, NewPatternKeepsLast) {
   const auto& order = lu.symbolic().order();
   EXPECT_TRUE(std::equal(last.begin(), last.end(), order.end() - 2));
   expect_bitwise_equal_solves(lu, SparseLu(b, SparseLuSymbolic(b, last)));
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise pins of the sparse solves. The golden digests were captured from
+// the column-scatter solves the stored form replaced; the matrices and right
+// sides come from an LCG (no libm), so a digest moves only when the
+// factorisation's or the solves' own arithmetic does.
+// ---------------------------------------------------------------------------
+
+struct Lcg {
+  std::uint64_t s;
+  double next() {  // uniform in [-0.5, 0.5)
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(s >> 11) / static_cast<double>(1ULL << 53) -
+           0.5;
+  }
+  std::size_t below(std::size_t n) {
+    return static_cast<std::size_t>((next() + 0.5) * static_cast<double>(n));
+  }
+};
+
+// FNV-1a over the bit patterns.
+std::uint64_t bits_digest(const Vector& v) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double d : v) {
+    std::uint64_t u;
+    std::memcpy(&u, &d, sizeof u);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (u >> (8 * b)) & 0xffu;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+// An n x n matrix mixing the shapes the stored form splits differently: a
+// dense block on [0, block) and another on the last `block` unknowns (long
+// runs in L and U), a band of half-width 2, rows that hold only their
+// diagonal (singletons), columns whose diagonal is too small to pivot on
+// (off-diagonal pivots), and two random couplings per column.
+CscMatrix pinned_matrix(std::size_t n, std::size_t block, std::uint64_t seed) {
+  Lcg r{seed};
+  TripletMatrix t(n, n);
+  auto lone = [&](std::size_t i) { return i >= block && i < n - block && i % 7 == 3; };
+  auto weak = [](std::size_t j) { return j % 11 == 5; };
+  for (std::size_t j = 0; j < n; ++j) {
+    const bool dense_col = j < block || j >= n - block;
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool same_block =
+          (i < block && j < block) || (i >= n - block && j >= n - block);
+      const bool band = (i > j ? i - j : j - i) <= 2;
+      if (i == j) {
+        t.add(i, j, weak(j) ? 1e-7 * r.next() : 3.0 + r.next());
+      } else if (!lone(i) && (same_block || band)) {
+        t.add(i, j, r.next());
+      }
+    }
+    for (int c = 0; c < 2 && !dense_col; ++c) {
+      const std::size_t i = r.below(n);
+      if (!lone(i)) t.add(i, j, r.next());
+    }
+  }
+  return CscMatrix(t);
+}
+
+Vector pinned_rhs(std::size_t n, std::uint64_t seed) {
+  Lcg r{seed};
+  Vector b(n);
+  for (double& v : b) v = r.next();
+  return b;
+}
+
+struct SolvePin {
+  std::uint64_t solve, transposed;
+};
+
+SolvePin solve_pin(const SparseLu& lu, std::uint64_t seed) {
+  const Vector b = pinned_rhs(lu.size(), seed);
+  return {bits_digest(lu.solve(b)), bits_digest(lu.solve_transposed(b))};
+}
+
+TEST(SparseLu, SolvesMatchPinnedDigests) {
+  struct Case {
+    std::size_t n, block;
+    std::uint64_t seed;
+    SolvePin fresh, restarted;
+  };
+  const Case cases[] = {
+      {40, 12, 7,
+       {0x789993448273dd84, 0x44f1ea2c4b80a15d},
+       {0x1656ee48ca3bdf9a, 0xa801b459026972c6}},
+      {96, 20, 11,
+       {0xd3f3153fbc5af92c, 0xced2f132492dfaf9},
+       {0x17379c8246982ecb, 0x2b34a7e908654233}},
+      {150, 8, 23,
+       {0xb6d6f9fb5291b942, 0xb89ac5f5b2ac380a},
+       {0xf4e6b3b8eb343937, 0x240d57ed6ba59c0f}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.n);
+    const CscMatrix a = pinned_matrix(c.n, c.block, c.seed);
+    // Pin three mid-matrix columns last: the refactor below restarts at the
+    // first of them, so the steps before it keep their stored columns.
+    const std::vector<std::size_t> last = {c.n / 2, c.n / 3, c.n / 2 + 1};
+    SparseLu lu(a, SparseLuSymbolic(a, last));
+    const SolvePin fresh = solve_pin(lu, c.seed + 1);
+    EXPECT_EQ(fresh.solve, c.fresh.solve) << std::hex << fresh.solve;
+    EXPECT_EQ(fresh.transposed, c.fresh.transposed)
+        << std::hex << fresh.transposed;
+
+    const CscMatrix a1 = with_columns_scaled(a, last, 1.5);
+    const std::int64_t before = refactor_columns();
+    lu.refactor(a1);
+    const std::int64_t recomputed = refactor_columns() - before;
+    EXPECT_GT(recomputed, 0);
+    EXPECT_LE(recomputed, static_cast<std::int64_t>(last.size()));
+    const SolvePin restarted = solve_pin(lu, c.seed + 1);
+    EXPECT_EQ(restarted.solve, c.restarted.solve) << std::hex << restarted.solve;
+    EXPECT_EQ(restarted.transposed, c.restarted.transposed)
+        << std::hex << restarted.transposed;
+    expect_bitwise_equal_solves(lu, SparseLu(a1, SparseLuSymbolic(a1, last)));
+  }
 }
 
 // Deterministic diagonally-dominant (hence well-conditioned) test matrix.

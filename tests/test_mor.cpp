@@ -467,6 +467,22 @@ TEST(Cosim, DcAndCompanionShareOneAnalysis) {
   EXPECT_EQ(symbolic.count.load() - before, 1);
 }
 
+
+// PRIMA's Hager estimate and the co-simulation's two (its DC and first
+// companion factors) are timed under one timer, outside the factor./solve./
+// fast. prefixes perf_guard.py sums, so the nested time counts once.
+TEST(Cosim, ConditionEstimatesAreTimed) {
+  auto& timer =
+      runtime::MetricsRegistry::instance().timer("robust.condition_estimate");
+  const auto before = timer.count.load();
+  const DrivenLine dl = reduced_rc_line(16);
+  EXPECT_EQ(timer.count.load() - before, 1);
+  const circuit::TransientResult run = circuit::transient(
+      mor::reduced_system(dl.red, dl.full), {.t_stop = 1e-10, .dt = 1e-12});
+  EXPECT_TRUE(run.report.ok()) << run.report.detail;
+  EXPECT_EQ(timer.count.load() - before, 3);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
