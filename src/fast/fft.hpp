@@ -20,6 +20,22 @@
 // same order, acc = y0; acc += w·y_q, so the output is bitwise the
 // recursion's — tests/test_fast.cpp keeps the recursion as its oracle.
 //
+// Four lines per kernel call: transform_lines holds up to kLanes lines as
+// structure-of-arrays lanes (the real parts of slot p of all four lines in
+// one vector, the imaginary parts in another) and runs the leaf copy, every
+// combine and the output scaling on all of them at once. Each lane performs
+// its own line's scalar operation sequence: the same leaf, the same twiddle
+// entries, a ± w·b for radix 2 and acc = y0; acc += w·y_q otherwise, each
+// product and sum rounded on its own (the build disables FMA contraction),
+// and the same × 1/n on the inverse. So every lane's bits are the
+// one-line transform's, whichever lines share the call; a partial batch
+// carries zeros in its unused lanes and writes back only its live ones.
+// On a strided pass over consecutive lines (the n0 pass of the Toeplitz
+// operator's forward transform) the four lines of a batch are adjacent, so
+// one element of all four is one 64-byte cache line instead of four.
+// Each parallel chunk of a line pass keeps one lane workspace (2·(n + r)
+// vectors of four doubles, r the largest radix) for all its batches.
+//
 // Support-pruned 3-D passes: fft_3d(plans, support, ...) skips every line
 // whose result does not matter. A forward pass skips lines that are still
 // all zero (an untransformed axis index outside the support); an inverse
@@ -32,10 +48,11 @@
 // Determinism: a single transform is strictly serial. fft_3d runs one
 // batched line pass per axis and parallelises over *whole lines* with
 // runtime::parallel_for — each line of the 3-D tensor is read and written by
-// exactly one chunk, so results are bitwise-identical to the serial loop at
-// any thread count (the runtime's chunking contract). Work is charged to the
-// governor per chunk with a unit count that is a pure function of the shape,
-// the support and the chunk's line range.
+// exactly one chunk, and a batch never spans two chunks, so results are
+// bitwise-identical to the serial loop at any thread count (the runtime's
+// chunking contract), wherever the chunk boundaries fall. Work is charged to
+// the governor per chunk with a unit count that is a pure function of the
+// shape, the support and the chunk's line range.
 #pragma once
 
 #include <array>
@@ -59,12 +76,23 @@ class FftPlan {
 
   std::size_t size() const { return n_; }
 
-  /// Out-of-place transform of one length-n line whose elements sit
-  /// `in_stride` apart: out[k] = sum_j in[j*in_stride] w^jk with
-  /// w = exp(-2*pi*i/n) forward, exp(+2*pi*i/n) inverse. The inverse is
-  /// *unscaled* (apply 1/n yourself). `in` and `out` must not alias. Does
-  /// not allocate unless a prime factor exceeds 64 (good_fft_size never
-  /// produces one).
+  /// Lines one kernel call transforms side by side.
+  static constexpr std::size_t kLanes = 4;
+
+  /// The transform kernel: `count` (1..kLanes) lines at once, each in its
+  /// own lane. Line b reads element j at in[b][j * in_stride] and writes
+  /// out[k] times `scale` to out[b][k * out_stride], with out[k] = sum_j
+  /// in[j] w^jk, w = exp(-2*pi*i/n) forward, exp(+2*pi*i/n) inverse. `in`
+  /// may equal `out` (in place): every element is read before any is
+  /// written. `work` is the caller's scratch, grown to the plan's lanes on
+  /// first use; keep one per thread.
+  void transform_lines(const la::Complex* const in[], std::size_t in_stride,
+                       la::Complex* const out[], std::size_t out_stride,
+                       std::size_t count, bool inverse, double scale,
+                       std::vector<double>& work) const;
+
+  /// One line through the same kernel, out of place and *unscaled* (apply
+  /// 1/n to the inverse yourself): the oracle-facing form of the plan.
   void transform(const la::Complex* in, la::Complex* out, bool inverse,
                  std::size_t in_stride = 1) const;
 

@@ -179,22 +179,28 @@ MqsSolver::MqsSolver(const std::vector<geom::Segment>& segments,
   }
 
   method_ = opts.method;
-  if (method_ == ExtractionMethod::Auto)
+  const bool auto_picked = method_ == ExtractionMethod::Auto;
+  if (auto_picked)
     method_ = filaments_.size() >= opts.fast.auto_threshold
                   ? ExtractionMethod::FftGmres
                   : ExtractionMethod::Dense;
 
   if (method_ == ExtractionMethod::FftGmres && !filaments_.empty()) {
     fast::VoxelGrid grid = fast::voxelize(filaments_, tech, opts.fast.voxel);
+    auto& metrics = runtime::MetricsRegistry::instance();
+    const double snap_error = grid.stats.relative_error(grid.pitch);
     if (grid.cells.empty()) {
       // Every filament is shorter than half a pitch: nothing to model on
       // the lattice — fall back to the dense path rather than fail.
       method_ = ExtractionMethod::Dense;
+    } else if (auto_picked && snap_error > kAutoMaxVoxelError) {
+      // Off the lattice the voxel operator is not the layout's: Auto keeps
+      // the exact dense extraction rather than trade accuracy for speed.
+      method_ = ExtractionMethod::Dense;
+      metrics.add_count("fast.auto_refused", 1);
     } else {
-      runtime::MetricsRegistry::instance().max_count(
-          "fast.snap_error_ppm",
-          static_cast<std::int64_t>(
-              grid.stats.relative_error(grid.pitch) * 1e6));
+      metrics.max_count("fast.snap_error_ppm",
+                        static_cast<std::int64_t>(snap_error * 1e6));
       toeplitz_ = std::make_shared<const fast::ToeplitzLOperator>(std::move(grid));
       self_l_ = toeplitz_->kernel(geom::Axis::X, 0, 0, 0);
     }

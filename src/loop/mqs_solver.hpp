@@ -22,7 +22,9 @@
 //     doubled form (robust::ComplexSparseFactor). O(n log n) per
 //     iteration; accuracy governed by the voxel pitch (exact on
 //     lattice-aligned layouts — see fast/voxelize.hpp).
-//   * Auto — Dense below fast.auto_threshold filaments, FftGmres above.
+//   * Auto — Dense below fast.auto_threshold filaments, FftGmres above,
+//     unless the voxelization's relative error exceeds kAutoMaxVoxelError:
+//     then Dense, counted under "fast.auto_refused".
 #pragma once
 
 #include <memory>
@@ -41,8 +43,15 @@ namespace ind::loop {
 enum class ExtractionMethod {
   Dense,     ///< dense partial-L + mesh-current LU (small-n oracle)
   FftGmres,  ///< voxelized Toeplitz operator + preconditioned GMRES
-  Auto,      ///< FftGmres at/above fast.auto_threshold filaments, else Dense
+  Auto,      ///< FftGmres at/above fast.auto_threshold filaments if the
+             ///< layout voxelizes within kAutoMaxVoxelError, else Dense
 };
+
+/// Largest VoxelStats::relative_error at which Auto still picks FftGmres:
+/// the FFT path's accuracy target, L within 1 % of Dense. An explicit
+/// FftGmres request runs at any error (the error is reported under
+/// "fast.snap_error_ppm").
+inline constexpr double kAutoMaxVoxelError = 0.01;
 
 const char* to_string(ExtractionMethod method);
 

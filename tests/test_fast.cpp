@@ -9,6 +9,7 @@
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include "fast/fft.hpp"
@@ -314,6 +315,57 @@ TEST_F(FastTest, BatchFftBitwiseDeterministicAcrossThreadCounts) {
     fast::fft_3d(shape, data, true);
     EXPECT_EQ(bits_digest(data), kInverseGolden) << "threads=" << threads;
     EXPECT_LT(max_abs_diff(data, original), 1e-13);
+  }
+}
+
+// fft_3d replayed one line at a time: RecursiveFft on every line of axis 2,
+// then 1, then 0, each inverse output times 1/n.
+void per_line_fft_3d(const std::array<std::size_t, 3>& shape,
+                     std::vector<Complex>& data, bool inverse) {
+  const std::array<std::size_t, 3> stride = {shape[1] * shape[2], shape[2],
+                                             1};
+  for (const std::size_t axis : {2u, 1u, 0u}) {
+    const std::size_t n = shape[axis];
+    if (n == 1) continue;
+    const RecursiveFft oracle(n);
+    const double scale = inverse ? 1.0 / static_cast<double>(n) : 1.0;
+    std::vector<Complex> line(n), out(n);
+    for (std::size_t base = 0; base < data.size(); ++base) {
+      if ((base / stride[axis]) % n != 0) continue;  // not a line's start
+      for (std::size_t j = 0; j < n; ++j)
+        line[j] = data[base + j * stride[axis]];
+      oracle.transform(line.data(), out.data(), inverse);
+      for (std::size_t j = 0; j < n; ++j)
+        data[base + j * stride[axis]] = out[j] * scale;
+    }
+  }
+}
+
+TEST_F(FastTest, BatchedLinePassBitwiseEqualsPerLineOracle) {
+  // 1-9 lines of length n per pass, so every partial batch occurs. The
+  // n-point lines are contiguous ({1, L, n}: axis 2) or strided ({1, n, L}:
+  // axis 1; {n, L, 1}: axis 0); the L-point passes of each shape run too.
+  for (const std::size_t n : {32u, 36u, 720u, 7u, 11u, 13u}) {
+    for (std::size_t lines = 1; lines <= 9; ++lines) {
+      const std::array<std::size_t, 3> shapes[] = {
+          {1, lines, n}, {1, n, lines}, {n, lines, 1}};
+      for (const auto& shape : shapes) {
+        const auto input = random_signal(n * lines, 17 * n + lines);
+        for (const unsigned threads : {1u, 3u}) {
+          runtime::set_global_threads(threads);
+          for (const bool inverse : {false, true}) {
+            auto batched = input, expect = input;
+            fast::fft_3d(shape, batched, inverse);
+            per_line_fft_3d(shape, expect, inverse);
+            EXPECT_EQ(std::memcmp(batched.data(), expect.data(),
+                                  batched.size() * sizeof(Complex)),
+                      0)
+                << "shape " << shape[0] << "x" << shape[1] << "x" << shape[2]
+                << " inverse " << inverse << " threads " << threads;
+          }
+        }
+      }
+    }
   }
 }
 
@@ -701,6 +753,37 @@ TEST_F(FastTest, AutoMethodResolvesByFilamentCount) {
   EXPECT_EQ(big.method(), loop::ExtractionMethod::FftGmres);
 }
 
+TEST_F(FastTest, AutoMethodRefusesOffLatticeLayout) {
+  // The return sits 9 um out on a 4 um pitch: it snaps a quarter pitch,
+  // far over Auto's 1 % bound, so Auto keeps Dense whatever the filament
+  // count. An explicit FftGmres request still runs on the lattice.
+  geom::Layout raw(geom::default_tech());
+  const int sig = raw.add_net("sig", geom::NetKind::Signal);
+  const int gnd = raw.add_net("gnd", geom::NetKind::Ground);
+  raw.add_wire(sig, 6, {0, 0}, {um(200), 0}, um(2));
+  raw.add_wire(gnd, 6, {0, um(9)}, {um(200), um(9)}, um(2));
+  const geom::Layout l = geom::refine(raw, um(40));
+  loop::MqsOptions opts;
+  opts.method = loop::ExtractionMethod::Auto;
+  opts.fast.voxel.pitch = um(4);
+  opts.fast.auto_threshold = 1;
+
+  auto& metrics = runtime::MetricsRegistry::instance();
+  metrics.reset();
+  loop::MqsSolver refused(l.segments(), l.vias(), l.tech(), opts);
+  EXPECT_EQ(refused.method(), loop::ExtractionMethod::Dense);
+  EXPECT_EQ(refused.voxel_grid(), nullptr);
+  EXPECT_EQ(metrics.counter("fast.auto_refused").value.load(), 1);
+
+  opts.method = loop::ExtractionMethod::FftGmres;
+  loop::MqsSolver forced(l.segments(), l.vias(), l.tech(), opts);
+  EXPECT_EQ(forced.method(), loop::ExtractionMethod::FftGmres);
+  ASSERT_NE(forced.voxel_grid(), nullptr);
+  EXPECT_GT(forced.voxel_grid()->stats.relative_error(um(4)),
+            loop::kAutoMaxVoxelError);
+  EXPECT_EQ(metrics.counter("fast.auto_refused").value.load(), 1);
+}
+
 // Lattice-aligned signal with three ground returns per side (inner 2
 // pitches out, middle 5, outer 8), each side's returns strapped at both
 // ends, on a 4 um pitch. `floating` adds an unconnected wire 12 pitches
@@ -801,6 +884,76 @@ TEST_F(FastTest, ToeplitzApplyTransformsOnlySupportedLines) {
   const std::int64_t lines = metrics.counter("fast.fft_lines").value.load();
   EXPECT_EQ(lines, pruned);
   EXPECT_LE(static_cast<double>(lines), 0.65 * static_cast<double>(unpruned));
+}
+
+TEST_F(FastTest, LoopExtractShapesMatchPinnedDigests) {
+  // loop_extract's two blocks: the X block embeds (720, 36, 1) with 340
+  // cells along the line in 7 rows, the straps' Y block (720, 32, 1) with 2
+  // columns of 12 cells. The goldens pin the pruned transforms' bits and
+  // one operator apply on that structure, whatever the line kernel's shape.
+  // Three pool threads cut the line passes at chunk boundaries that are not
+  // multiples of the kernel's batch.
+  struct Case {
+    std::array<std::size_t, 3> shape;
+    fast::FftSupport support;
+    std::uint64_t forward, inverse;
+  };
+  std::vector<std::size_t> along(340);
+  std::iota(along.begin(), along.end(), std::size_t{0});
+  const Case cases[] = {
+      {{720, 36, 1},
+       {{along, {0, 3, 6, 8, 10, 13, 16}, {0}}},
+       0x5c76b6fd7925a502ULL,
+       0x25ee4f09948e0088ULL},
+      {{720, 32, 1},
+       {{{0, 340}, {0, 1, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15}, {0}}},
+       0x19c4177cc74e6483ULL,
+       0xa8d1ad793a71b4e9ULL},
+  };
+  constexpr std::uint64_t kApplyGolden = 0xd6c170e8f0afad38ULL;
+
+  const geom::Layout l = strapped_returns_layout(340);
+  std::vector<std::size_t> parent_of;
+  const auto fil = extract::split_all(l.segments(), parent_of, {});
+  fast::VoxelOptions vo;
+  vo.pitch = um(4);
+  const fast::ToeplitzLOperator op(fast::voxelize(fil, l.tech(), vo));
+  const auto xs = random_signal(op.size(), 29);
+  const CVector x(xs.begin(), xs.end());
+
+  for (const unsigned threads : {1u, 3u}) {
+    runtime::set_global_threads(threads);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(testing::Message() << "threads " << threads << " shape "
+                                      << c.shape[0] << "x" << c.shape[1]);
+      const std::array<fast::FftPlan, 3> plans = {
+          fast::FftPlan(c.shape[0]), fast::FftPlan(c.shape[1]),
+          fast::FftPlan(c.shape[2])};
+      const std::size_t total = c.shape[0] * c.shape[1] * c.shape[2];
+      std::vector<std::size_t> on_support;
+      for (const std::size_t i0 : c.support[0])
+        for (const std::size_t i1 : c.support[1])
+          for (const std::size_t i2 : c.support[2])
+            on_support.push_back((i0 * c.shape[1] + i1) * c.shape[2] + i2);
+      const auto values = random_signal(total, total);
+      std::vector<Complex> data(total, Complex{});
+      for (const std::size_t i : on_support) data[i] = values[i];
+      fast::fft_3d(plans, c.support, data, false);
+      EXPECT_EQ(bits_digest(data), c.forward)
+          << std::hex << bits_digest(data);
+
+      data = values;
+      fast::fft_3d(plans, c.support, data, true);
+      std::vector<Complex> read;
+      for (const std::size_t i : on_support) read.push_back(data[i]);
+      EXPECT_EQ(bits_digest(read), c.inverse) << std::hex << bits_digest(read);
+    }
+    CVector y;
+    op.apply(x, y);
+    const std::uint64_t applied = bits_digest({y.begin(), y.end()});
+    EXPECT_EQ(applied, kApplyGolden)
+        << "threads " << threads << std::hex << " " << applied;
+  }
 }
 
 TEST_F(FastTest, DiagPrecondFactorsNodalAdmittanceWithLowFill) {
